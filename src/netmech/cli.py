@@ -112,9 +112,8 @@ def cmd_validate(args) -> int:
         if not sc.regularity.passed:
             print("assumption 1 violated: hazard must be non-decreasing and "
                   "virtual value nonnegative", file=sys.stderr)
-        message = sc.assumption2.failure_message()
-        if message:
-            print(f"assumption 2 violated: {message}", file=sys.stderr)
+        if not sc.assumption2.passed:
+            print(f"assumption 2 violated: {sc.assumption2.failure_message()}", file=sys.stderr)
         return 2
     return 0
 

@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import distribution_from_config
-from .experiments import make_network
-from .market import MarketParams, Network, Scenario
+from .market import MarketParams, Network, Scenario, make_network
 
 
 class ConfigError(ValueError):
@@ -69,16 +68,17 @@ def network_from_config(cfg: dict) -> Network:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ConfigError(f"edge ({i}, {j}) invalid for n={n}")
             w[i, j] = w[j, i] = float(val)
-        return Network(w * weight)
+    else:
+        try:
+            w = make_network(kind, int(cfg["n"]), seed=cfg.get("seed")).weights
+        except KeyError:
+            raise ConfigError(f"network kind {kind!r} needs 'n'") from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     try:
-        net = make_network(kind, int(cfg["n"]), seed=cfg.get("seed"))
-    except KeyError:
-        raise ConfigError(f"network kind {kind!r} needs 'n'") from None
+        return Network(w * weight)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if weight != 1.0:
-        net = Network(net.weights * weight)
-    return net
+        raise ConfigError(f"bad network block: {exc}") from exc
 
 
 def scenario_from_config(cfg: dict) -> Scenario:

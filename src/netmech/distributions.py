@@ -86,6 +86,10 @@ class TypeDistribution:
     def quantile(self, u):
         raise NotImplementedError
 
+    def _slope(self, theta: np.ndarray):
+        """d(virtual value)/d(theta) on a float array inside the support."""
+        raise NotImplementedError
+
     # -- derived objects -------------------------------------------------
 
     def hazard(self, theta):
@@ -99,13 +103,9 @@ class TypeDistribution:
         return theta - self.survival(theta) / self.pdf(theta)
 
     def virtual_value_slope(self, theta):
-        """d(virtual value)/d(theta); central differences unless overridden."""
-        theta = np.asarray(self._check_support(theta), dtype=float)
-        h = 1e-6 * (self.upper - self.lower)
-        lo = np.maximum(theta - h, self.lower)
-        hi = np.minimum(theta + h, self.upper)
-        slope = (self.virtual_value(hi) - self.virtual_value(lo)) / (hi - lo)
-        return float(slope) if slope.ndim == 0 else slope
+        """d(virtual value)/d(theta); a float for scalar input."""
+        out = self._slope(np.asarray(self._check_support(theta), dtype=float))
+        return float(out) if out.ndim == 0 else out
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n iid draws by inverse-cdf sampling; deterministic given seed."""
@@ -147,10 +147,8 @@ class Uniform(TypeDistribution):
         self._check_support(theta)
         return 2.0 * np.asarray(theta, dtype=float) - self.upper
 
-    def virtual_value_slope(self, theta):
-        theta = np.asarray(self._check_support(theta), dtype=float)
-        out = np.full_like(np.asarray(theta, dtype=float), 2.0)
-        return float(out) if out.ndim == 0 else out
+    def _slope(self, theta):
+        return np.full_like(theta, 2.0)
 
 
 @dataclass(frozen=True)
@@ -189,10 +187,8 @@ class TruncatedNormal(TypeDistribution):
         base = stats.norm.cdf(self._z(self.lower)) + np.asarray(u, dtype=float) * self._mass
         return self.mu + self.sigma * stats.norm.ppf(base)
 
-    def virtual_value_slope(self, theta):
-        theta = np.asarray(self._check_support(theta), dtype=float)
-        out = 2.0 - self.survival(theta) * self._z(theta) / (self.sigma * self.pdf(theta))
-        return float(out) if out.ndim == 0 else out
+    def _slope(self, theta):
+        return 2.0 - self.survival(theta) * self._z(theta) / (self.sigma * self.pdf(theta))
 
 
 @dataclass(frozen=True)
@@ -234,10 +230,8 @@ class TruncatedExponential(TypeDistribution):
         # survival/pdf collapses to (1 - exp(-rate*(upper-theta))) / rate
         return t + np.expm1(-self.rate * (self.upper - t)) / self.rate
 
-    def virtual_value_slope(self, theta):
-        theta = np.asarray(self._check_support(theta), dtype=float)
-        out = 1.0 + np.exp(-self.rate * (self.upper - theta))
-        return float(out) if out.ndim == 0 else out
+    def _slope(self, theta):
+        return 1.0 + np.exp(-self.rate * (self.upper - theta))
 
 
 def validate_regularity(dist: TypeDistribution, grid_points: int = 512) -> RegularityReport:

@@ -1,16 +1,18 @@
-"""Case-study experiments: network generators, sweeps, timing, CSV artifacts.
+"""Case-study experiments: sweeps, timing, CSV artifacts.
 
 Every experiment is reproducible bit-for-bit from (spec, seed): networks and
 type draws derive from the spec seed, estimators are deterministic, and CSV
 cells are formatted with fixed precision. The assertion outcomes of each run
-are returned as ``Check`` records and written to a summary file.
+are returned as ``Check`` records and written to a summary file. The network
+generators live in ``market`` and are re-exported here.
 
 Feasibility note: random-half networks with unit edge weights violate the
 market's dominance requirement once n reaches ~10 with the default
-parameters, so the scaling studies put a common weight on every edge, sized
-from the largest generated network so that every scenario validates with a
-factor-2 margin. Within one study all networks share that weight ("same
-strength of connectivity"), which preserves the cross-size comparison.
+parameters, so the scaling studies scale every edge by a common weight
+(``scaled_random_half_network``). fig6 gives all its networks the smallest
+of their per-size weights, so every scenario validates with a factor-2
+margin and all sizes share one "strength of connectivity", which preserves
+the cross-size comparison.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ import numpy as np
 
 from .csvio import write_csv
 from .distributions import TypeDistribution, Uniform
-from .market import MarketParams, Network, Scenario
+from .market import MarketParams, Network, Scenario, make_network, scaled_random_half_network
 from .mechanism import (
     MonteCarloEngine,
     QuadratureEngine,
     cumulative_trapezoid,
     interim_curves,
     reward_schedule,
-    system_matrix,
+    solve_profiles,
     truthful_interim_utility,
 )
 from .verification import interim_utility, untruthful_impact
@@ -39,43 +41,6 @@ CASE_STUDY_PARAMS = MarketParams(a=0.5, b=6.0, s=1.0, t=1.0, p=0.1)
 DEFAULT_DIST = Uniform(0.4, 0.8)
 TABLE2_SIZES = (10, 20, 50, 100, 200, 400, 600, 800)
 EXPERIMENT_NAMES = ("fig3", "fig4", "table1", "table2", "fig6")
-
-
-def make_network(kind: str, n: int, seed: int | None = None) -> Network:
-    """Symmetric 0/1 benchmark graphs.
-
-    complete: all pairs; star: node 0 to all others; hub_plus_edge: star plus
-    the extra tie (2, 3); random_k: every user picks n//2 partners uniformly,
-    then the adjacency is symmetrized.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if kind == "complete":
-        w = np.ones((n, n)) - np.eye(n)
-    elif kind == "star":
-        w = np.zeros((n, n))
-        if n > 1:
-            w[0, 1:] = 1.0
-            w[1:, 0] = 1.0
-    elif kind == "hub_plus_edge":
-        if n < 4:
-            raise ValueError("hub_plus_edge needs n >= 4")
-        w = np.zeros((n, n))
-        w[0, 1:] = 1.0
-        w[1:, 0] = 1.0
-        w[2, 3] = w[3, 2] = 1.0
-    elif kind == "random_k":
-        rng = np.random.default_rng(seed)
-        w = np.zeros((n, n))
-        k = n // 2
-        for i in range(n):
-            others = np.delete(np.arange(n), i)
-            picked = rng.choice(others, size=k, replace=False)
-            w[i, picked] = 1.0
-        w = np.maximum(w, w.T)
-    else:
-        raise ValueError(f"unknown network kind {kind!r}")
-    return Network(w)
 
 
 @dataclass(frozen=True)
@@ -281,24 +246,8 @@ def run_table1(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult("table1", (path, sweep_path), tuple(checks))
 
 
-def scaled_random_half_network(n: int, seed: int, params: MarketParams, theta_max: float,
-                               edge_weight: float | None = None) -> tuple[Network, float]:
-    """random_k graph with a common edge weight that keeps the scenario feasible."""
-    base = make_network("random_k", n, seed)
-    if edge_weight is None:
-        coupling = float((base.weights.sum(axis=1) + base.weights.sum(axis=0)).max())
-        edge_weight = 0.5 * (params.t + params.b) / (theta_max * coupling) if coupling else 1.0
-    return Network(base.weights * edge_weight), edge_weight
-
-
-def _assemble_and_solve(sc: Scenario, theta: np.ndarray) -> np.ndarray:
-    a = system_matrix(sc, theta)
-    rhs = np.full(sc.n, sc.params.s + sc.params.a - sc.params.p)
-    return np.linalg.solve(a, rhs)
-
-
 def run_table2(spec: ExperimentSpec, sizes=None) -> ExperimentResult:
-    """Median wall time of matrix assembly + solve across network sizes.
+    """Median wall time of matrix assembly + LU solve across network sizes.
 
     Timing runs sequentially; the log-log slope over the four largest sizes is
     checked against the cubic-solve bound only when the sizes reach the
@@ -313,13 +262,15 @@ def run_table2(spec: ExperimentSpec, sizes=None) -> ExperimentResult:
         )
         sc = _scenario(spec, net)
         theta = spec.dist.sample(n, seed=spec.seed + n + 1)
-        _assemble_and_solve(sc, theta)  # warm up
+        # batched solve of one profile: demand_solve's O(n^2) guards flatten the O(n^3) slope
+        phis = np.asarray(sc.dist.virtual_value(theta), dtype=float)[None]
+        solve_profiles(sc, phis)  # warm up
         # sub-millisecond solves need many repetitions for a stable median
         reps = max(5, spec.repetitions, min(60, 6000 // max(1, n)))
         samples = []
         for _ in range(reps):
             start = time.perf_counter()
-            _assemble_and_solve(sc, theta)
+            solve_profiles(sc, phis)
             samples.append(time.perf_counter() - start)
         degrees = (net.weights > 0).sum(axis=1)
         rec = TimingRecord(
@@ -357,17 +308,15 @@ def run_fig6(spec: ExperimentSpec) -> ExperimentResult:
     increase across sizes is asserted within three standard errors.
     """
     sizes = tuple(spec.fig6_sizes)
-    bases = {n: make_network("random_k", n, spec.seed + n) for n in sizes}
-    worst_coupling = max(
-        float((b.weights.sum(axis=1) + b.weights.sum(axis=0)).max()) for b in bases.values()
-    )
-    weight = 0.5 * (spec.params.t + spec.params.b) / (spec.dist.upper * worst_coupling)
+    params, upper = spec.params, spec.dist.upper
+    weight = min(scaled_random_half_network(n, spec.seed + n, params, upper)[1] for n in sizes)
     engine = MonteCarloEngine(samples=spec.mc_samples, seed=spec.seed)
     utilities = {}
     u_se = {}
     rows = []
     for n in sizes:
-        sc = _scenario(spec, Network(bases[n].weights * weight))
+        net, _ = scaled_random_half_network(n, spec.seed + n, params, upper, edge_weight=weight)
+        sc = _scenario(spec, net)
         curves = interim_curves(sc, spec.fig6_grid, engine, users=[0], threads=spec.threads)
         t_vals = truthful_interim_utility(curves)[0]
         # conservative error for the running integral: integrate the SE curve

@@ -47,8 +47,8 @@ class Network:
             raise ValueError(f"weights must be a square matrix, got shape {w.shape}")
         if w.shape[0] < 1:
             raise ValueError("need at least one user")
-        if np.any(w < 0):
-            raise ValueError("influence weights must be nonnegative")
+        if not np.all((w >= 0) & (w < np.inf)):
+            raise ValueError("influence weights g_ij must be finite and nonnegative")
         if np.any(np.diag(w) != 0):
             raise ValueError("self-influence g_ii must be zero")
         w.setflags(write=False)
@@ -75,8 +75,8 @@ class MarketParams:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "s", "t", "p"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"parameter {name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"parameter {name} must be finite and nonnegative")
         if self.b <= 0 and self.t <= 0:
             raise ValueError("need b > 0 or t > 0 (strict concavity)")
 
@@ -93,20 +93,21 @@ class Assumption2Report:
 
     @property
     def passed(self) -> bool:
-        return bool(np.all(self.row_slack > 0) and self.price_slack > 0)
+        return not self._messages()
 
     def failure_message(self) -> str | None:
         msgs = self._messages()
         return "; ".join(msgs) if msgs else None
 
     def _messages(self) -> list[str]:
+        """One message per violated inequality; a NaN slack counts as violated."""
         msgs = []
-        for i in np.flatnonzero(self.row_slack <= 0):
+        for i in np.flatnonzero(~(self.row_slack > 0)):
             bound = self.tb - self.row_slack[i]  # theta_bar * sum(g_ij + g_ji)
             msgs.append(
                 f"user {i}: t+b > theta_bar*sum(g_ij+g_ji) fails: {self.tb:g} <= {bound:g}"
             )
-        if self.price_slack <= 0:
+        if not self.price_slack > 0:
             msgs.append(f"s+a > p fails: {self.price_sum:g} <= {self.price_sum - self.price_slack:g}")
         return msgs
 
@@ -146,20 +147,20 @@ class Scenario:
         return self.assumption2.passed and self.regularity.passed
 
     def require_valid(self) -> None:
+        if self.valid:
+            return
         problems = []
         if not self.regularity.passed:
             problems.append("assumption 1 (regular distribution): " + self.regularity.summary())
-        if not self.assumption2.passed:
-            problems.extend(self.assumption2._messages())
-        if problems:
-            raise InvalidScenarioError("; ".join(problems))
+        problems.extend(self.assumption2._messages())
+        raise InvalidScenarioError("; ".join(problems))
 
     def check_profile(self, theta) -> np.ndarray:
         """Validate a type profile against n and the support; returns an array."""
         arr = np.asarray(theta, dtype=float)
         if arr.shape != (self.n,):
             raise ValueError(f"type profile must have shape ({self.n},), got {arr.shape}")
-        if np.any(arr < self.dist.lower) or np.any(arr > self.dist.upper):
+        if not np.all((arr >= self.dist.lower) & (arr <= self.dist.upper)):
             raise SupportError(
                 f"type profile leaves support [{self.dist.lower}, {self.dist.upper}]"
             )
@@ -180,6 +181,56 @@ def validate_assumption2(sc: Scenario) -> Assumption2Report:
         tb=tb,
         price_sum=sc.params.s + sc.params.a,
     )
+
+
+def make_network(kind: str, n: int, seed: int | None = None) -> Network:
+    """Symmetric 0/1 benchmark graphs.
+
+    complete: all pairs; star: node 0 to all others; hub_plus_edge: star plus
+    the extra tie (2, 3); random_k: every user picks n//2 partners uniformly,
+    then the adjacency is symmetrized.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if kind == "complete":
+        w = np.ones((n, n)) - np.eye(n)
+    elif kind == "star":
+        w = np.zeros((n, n))
+        if n > 1:
+            w[0, 1:] = 1.0
+            w[1:, 0] = 1.0
+    elif kind == "hub_plus_edge":
+        if n < 4:
+            raise ValueError("hub_plus_edge needs n >= 4")
+        w = np.zeros((n, n))
+        w[0, 1:] = 1.0
+        w[1:, 0] = 1.0
+        w[2, 3] = w[3, 2] = 1.0
+    elif kind == "random_k":
+        rng = np.random.default_rng(seed)
+        w = np.zeros((n, n))
+        k = n // 2
+        for i in range(n):
+            others = np.delete(np.arange(n), i)
+            picked = rng.choice(others, size=k, replace=False)
+            w[i, picked] = 1.0
+        w = np.maximum(w, w.T)
+    else:
+        raise ValueError(f"unknown network kind {kind!r}")
+    return Network(w)
+
+
+def scaled_random_half_network(n: int, seed: int, params: MarketParams, theta_max: float,
+                               edge_weight: float | None = None) -> tuple[Network, float]:
+    """random_k graph with a common edge weight that keeps the scenario feasible.
+
+    The default weight leaves a factor-2 margin on the worst dominance row.
+    """
+    base = make_network("random_k", n, seed)
+    if edge_weight is None:
+        coupling = float((base.weights.sum(axis=1) + base.weights.sum(axis=0)).max())
+        edge_weight = 0.5 * (params.t + params.b) / (theta_max * coupling) if coupling else 1.0
+    return Network(base.weights * edge_weight), edge_weight
 
 
 def user_utility(sc: Scenario, x, rewards, true_theta, i: int) -> float:

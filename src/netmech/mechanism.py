@@ -18,9 +18,10 @@ of one user's own reported type v:
     C_i(v)     = E[ s x_i - (t/2) x_i^2 ]
 
 estimated either by tensor Gauss-Legendre quadrature (tight, small n) or by
-Monte Carlo with common random numbers (any n): one sample set of the other
-users' types is reused across the whole type grid so the grid structure of
-the curves is not drowned by independent noise.
+Monte Carlo with common random numbers: one sample set of the other users'
+types is reused across the whole type grid so the grid structure of the
+curves is not drowned by independent noise. Memory per Monte Carlo chunk
+grows as samples x n^2 floats (at least one grid point per chunk).
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -60,18 +61,25 @@ class NegativeRewardWarning(UserWarning):
 _COND_LIMIT = 1e12
 # relative residual accepted after at most one refinement step
 _RESIDUAL_TOL = 1e-10
+# tensor quadrature needs order**(n-1) nodes per user; beyond this, use Monte Carlo
+_MAX_QUADRATURE_USERS = 7
+
+
+def _assemble(sc: Scenario, phis: np.ndarray) -> np.ndarray:
+    """A = (t+b) I - (M G + G^T M) for a stack of virtual-value profiles (..., n)."""
+    g = sc.network.weights
+    tb = sc.params.t + sc.params.b
+    return tb * np.eye(sc.n) - phis[..., :, None] * g - g.T * phis[..., None, :]
 
 
 def system_matrix(sc: Scenario, theta) -> np.ndarray:
     """Assemble A = (t+b) I - (M G + G^T M) for one type profile."""
     th = sc.check_profile(theta)
-    phi = np.asarray(sc.dist.virtual_value(th), dtype=float)
-    g = sc.network.weights
-    tb = sc.params.t + sc.params.b
-    return tb * np.eye(sc.n) - phi[:, None] * g - g.T * phi[None, :]
+    return _assemble(sc, np.asarray(sc.dist.virtual_value(th), dtype=float))
 
 
-def _dominance_slack(a: np.ndarray) -> np.ndarray:
+def dominance_slack(a: np.ndarray) -> np.ndarray:
+    """Per-row diagonal dominance slack a_ii - sum_{j != i} |a_ij|."""
     return np.diag(a) - (np.abs(a).sum(axis=1) - np.abs(np.diag(a)))
 
 
@@ -81,9 +89,9 @@ def demand_solve(sc: Scenario, theta) -> np.ndarray:
     a = system_matrix(sc, theta)
     rhs_val = sc.params.s + sc.params.a - sc.params.p
     rhs = np.full(sc.n, rhs_val)
-    slack = _dominance_slack(a)
-    if np.min(slack) <= 0:
-        worst = int(np.argmin(slack))
+    slack = dominance_slack(a)
+    worst = int(np.argmin(slack))
+    if slack[worst] <= 0:
         cond = float(np.linalg.cond(a, 1))
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SolverError(
@@ -93,7 +101,6 @@ def demand_solve(sc: Scenario, theta) -> np.ndarray:
     try:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
-        worst = int(np.argmin(slack))
         raise SolverError(
             f"demand system singular; diagonal dominance worst at user {worst} "
             f"(slack {slack[worst]:g})"
@@ -111,6 +118,7 @@ def demand_solve(sc: Scenario, theta) -> np.ndarray:
 
 def foc_residual(sc: Scenario, theta, x) -> float:
     """Max absolute first-order-condition violation of a candidate demand."""
+    # matrix-free on purpose: an independent check on _assemble and the solve
     th = sc.check_profile(theta)
     x = np.asarray(x, dtype=float)
     phi = np.asarray(sc.dist.virtual_value(th), dtype=float)
@@ -146,11 +154,8 @@ def k_sensitivity(sc: Scenario, theta, i: int) -> np.ndarray:
 
 def solve_profiles(sc: Scenario, phis: np.ndarray) -> np.ndarray:
     """Batched demand solve for a stack of virtual-value profiles (..., n)."""
-    g = sc.network.weights
-    tb = sc.params.t + sc.params.b
-    a = tb * np.eye(sc.n) - phis[..., :, None] * g - g.T * phis[..., None, :]
     rhs = np.full(phis.shape + (1,), sc.params.s + sc.params.a - sc.params.p)
-    return np.linalg.solve(a, rhs)[..., 0]
+    return np.linalg.solve(_assemble(sc, phis), rhs)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +166,16 @@ def solve_profiles(sc: Scenario, phis: np.ndarray) -> np.ndarray:
 class QuadratureEngine:
     """Tensor Gauss-Legendre expectation over the other users' types.
 
-    The node count grows as order**(n-1); refuse networks beyond ``max_users``
-    and point to the Monte Carlo engine instead.
+    The node count grows as order**(n-1); refuse networks beyond
+    ``_MAX_QUADRATURE_USERS`` and point to the Monte Carlo engine instead.
     """
 
     kind = "quadrature"
 
-    def __init__(self, order: int = 8, max_users: int = 7):
+    def __init__(self, order: int = 8):
         if order < 1:
             raise EngineError("quadrature order must be >= 1")
         self.order = order
-        self.max_users = max_users
         self._cache: dict = {}
 
     @property
@@ -190,9 +194,9 @@ class QuadratureEngine:
 
     def others_samples(self, dist: TypeDistribution, n: int, i: int):
         """(values, weights) for the n-1 other coordinates; independent of i."""
-        if n > self.max_users:
+        if n > _MAX_QUADRATURE_USERS:
             raise EngineError(
-                f"tensor quadrature limited to n <= {self.max_users} users "
+                f"tensor quadrature limited to n <= {_MAX_QUADRATURE_USERS} users "
                 f"(got n={n}); use MonteCarloEngine"
             )
         n_others = n - 1

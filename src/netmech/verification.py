@@ -21,7 +21,9 @@ failed check is report content, never an exception.
     sum_i [ (s+a-p) x_i - ((t+b)/2) x_i^2 + phi_i x_i sum_j g_ij x_j ]
 
 over x >= 0 by grid refinement or projected gradient ascent. It exists only
-to cross-check the closed-form demand solve and shares no code path with it.
+to cross-check the closed-form demand solve: the objective and its gradient
+share no code with the solve. Only its concavity guard reuses the solve's
+matrix assembly and dominance slack, to refuse scenarios with no maximizer.
 """
 
 from __future__ import annotations
@@ -32,13 +34,15 @@ import numpy as np
 
 from .market import Scenario, cp_ex_post_utility
 from .mechanism import (
+    _MAX_QUADRATURE_USERS,
     InterimCurves,
     MonteCarloEngine,
     QuadratureEngine,
     RewardSchedule,
+    demand_solve,
+    dominance_slack,
     interim_curves,
     reward_schedule,
-    solve_profiles,
     system_matrix,
 )
 
@@ -74,38 +78,39 @@ class VerificationReport:
     tolerances: dict = field(default_factory=dict)
     estimator: dict = field(default_factory=dict)
 
+    def _verdicts(self) -> dict:
+        """Pass/fail of each checked property, keyed by tolerance name."""
+        tol = self.tolerances
+        out = {}
+        if self.ic_max_gain is not None:
+            out["ic"] = self.ic_max_gain <= tol["ic"] and bool(self.ic_argmax_within_step)
+        if self.ir_min is not None:
+            out["ir"] = self.ir_min >= -tol["ir"] and self.ir_binding_gap <= tol["ir"]
+        if self.gamma_min_slope is not None:
+            out["mono"] = self.gamma_min_slope >= -tol["mono"]
+        return out
+
     @property
     def passed(self) -> bool:
-        ok = True
-        if self.ic_max_gain is not None:
-            ok &= self.ic_max_gain <= self.tolerances["ic"]
-            ok &= bool(self.ic_argmax_within_step)
-        if self.ir_min is not None:
-            ok &= self.ir_min >= -self.tolerances["ir"]
-            ok &= self.ir_binding_gap <= self.tolerances["ir"]
-        if self.gamma_min_slope is not None:
-            ok &= self.gamma_min_slope >= -self.tolerances["mono"]
-        return bool(ok)
+        return all(self._verdicts().values())
 
     def summary_lines(self) -> list[str]:
+        status = {k: "PASS" if ok else "FAIL" for k, ok in self._verdicts().items()}
         lines = []
         if self.ic_max_gain is not None:
-            ok = self.ic_max_gain <= self.tolerances["ic"] and self.ic_argmax_within_step
             lines.append(
-                f"IC {'PASS' if ok else 'FAIL'}: max misreport gain {self.ic_max_gain:.3e} "
+                f"IC {status['ic']}: max misreport gain {self.ic_max_gain:.3e} "
                 f"(tol {self.tolerances['ic']:.1e}), best report at truth: "
                 f"{'yes' if self.ic_argmax_within_step else 'NO'}"
             )
         if self.ir_min is not None:
-            ok = self.ir_min >= -self.tolerances["ir"] and self.ir_binding_gap <= self.tolerances["ir"]
             lines.append(
-                f"IR {'PASS' if ok else 'FAIL'}: min truthful utility {self.ir_min:.3e}, "
+                f"IR {status['ir']}: min truthful utility {self.ir_min:.3e}, "
                 f"binding gap {self.ir_binding_gap:.3e} (tol {self.tolerances['ir']:.1e})"
             )
         if self.gamma_min_slope is not None:
-            ok = self.gamma_min_slope >= -self.tolerances["mono"]
             lines.append(
-                f"monotonicity {'PASS' if ok else 'FAIL'}: min gamma slope "
+                f"monotonicity {status['mono']}: min gamma slope "
                 f"{self.gamma_min_slope:.3e} (tol {self.tolerances['mono']:.1e})"
             )
         for w in self.worst_cases:
@@ -321,14 +326,14 @@ def untruthful_impact(
         raise IndexError(f"deviator index {deviator} out of range")
     if rewards is None:
         if engine is None:
-            engine = QuadratureEngine() if sc.n <= 7 else MonteCarloEngine()
+            engine = QuadratureEngine() if sc.n <= _MAX_QUADRATURE_USERS else MonteCarloEngine()
         rewards = reward_schedule(interim_curves(sc, max(report_grid, 33), engine))
     reports = np.linspace(sc.dist.lower, sc.dist.upper, report_grid)
 
     def cp_at(report: float) -> float:
         profile = theta_true.copy()
         profile[deviator] = report
-        x = _solve_one(sc, profile)
+        x = demand_solve(sc, profile)
         return cp_ex_post_utility(sc, x, rewards.rewards_for_profile(profile))
 
     baseline = cp_at(float(theta_true[deviator]))
@@ -342,11 +347,6 @@ def untruthful_impact(
         reports=reports,
         cp_utilities=utilities,
     )
-
-
-def _solve_one(sc: Scenario, profile: np.ndarray) -> np.ndarray:
-    phi = np.asarray(sc.dist.virtual_value(profile), dtype=float)
-    return solve_profiles(sc, phi[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +368,7 @@ def virtual_surplus(sc: Scenario, theta, x: np.ndarray) -> np.ndarray:
 
 
 def _check_concave(sc: Scenario, theta) -> None:
-    a = system_matrix(sc, theta)
-    slack = np.diag(a) - (np.abs(a).sum(axis=1) - np.abs(np.diag(a)))
+    slack = dominance_slack(system_matrix(sc, theta))
     if np.min(slack) <= 0:
         raise NonConcaveError(
             f"objective Hessian not strictly diagonally dominant (worst slack {np.min(slack):g})"

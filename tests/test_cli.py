@@ -74,6 +74,34 @@ class TestSolveVerb:
     def test_profile_outside_support(self, capsys):
         assert main(["solve", "--config", COMPLETE5, "--theta", "0.9,0.6,0.6,0.6,0.6"]) == 2
 
+    def test_nan_profile_refused(self, capsys):
+        assert main(["solve", "--config", COMPLETE5, "--theta", "nan,0.6,0.6,0.6,0.6"]) == 2
+        assert "support" in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("verb", ["validate", "solve"])
+    @pytest.mark.parametrize("where,value,field", [
+        ("a", float("nan"), "parameter a must be finite"),
+        ("a", float("inf"), "parameter a must be finite"),
+        ("edge", float("nan"), "influence weights g_ij must be finite"),
+    ])
+    def test_exit_two_and_field_named(self, tmp_path, capsys, verb, where, value, field):
+        cfg = json.loads(Path(COMPLETE5).read_text())
+        if where == "a":
+            cfg["params"]["a"] = value
+        else:
+            cfg["network"] = {"kind": "edges", "n": 5, "edges": [[0, 1, value], [1, 2]]}
+        path = write_config(tmp_path, cfg)
+        assert ("NaN" if value != value else "Infinity") in Path(path).read_text()
+        args = [verb, "--config", path]
+        if verb == "solve":
+            args += ["--theta", "0.6,0.6,0.6,0.6,0.6"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert "x[" not in captured.out
+
 
 class TestValidateVerb:
     def test_valid_config(self, capsys):

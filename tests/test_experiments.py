@@ -71,6 +71,12 @@ class TestMakeNetwork:
         with pytest.raises(ValueError):
             make_network("hub_plus_edge", 3)
 
+    def test_generators_are_the_market_ones(self):
+        from netmech import experiments, market
+
+        assert experiments.make_network is market.make_network
+        assert experiments.scaled_random_half_network is market.scaled_random_half_network
+
     def test_scaled_random_half_validates(self):
         net, weight = scaled_random_half_network(40, 7, CASE_PARAMS, UNIFORM.upper)
         coupling = (net.weights.sum(axis=1) + net.weights.sum(axis=0)).max()

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmech import (
+    Assumption2Report,
+    InvalidScenarioError,
     MarketParams,
     Network,
     Scenario,
+    SupportError,
     Uniform,
     cp_ex_post_utility,
     user_utility,
@@ -92,6 +95,20 @@ class TestAssumption2:
         with pytest.raises(Exception, match="t\\+b > theta_bar"):
             sc.require_valid()
 
+    def test_nan_slack_fails_and_is_named(self, complete5):
+        report = Assumption2Report(
+            row_slack=np.array([0.6, np.nan]), price_slack=np.nan, theta_max=0.8, tb=7.0, price_sum=1.5
+        )
+        assert not report.passed
+        message = report.failure_message()
+        assert "user 1: t+b > theta_bar" in message
+        assert "user 0" not in message
+        assert "s+a > p fails" in message
+        object.__setattr__(complete5, "assumption2", report)
+        assert not complete5.valid
+        with pytest.raises(InvalidScenarioError, match="user 1"):
+            complete5.require_valid()
+
 
 class TestTypeValidation:
     def test_network_rejects_negative_weights(self):
@@ -106,6 +123,16 @@ class TestTypeValidation:
         with pytest.raises(ValueError, match="square"):
             Network(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_network_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            Network(np.array([[0.0, value], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_params_reject_non_finite(self, value):
+        with pytest.raises(ValueError, match="parameter p must be finite"):
+            MarketParams(a=0.5, b=6.0, s=1.0, t=1.0, p=value)
+
     def test_params_reject_negative(self):
         with pytest.raises(ValueError):
             MarketParams(a=-0.1, b=6.0, s=1.0, t=1.0, p=0.1)
@@ -117,6 +144,10 @@ class TestTypeValidation:
     def test_profile_support_check(self, complete5):
         with pytest.raises(Exception, match="support"):
             complete5.check_profile(np.array([0.5, 0.5, 0.5, 0.5, 0.9]))
+
+    def test_profile_nan_rejected(self, complete5):
+        with pytest.raises(SupportError):
+            complete5.check_profile(np.array([0.5, 0.5, np.nan, 0.5, 0.5]))
 
 
 class TestQuadraticStructure:

@@ -24,6 +24,7 @@ from netmech import (
     truthful_interim_utility,
 )
 from netmech.market import InvalidScenarioError
+from netmech.mechanism import solve_profiles
 from conftest import CASE_PARAMS, UNIFORM, complete_network, random_valid_scenario, zero_network
 
 
@@ -69,6 +70,14 @@ class TestDemandSolve:
             sc = scenario_factory(rng, n=int(rng.integers(2, 13)))
             theta = sc.dist.sample(sc.n, seed=int(rng.integers(1 << 31)))
             assert np.all(demand_solve(sc, theta) > 0)
+
+    def test_batched_solve_bitwise_equal(self, scenario_factory):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            sc = scenario_factory(rng)
+            theta = sc.dist.sample(sc.n, seed=int(rng.integers(1 << 31)))
+            phi = np.asarray(sc.dist.virtual_value(theta), dtype=float)
+            assert np.array_equal(solve_profiles(sc, phi[None])[0], demand_solve(sc, theta))
 
     def test_permutation_equivariance(self, hub5):
         rng = np.random.default_rng(3)
