@@ -68,6 +68,10 @@ class TypeDistribution:
     upper: float
 
     def __post_init__(self) -> None:
+        for name in ("lower", "upper"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"support bound {name} must be finite, got {value}")
         if not (self.lower < self.upper):
             raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
 

@@ -20,8 +20,22 @@ of one user's own reported type v:
 estimated either by tensor Gauss-Legendre quadrature (tight, small n) or by
 Monte Carlo with common random numbers: one sample set of the other users'
 types is reused across the whole type grid so the grid structure of the
-curves is not drowned by independent noise. Memory per Monte Carlo chunk
-grows as samples x n^2 floats (at least one grid point per chunk).
+curves is not drowned by independent noise.
+
+Along the grid only user i's virtual value moves, and it enters A through a
+symmetric rank-2 term: with g_i = G[i, :],
+
+    A(v) = B - phi_i(v) (e_i g_i^T + g_i e_i^T),
+
+where B is A with phi_i = 0 (the finite-update form of the K-sensitivity
+lemma dK/dtheta_i = K (E_i G + G^T E_i) K). One factorization per sample
+solves B [y z w] = [c 1, e_i, g_i], and the Sherman-Morrison-Woodbury
+identity turns every grid point into a 2x2 solve for (g_i.x, x_i), which is
+all that gamma, V and C need. The cost is one O(n^3) factorization per
+sample, not per sample and grid point. Memory is bounded by the float budget
+``_CHUNK_FLOATS``: stacked B matrices are solved in chunks of samples, and the
+grid stage runs in chunks of grid points, so each array of a chunk holds about
+that many floats whatever the sample count (at least one n x n matrix).
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -34,6 +48,7 @@ the own report only: R_i(theta_hat) = r_i(theta_hat_i).
 
 from __future__ import annotations
 
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,6 +78,9 @@ _COND_LIMIT = 1e12
 _RESIDUAL_TOL = 1e-10
 # tensor quadrature needs order**(n-1) nodes per user; beyond this, use Monte Carlo
 _MAX_QUADRATURE_USERS = 7
+# floats per array in one chunk of the curve kernel: the stacked n x n matrices
+# of a chunk of samples, or the (grid points x samples) arrays of a grid chunk
+_CHUNK_FLOATS = 2**20
 
 
 def _assemble(sc: Scenario, phis: np.ndarray) -> np.ndarray:
@@ -299,6 +317,45 @@ def _chunk_slices(m: int, chunk: int):
         yield slice(start, min(start + chunk, m))
 
 
+def _rank2_factors(sc: Scenario, i: int, phis_others: np.ndarray):
+    """Per-sample SMW factors of user i's curve: s = [g_i.y, y_i] and S (2 x 2).
+
+    Solves B [y z w] = [c 1, e_i, g_i] for every sample of the other users'
+    virtual values, where B is A with phi_i = 0; returns s with shape
+    (samples, 2) and S with shape (samples, 2, 2), rows (g_i.[z w], [z_i w_i]).
+    """
+    n = sc.n
+    n_samples = phis_others.shape[0]
+    others = np.delete(np.arange(n), i)
+    g_i = sc.network.weights[i]
+    rhs = np.zeros((n, 3))
+    rhs[:, 0] = sc.params.s + sc.params.a - sc.params.p
+    rhs[i, 1] = 1.0
+    rhs[:, 2] = g_i
+    rhs_scale = np.abs(rhs).max(axis=0)
+    g_sol = np.empty((n_samples, 3))
+    i_sol = np.empty((n_samples, 3))
+    for sl in _chunk_slices(n_samples, max(1, _CHUNK_FLOATS // (n * n))):
+        phis = np.zeros((sl.stop - sl.start, n))
+        phis[:, others] = phis_others[sl]
+        b = _assemble(sc, phis)
+        sol = np.linalg.solve(b, rhs)
+        residual = np.abs(b @ sol - rhs).max(axis=1)
+        bad = ~(residual <= _RESIDUAL_TOL * rhs_scale)
+        if bad.any():
+            k, col = np.argwhere(bad)[0]
+            raise SolverError(
+                f"user {i}: base system (phi_{i} = 0) residual {residual[k, col]:.3g} "
+                f"exceeds tolerance in right-hand side {('c*1', 'e_i', 'g_i')[col]} "
+                f"at sample {sl.start + k}"
+            )
+        g_sol[sl] = g_i @ sol
+        i_sol[sl] = sol[:, i, :]
+    s = np.stack([g_sol[:, 0], i_sol[:, 0]], axis=1)
+    big_s = np.stack([g_sol[:, 1:], i_sol[:, 1:]], axis=1)
+    return s, big_s
+
+
 def interim_curves(
     sc: Scenario,
     grid_size: int,
@@ -309,8 +366,11 @@ def interim_curves(
     """Estimate gamma_i, V_i, C_i on a uniform type grid for the given users.
 
     Deterministic for a fixed engine configuration regardless of ``threads``:
-    work is split into independent (user, grid-chunk) tasks whose outputs land
-    in preallocated slots, and every reduction runs in a fixed order.
+    each user is one independent task whose outputs land in preallocated
+    rows, chunk sizes depend only on the problem, and every reduction runs in
+    a fixed order. Raises SolverError naming the user, the grid type and the
+    quantity when a solve breaks the M-matrix promises of Assumption 2
+    (det(I - phi S) > 0, x_i > 0, g_i.x >= 0) or misses the residual tolerance.
     """
     if grid_size < 9:
         raise ValueError("need grid_size >= 9")
@@ -322,6 +382,7 @@ def interim_curves(
     dist = sc.dist
     p = sc.params
     grid = np.linspace(dist.lower, dist.upper, grid_size)
+    phi_grid = np.asarray(dist.virtual_value(grid), dtype=float)
 
     gamma = np.full((n, grid_size), np.nan)
     v = np.full((n, grid_size), np.nan)
@@ -329,45 +390,49 @@ def interim_curves(
     track_se = engine.kind == "mc"
     gamma_se = np.full((n, grid_size), np.nan) if track_se else None
 
-    tasks = []
-    for i in user_list:
-        values, weights = engine.others_samples(dist, n, i)
+    samples_lock = threading.Lock()
+
+    def run_user(i):
+        with samples_lock:  # engines fill their sample caches on first use
+            values, weights = engine.others_samples(dist, n, i)
         n_samples = values.shape[0]
-        phis_others = np.asarray(dist.virtual_value(values), dtype=float)
-        others = np.delete(np.arange(n), i)
-        # chunk so one batch of stacked n x n systems stays near ~8e6 floats
-        chunk = max(1, int(8e6 / max(1, n_samples * n * n)))
-        for sl in _chunk_slices(grid_size, chunk):
-            tasks.append((i, sl, others, phis_others, weights, n_samples))
+        s, big_s = _rank2_factors(sc, i, np.asarray(dist.virtual_value(values), dtype=float))
+        for sl in _chunk_slices(grid_size, max(1, _CHUNK_FLOATS // n_samples)):
+            ph = phi_grid[sl][:, None]
+            # (I - phi S) [g_i.x, x_i] = s, solved in closed form
+            d00 = 1.0 - ph * big_s[:, 0, 0]
+            d11 = 1.0 - ph * big_s[:, 1, 1]
+            det = d00 * d11 - ph * ph * big_s[:, 0, 1] * big_s[:, 1, 0]
+            gx = (d11 * s[:, 0] + ph * big_s[:, 0, 1] * s[:, 1]) / det
+            xi = (d00 * s[:, 1] + ph * big_s[:, 1, 0] * s[:, 0]) / det
+            for name, value, ok in (
+                ("det(I - phi S)", det, det > 0),
+                (f"x_{i}", xi, xi > 0),
+                (f"g_{i}.x", gx, gx >= 0),
+            ):
+                if not ok.all():
+                    k, j = np.argwhere(~ok)[0]
+                    raise SolverError(
+                        f"user {i} at theta {grid[sl][k]:.12g}: {name} = {value[k, j]:.6g} "
+                        f"at sample {j} breaks the sign that Assumption 2 promises"
+                    )
+            gamma_samples = xi * gx
+            v_samples = (p.a - p.p) * xi - 0.5 * p.b * xi**2
+            c_samples = p.s * xi - 0.5 * p.t * xi**2
+            gamma[i, sl] = gamma_samples @ weights
+            v[i, sl] = v_samples @ weights
+            c[i, sl] = c_samples @ weights
+            if track_se:
+                resid = gamma_samples - gamma[i, sl][:, None]
+                var = (resid**2 @ weights) * n_samples / max(1, n_samples - 1)
+                gamma_se[i, sl] = np.sqrt(var / n_samples)
 
-    g_row = sc.network.weights
-
-    def run_task(task):
-        i, sl, others, phis_others, weights, n_samples = task
-        grid_vals = grid[sl]
-        m = len(grid_vals)
-        phis = np.empty((m, n_samples, n))
-        phis[:, :, others] = phis_others[None, :, :]
-        phis[:, :, i] = np.asarray(dist.virtual_value(grid_vals), dtype=float)[:, None]
-        x = solve_profiles(sc, phis.reshape(-1, n)).reshape(m, n_samples, n)
-        xi = x[..., i]
-        gamma_samples = xi * (x @ g_row[i])
-        v_samples = (p.a - p.p) * xi - 0.5 * p.b * xi**2
-        c_samples = p.s * xi - 0.5 * p.t * xi**2
-        gamma[i, sl] = gamma_samples @ weights
-        v[i, sl] = v_samples @ weights
-        c[i, sl] = c_samples @ weights
-        if track_se:
-            resid = gamma_samples - gamma[i, sl][:, None]
-            var = (resid**2 @ weights) * n_samples / max(1, n_samples - 1)
-            gamma_se[i, sl] = np.sqrt(var / n_samples)
-
-    if threads > 1 and len(tasks) > 1:
+    if threads > 1 and len(user_list) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_task, tasks))
+            list(pool.map(run_user, user_list))
     else:
-        for task in tasks:
-            run_task(task)
+        for i in user_list:
+            run_user(i)
 
     return InterimCurves(
         grid=grid,

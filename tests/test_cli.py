@@ -103,6 +103,18 @@ class TestNonFiniteInput:
         assert "x[" not in captured.out
 
 
+    @pytest.mark.parametrize("verb", ["validate", "solve"])
+    def test_infinite_support_bound(self, tmp_path, capsys, verb):
+        cfg = json.loads(Path(COMPLETE5).read_text())
+        cfg["distribution"]["upper"] = float("inf")
+        path = write_config(tmp_path, cfg)
+        args = [verb, "--config", path]
+        if verb == "solve":
+            args += ["--theta", "0.6,0.6,0.6,0.6,0.6"]
+        assert main(args) == 2
+        assert "support bound upper must be finite" in capsys.readouterr().err
+
+
 class TestValidateVerb:
     def test_valid_config(self, capsys):
         assert main(["validate", "--config", COMPLETE5]) == 0

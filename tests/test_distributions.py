@@ -169,3 +169,13 @@ class TestConfig:
     def test_bad_support(self):
         with pytest.raises(ValueError, match="lower < upper"):
             Uniform(0.8, 0.4)
+
+    @pytest.mark.parametrize("family", [Uniform, TruncatedNormal, TruncatedExponential])
+    @pytest.mark.parametrize("lower,upper,field", [
+        (0.4, float("inf"), "upper"),
+        (float("-inf"), 0.8, "lower"),
+        (float("nan"), 0.8, "lower"),
+    ])
+    def test_non_finite_support_bound(self, family, lower, upper, field):
+        with pytest.raises(ValueError, match=f"support bound {field} must be finite"):
+            family(lower, upper)
