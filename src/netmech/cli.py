@@ -36,7 +36,7 @@ from .mechanism import (
     MonteCarloEngine,
     QuadratureEngine,
     SolverError,
-    demand_solve,
+    demand_solution,
     export_interim_csv,
     foc_residual,
     interim_curves,
@@ -124,10 +124,12 @@ def cmd_solve(args) -> int:
         theta = np.array([float(v) for v in args.theta.split(",")])
     except ValueError:
         raise ConfigError(f"--theta must be comma-separated numbers, got {args.theta!r}") from None
-    x = demand_solve(sc, theta)
-    for i, value in enumerate(x):
+    sol = demand_solution(sc, theta)
+    for i, value in enumerate(sol.x):
         print(f"x[{i}] = {value:.12g}")
-    print(f"foc residual = {foc_residual(sc, theta, x):.3e}")
+    print(f"foc residual = {foc_residual(sc, theta, sol.x):.3e}")
+    print(f"forward error bound = {sol.error_bound:.3e} (Varah: ||A^-1||_inf <= 1 / min row slack)")
+    print(f"cg iterations = {sol.iterations}")
     return 0
 
 

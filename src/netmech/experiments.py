@@ -262,7 +262,7 @@ def run_table2(spec: ExperimentSpec, sizes=None) -> ExperimentResult:
         )
         sc = _scenario(spec, net)
         theta = spec.dist.sample(n, seed=spec.seed + n + 1)
-        # batched solve of one profile: demand_solve's O(n^2) guards flatten the O(n^3) slope
+        # direct LU of one profile: demand_solve iterates at O(n^2) per step, not the O(n^3) solve timed here
         phis = np.asarray(sc.dist.virtual_value(theta), dtype=float)[None]
         solve_profiles(sc, phis)  # warm up
         # sub-millisecond solves need many repetitions for a stable median

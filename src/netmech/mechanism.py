@@ -7,8 +7,16 @@ For a type profile theta the optimal content demand solves the linear system
 where M = diag(phi(theta_1), ..., phi(theta_n)) holds the virtual values.
 Under the feasibility assumption A is strictly diagonally dominant with
 positive diagonal and nonpositive off-diagonal entries (an M-matrix), so the
-solve is well posed and the solution is entrywise positive. The solve is a
-direct LU factorization: O(n^3), no explicit inverse.
+solve is well posed and the solution is entrywise positive.
+
+A single profile is solved matrix-free by conjugate gradients, which needs
+only products with G. Regularity (Assumption 1) gives 0 <= phi <= theta_bar,
+so with s = min row slack of Assumption 2 every A(theta) in the support is
+symmetric with its spectrum and ||A||_inf inside [s, 2(t+b) - s]
+(Gershgorin), and ||A^{-1}||_inf <= 1/s (Varah). Both bounds are known before
+the first iteration: the condition bound caps the iteration count, and a
+residual r turns into the forward-error bound ||x - x*||_inf <= ||r||_inf / s.
+Batched solves (``solve_profiles``, the curve kernel) stay on direct LU.
 
 Interim quantities are expectations over the other users' types as a function
 of one user's own reported type v:
@@ -72,9 +80,9 @@ class NegativeRewardWarning(UserWarning):
     """The reward formula produced negative values somewhere on the grid."""
 
 
-# maximum condition number (1-norm estimate) accepted by demand_solve
+# maximum a-priori condition bound (2(t+b) - s) / s accepted by demand_solve
 _COND_LIMIT = 1e12
-# relative residual accepted after at most one refinement step
+# residual accepted from a demand or base-system solve, relative to the right-hand side
 _RESIDUAL_TOL = 1e-10
 # tensor quadrature needs order**(n-1) nodes per user; beyond this, use Monte Carlo
 _MAX_QUADRATURE_USERS = 7
@@ -101,37 +109,118 @@ def dominance_slack(a: np.ndarray) -> np.ndarray:
     return np.diag(a) - (np.abs(a).sum(axis=1) - np.abs(np.diag(a)))
 
 
-def demand_solve(sc: Scenario, theta) -> np.ndarray:
-    """Optimal demand profile for one type profile (direct linear solve)."""
+@dataclass(frozen=True)
+class DemandSolution:
+    """A guarded single-profile demand solve.
+
+    ``error_bound`` bounds ||x - x*||_inf by Varah's ||A^{-1}||_inf <= 1 / min
+    row slack, which holds on the whole support: it is ||c 1 - A x||_inf,
+    recomputed from x, plus the rounding bound of that evaluation, divided by
+    the min row slack.
+    """
+
+    x: np.ndarray
+    iterations: int
+    error_bound: float
+
+
+def _cg(apply_a, rhs: np.ndarray, x: np.ndarray, floor, cap: int):
+    """Unpreconditioned conjugate gradients from x until ||r||_inf <= floor(x).
+
+    Returns (x, iterations); raises SolverError after ``cap`` iterations.
+    """
+    r = rhs - apply_a(x)
+    d = r.copy()
+    rr = r @ r
+    iterations = 0
+    while np.abs(r).max() > floor(x):
+        if iterations == cap:
+            worst = int(np.argmax(np.abs(r)))
+            raise SolverError(
+                f"user {worst}: CG residual |r_{worst}| = {abs(r[worst]):.3g} still above "
+                f"the backward-error floor {floor(x):.3g} after {cap} iterations"
+            )
+        q = apply_a(d)
+        alpha = rr / (d @ q)
+        x = x + alpha * d
+        r = r - alpha * q
+        rr, rr_old = r @ r, rr
+        d = r + (rr / rr_old) * d
+        iterations += 1
+    return x, iterations
+
+
+def demand_solution(sc: Scenario, theta) -> DemandSolution:
+    """Optimal demand for one type profile by matrix-free CG, with its error bound.
+
+    Every bound comes from the scenario: with s = min row slack,
+    kappa(A) <= (2(t+b) - s) / s sets the iteration cap, and the stop rule is
+    the backward-error floor ||r||_inf <= 8 eps (||A||_inf ||x||_inf + c) with
+    ||A||_inf <= 2(t+b) - s. Raises SolverError naming the user when a virtual
+    value leaves [0, theta_bar], a demand is not positive, or the recomputed
+    residual misses ``_RESIDUAL_TOL`` * c.
+    """
     sc.require_valid()
-    a = system_matrix(sc, theta)
-    rhs_val = sc.params.s + sc.params.a - sc.params.p
-    rhs = np.full(sc.n, rhs_val)
-    slack = dominance_slack(a)
-    worst = int(np.argmin(slack))
-    if slack[worst] <= 0:
-        cond = float(np.linalg.cond(a, 1))
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise SolverError(
-                f"demand system ill-conditioned (cond ~ {cond:.3g}); "
-                f"diagonal dominance violated at user {worst} (slack {slack[worst]:g})"
-            )
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
+    th = sc.check_profile(theta)
+    phi = np.asarray(sc.dist.virtual_value(th), dtype=float)
+    theta_bar = sc.assumption2.theta_max
+    bad = ~((phi >= 0) & (phi <= theta_bar))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise SolverError(
-            f"demand system singular; diagonal dominance worst at user {worst} "
-            f"(slack {slack[worst]:g})"
-        ) from exc
-    residual = rhs - a @ x
-    if np.max(np.abs(residual)) > _RESIDUAL_TOL * rhs_val:
-        x = x + np.linalg.solve(a, residual)  # one iterative refinement step
-        residual = rhs - a @ x
-        if np.max(np.abs(residual)) > _RESIDUAL_TOL * rhs_val:
-            raise SolverError(
-                f"solve residual {np.max(np.abs(residual)):.3g} exceeds tolerance"
-            )
-    return x
+            f"user {i}: virtual value phi_{i} = {phi[i]:.6g} leaves [0, theta_bar = "
+            f"{theta_bar:g}], the premise of the a-priori bounds (Assumption 1)"
+        )
+    g = sc.network.weights
+    p = sc.params
+    tb = p.t + p.b
+    c = p.s + p.a - p.p
+    row_slack = sc.assumption2.row_slack
+    slack = float(np.min(row_slack))
+    norm_a = 2.0 * tb - slack
+    kappa = norm_a / slack
+    if not kappa <= _COND_LIMIT:
+        worst = int(np.argmin(row_slack))
+        raise SolverError(
+            f"demand system ill-conditioned: a-priori bound cond <= {kappa:.3g} exceeds "
+            f"{_COND_LIMIT:g} (min row slack {slack:g} at user {worst})"
+        )
+    # Chebyshev: ||r_k||_2 <= 2 sqrt(kappa) exp(-2k / sqrt(kappa)) ||r_0||_2, and
+    # ||r_0||_2 <= sqrt(n) c from x0 = c / (t+b), while the floor is >= 8 eps c
+    eps = np.finfo(float).eps
+    root = np.sqrt(kappa)
+    cap = int(np.ceil(0.5 * root * np.log(root * np.sqrt(sc.n) / (4.0 * eps))))
+
+    def apply_a(v):
+        return tb * v - phi * (g @ v) - g.T @ (phi * v)
+
+    def floor(x):
+        return 8.0 * eps * (norm_a * np.abs(x).max() + c)
+
+    rhs = np.full(sc.n, c)
+    x, iterations = _cg(apply_a, rhs, np.full(sc.n, c / tb), floor, cap)
+    bad = ~(x > 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SolverError(
+            f"user {i}: demand x_{i} = {x[i]:.6g} is not positive, "
+            f"which Assumption 2 promises"
+        )
+    residual = np.abs(rhs - apply_a(x))
+    worst = int(np.argmax(residual))
+    if not residual[worst] <= _RESIDUAL_TOL * c:
+        raise SolverError(
+            f"user {worst}: demand residual |r_{worst}| = {residual[worst]:.3g} "
+            f"exceeds tolerance {_RESIDUAL_TOL * c:.3g}"
+        )
+    # the evaluated residual is within (n+3) eps (||A|| ||x|| + c) of the exact one
+    rounding = (sc.n + 3) * eps * (norm_a * x.max() + c)
+    return DemandSolution(x, iterations, float(residual[worst] + rounding) / slack)
+
+
+def demand_solve(sc: Scenario, theta) -> np.ndarray:
+    """Optimal demand profile for one type profile (guarded matrix-free CG)."""
+    return demand_solution(sc, theta).x
 
 
 def foc_residual(sc: Scenario, theta, x) -> float:

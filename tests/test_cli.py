@@ -68,6 +68,18 @@ class TestSolveVerb:
         assert len(values) == 5
         assert np.allclose(values, 1.4 / 3.8, atol=1e-5)
 
+    def test_prints_error_bound_and_iterations(self, capsys):
+        theta = "0.5,0.6,0.7,0.8,0.45"
+        assert main(["solve", "--config", str(CONFIG_DIR / "hub5.json"), "--theta", theta]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[5].startswith("foc residual = ")
+        assert lines[6].startswith("forward error bound = ")
+        assert "min row slack" in lines[6]
+        bound = float(lines[6].split("=")[1].split()[0])
+        assert 0 < bound <= 1e-12
+        assert lines[7].startswith("cg iterations = ")
+        assert 1 <= int(lines[7].split("=")[1]) <= 5  # CG is exact in n = 5 steps
+
     def test_bad_theta_string(self, capsys):
         assert main(["solve", "--config", COMPLETE5, "--theta", "a,b"]) == 2
 

@@ -146,6 +146,21 @@ class TestTable2:
         assert all(r.wall_seconds > 0 for r in result.records)
         assert all(r.repetitions >= 5 for r in result.records)
 
+    def test_times_the_direct_solve_not_demand_solve(self, spec, monkeypatch):
+        # criterion 9's O(n^3) slope needs the direct LU, not the iterative solve
+        import netmech
+        from netmech import cli, mechanism, verification
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("table2 called the iterative demand solve")
+
+        for module in (netmech, cli, mechanism, verification):
+            for name in ("demand_solve", "demand_solution"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        result = run_table2(spec, sizes=(5, 10, 20))
+        assert [r.n for r in result.records] == [5, 10, 20]
+
 
 class TestFig6:
     def test_reduced_sizes_increase(self, spec):

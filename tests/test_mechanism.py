@@ -1,7 +1,10 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmech import (
     EngineError,
@@ -9,6 +12,7 @@ from netmech import (
     NegativeRewardWarning,
     QuadratureEngine,
     Scenario,
+    SolverError,
     Network,
     Uniform,
     cp_expected_utility,
@@ -24,7 +28,8 @@ from netmech import (
     truthful_interim_utility,
 )
 from netmech.market import InvalidScenarioError
-from netmech.mechanism import solve_profiles
+from netmech import mechanism
+from netmech.mechanism import demand_solution, solve_profiles
 from conftest import CASE_PARAMS, UNIFORM, complete_network, random_valid_scenario, zero_network
 
 
@@ -33,6 +38,42 @@ def hub_network(n: int) -> Network:
     w[0, 1:] = 1.0
     w[1:, 0] = 1.0
     return Network(w)
+
+
+def varah_bound(sc, theta, x) -> float:
+    """Bound on ||x - x*||_inf for any candidate x: (||r||_inf + its rounding) / min row slack."""
+    p = sc.params
+    c = p.s + p.a - p.p
+    slack = float(np.min(sc.assumption2.row_slack))
+    rounding = (sc.n + 3) * np.finfo(float).eps * ((2 * (p.t + p.b) - slack) * np.max(np.abs(x)) + c)
+    return (foc_residual(sc, theta, x) + rounding) / slack
+
+
+def exact_solution(sc, theta) -> list:
+    """x* of the float system A x = c 1, by Gauss-Jordan elimination on Fractions."""
+    n = sc.n
+    phi = [Fraction(v) for v in np.asarray(sc.dist.virtual_value(theta), dtype=float)]
+    g = [[Fraction(v) for v in row] for row in sc.network.weights]
+    p = sc.params
+    tb, c = Fraction(p.t + p.b), Fraction(p.s + p.a - p.p)
+    rows = [
+        [(tb if i == j else 0) - phi[i] * g[i][j] - g[j][i] * phi[j] for j in range(n)] + [c]
+        for i in range(n)
+    ]
+    for k in range(n):
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(n):
+            if i != k:
+                rows[i] = [v - rows[i][k] * w for v, w in zip(rows[i], rows[k])]
+    return [row[n] for row in rows]
+
+
+def boundary_scenario(sc, delta: float) -> Scenario:
+    """Rescale the weights so that the min row slack is delta * (t+b), at the worst row."""
+    g = sc.network.weights
+    tb = sc.params.t + sc.params.b
+    coupling = float((g.sum(axis=1) + g.sum(axis=0)).max())
+    return Scenario(Network(g * ((1 - delta) * tb / (sc.dist.upper * coupling))), sc.params, sc.dist)
 
 
 class TestDemandSolve:
@@ -71,13 +112,26 @@ class TestDemandSolve:
             theta = sc.dist.sample(sc.n, seed=int(rng.integers(1 << 31)))
             assert np.all(demand_solve(sc, theta) > 0)
 
-    def test_batched_solve_bitwise_equal(self, scenario_factory):
+    def test_batched_solve_agrees(self, scenario_factory):
         rng = np.random.default_rng(5)
         for _ in range(300):
             sc = scenario_factory(rng)
             theta = sc.dist.sample(sc.n, seed=int(rng.integers(1 << 31)))
             phi = np.asarray(sc.dist.virtual_value(theta), dtype=float)
-            assert np.array_equal(solve_profiles(sc, phi[None])[0], demand_solve(sc, theta))
+            x_lu = solve_profiles(sc, phi[None])[0]
+            sol = demand_solution(sc, theta)
+            gap = np.max(np.abs(sol.x - x_lu))
+            assert gap <= 1e-13 * np.max(np.abs(x_lu))
+            assert gap <= sol.error_bound + varah_bound(sc, theta, x_lu)
+
+    def test_error_bound_holds_in_exact_arithmetic(self, scenario_factory):
+        rng = np.random.default_rng(11)
+        for k in range(100):
+            sc = scenario_factory(rng, n=2 + k % 4)
+            theta = sc.dist.sample(sc.n, seed=int(rng.integers(1 << 31)))
+            sol = demand_solution(sc, theta)
+            error = max(abs(Fraction(v) - w) for v, w in zip(sol.x, exact_solution(sc, theta)))
+            assert error <= Fraction(sol.error_bound)
 
     def test_permutation_equivariance(self, hub5):
         rng = np.random.default_rng(3)
@@ -120,6 +174,94 @@ class TestDemandSolve:
                 down[i] -= h
                 diff = (demand_solve(sc, up) - demand_solve(sc, down)) / (2 * h)
                 assert np.min(diff) >= -1e-8
+
+
+class TestFeasibilityBoundary:
+    """Weights rescaled so that the min row slack is delta (t+b), delta down to 1e-8.
+
+    The random couplings of ``random_valid_scenario`` differ across rows once
+    n >= 3, so lambda_min(A) stays well above the min row slack and x stays
+    moderate even at theta = theta_bar. A regular coupling has x* = c / (delta
+    (t+b)) there instead, beyond what a double-precision residual can certify.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 20), log_delta=st.floats(-8.0, -1.0))
+    def test_solve_near_the_edge(self, seed, n, log_delta):
+        base = random_valid_scenario(np.random.default_rng(seed), n=n)
+        sc = boundary_scenario(base, 10.0**log_delta)
+        assert sc.valid
+        for theta in (np.full(n, sc.dist.upper), sc.dist.sample(n, seed=seed)):
+            sol = demand_solution(sc, theta)
+            assert np.all(sol.x > 0)
+            assert foc_residual(sc, theta, sol.x) <= 1e-9
+            x_lu = solve_profiles(sc, np.asarray(sc.dist.virtual_value(theta), dtype=float)[None])[0]
+            assert np.max(np.abs(sol.x - x_lu)) <= sol.error_bound + varah_bound(sc, theta, x_lu)
+        beyond = boundary_scenario(base, -(10.0**log_delta))
+        g = beyond.network.weights
+        worst = int(np.argmax(g.sum(axis=1) + g.sum(axis=0)))
+        with pytest.raises(InvalidScenarioError, match=rf"user {worst}: t\+b > theta_bar"):
+            demand_solve(beyond, np.full(n, beyond.dist.upper))
+
+    def test_regular_coupling_at_theta_bar_is_refused(self, case_params, uniform_dist):
+        # A(theta_bar) 1 = delta (t+b) 1, so x* = 1.4 / (7e-8) = 2e7 and any
+        # evaluated residual is about eps ||A|| ||x*|| ~ 1e-8, far above 1e-10 c
+        sc = boundary_scenario(Scenario(complete_network(4), case_params, uniform_dist), 1e-8)
+        theta = np.full(4, 0.8)
+        with pytest.raises(SolverError, match=r"^user \d: demand residual \|r_\d\| = "):
+            demand_solve(sc, theta)
+        x_lu = solve_profiles(sc, np.asarray(sc.dist.virtual_value(theta), dtype=float)[None])[0]
+        assert np.allclose(x_lu, 2e7, rtol=1e-6)
+        assert foc_residual(sc, theta, x_lu) > 1e-10 * 1.4  # the direct solve misses it too
+
+
+class TestDemandSolveGuards:
+    @pytest.mark.parametrize("value", [-0.1, 0.9])
+    def test_virtual_value_outside_zero_theta_bar(self, complete5, monkeypatch, value):
+        virtual_value = Uniform.virtual_value
+
+        def tampered(dist, theta):
+            phi = np.array(virtual_value(dist, theta), dtype=float)
+            phi[3] = value
+            return phi
+
+        monkeypatch.setattr(Uniform, "virtual_value", tampered)
+        with pytest.raises(SolverError) as err:
+            demand_solve(complete5, np.full(5, 0.6))
+        assert str(err.value).startswith(
+            f"user 3: virtual value phi_3 = {value:g} leaves [0, theta_bar = 0.8]"
+        )
+
+    @pytest.mark.parametrize("user,quantity,tamper", [
+        (2, "demand residual |r_2| = ", lambda x: x + 1e-3 * np.eye(5)[2]),
+        (1, "demand x_1 = -", lambda x: x * np.where(np.arange(5) == 1, -1.0, 1.0)),
+    ])
+    def test_cg_result_checked(self, complete5, monkeypatch, user, quantity, tamper):
+        cg = mechanism._cg
+
+        def tampered(*args):
+            x, iterations = cg(*args)
+            return tamper(x), iterations
+
+        monkeypatch.setattr(mechanism, "_cg", tampered)
+        with pytest.raises(SolverError) as err:
+            demand_solve(complete5, np.array([0.5, 0.6, 0.7, 0.8, 0.45]))
+        assert str(err.value).startswith(f"user {user}: {quantity}")
+
+    def test_condition_bound_refused_before_iterating(self, complete5):
+        sc = boundary_scenario(complete5, 1e-13)
+        assert sc.valid
+        with pytest.raises(SolverError, match=r"a-priori bound cond <= .* exceeds 1e\+12"):
+            demand_solve(sc, np.full(5, 0.6))
+
+    def test_iteration_cap(self, hub5):
+        a = system_matrix(hub5, np.array([0.5, 0.6, 0.7, 0.8, 0.45]))
+        rhs = np.full(5, 1.4)
+        with pytest.raises(SolverError, match=r"^user \d: CG residual .* after 1 iterations"):
+            mechanism._cg(lambda v: a @ v, rhs, rhs / 7.0, lambda x: 0.0, 1)
+        x, iterations = mechanism._cg(lambda v: a @ v, rhs, rhs / 7.0, lambda x: 1e-13, 50)
+        assert iterations <= 5
+        assert np.allclose(x, np.linalg.solve(a, rhs), rtol=0, atol=1e-13)
 
 
 class TestFocResidual:
