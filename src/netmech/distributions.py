@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 
 class SupportError(ValueError):
@@ -173,23 +173,24 @@ class TruncatedNormal(TypeDistribution):
     @property
     def _mass(self) -> float:
         # probability the untruncated normal assigns to [lower, upper]
-        return float(stats.norm.cdf(self._z(self.upper)) - stats.norm.cdf(self._z(self.lower)))
+        return float(ndtr(self._z(self.upper)) - ndtr(self._z(self.lower)))
 
     def pdf(self, theta):
         self._check_support(theta)
-        return stats.norm.pdf(self._z(theta)) / (self.sigma * self._mass)
+        z = self._z(theta)
+        return np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi) / (self.sigma * self._mass)
 
     def cdf(self, theta):
         self._check_support(theta)
-        return (stats.norm.cdf(self._z(theta)) - stats.norm.cdf(self._z(self.lower))) / self._mass
+        return (ndtr(self._z(theta)) - ndtr(self._z(self.lower))) / self._mass
 
     def survival(self, theta):
         # sf-based form stays accurate in the upper tail
-        return (stats.norm.sf(self._z(theta)) - stats.norm.sf(self._z(self.upper))) / self._mass
+        return (ndtr(-self._z(theta)) - ndtr(-self._z(self.upper))) / self._mass
 
     def quantile(self, u):
-        base = stats.norm.cdf(self._z(self.lower)) + np.asarray(u, dtype=float) * self._mass
-        return self.mu + self.sigma * stats.norm.ppf(base)
+        base = ndtr(self._z(self.lower)) + np.asarray(u, dtype=float) * self._mass
+        return self.mu + self.sigma * ndtri(base)
 
     def _slope(self, theta):
         return 2.0 - self.survival(theta) * self._z(theta) / (self.sigma * self.pdf(theta))

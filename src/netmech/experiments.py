@@ -123,24 +123,23 @@ def run_fig3(spec: ExperimentSpec, rewards=None) -> ExperimentResult:
     report (within one report-grid step).
     """
     sc = _scenario(spec, make_network("complete", 5))
+    user = sc.n - 1
     engine = spec.make_engine()
-    curves = interim_curves(sc, spec.report_grid, engine, threads=spec.threads)
+    curves = interim_curves(sc, spec.report_grid, engine, users=[user], threads=spec.threads)
     if rewards is None:
         rewards = reward_schedule(curves)
-    user = sc.n - 1
     reports = curves.grid
     step = reports[1] - reports[0]
+    truths = np.asarray(spec.fig3_truths, dtype=float)
+    swept = interim_utility(curves, rewards, user, truths[:, None], reports)
+    truthful = interim_utility(curves, rewards, user, truths, truths)
     rows = []
     checks = []
-    for theta in spec.fig3_truths:
-        utilities = np.array(
-            [interim_utility(curves, rewards, user, theta, float(m)) for m in reports]
-        )
+    for theta, utilities, u_truth in zip(truths, swept, truthful):
         rows.extend(
             (float(theta), float(m), float(v)) for m, v in zip(reports, utilities)
         )
         best = float(reports[int(np.argmax(utilities))])
-        truthful = interim_utility(curves, rewards, user, theta, theta)
         checks.append(
             Check(
                 f"fig3 curve theta={theta:g}: maximum at truthful report",
@@ -151,8 +150,8 @@ def run_fig3(spec: ExperimentSpec, rewards=None) -> ExperimentResult:
         checks.append(
             Check(
                 f"fig3 curve theta={theta:g}: lowest-report row does not beat the maximum",
-                utilities[0] <= truthful + 1e-12,
-                f"U(lowest report) {utilities[0]:.6g} vs truthful {truthful:.6g}",
+                utilities[0] <= u_truth + 1e-12,
+                f"U(lowest report) {utilities[0]:.6g} vs truthful {u_truth:.6g}",
             )
         )
     path = _out(spec, "fig3.csv")

@@ -382,6 +382,17 @@ class InterimCurves:
         return self.gamma.shape[0]
 
 
+def _on_grid(grid: np.ndarray, theta, what: str) -> np.ndarray:
+    """theta as a float array; SupportError naming ``what`` if any value is off the grid."""
+    theta = np.asarray(theta, dtype=float)
+    outside = ~((theta >= grid[0]) & (theta <= grid[-1]))
+    if outside.any():
+        raise SupportError(
+            f"{what} {theta[outside].flat[0]} outside grid [{grid[0]}, {grid[-1]}]"
+        )
+    return theta
+
+
 @dataclass(frozen=True)
 class RewardSchedule:
     """Interim reward r_i on the curve grid, linear interpolation in between."""
@@ -390,11 +401,10 @@ class RewardSchedule:
     rewards: np.ndarray
     users: tuple
 
-    def reward(self, i: int, theta: float) -> float:
-        lo, hi = self.grid[0], self.grid[-1]
-        if not lo <= theta <= hi:
-            raise SupportError(f"report {theta} outside schedule grid [{lo}, {hi}]")
-        return float(np.interp(theta, self.grid, self.rewards[i]))
+    def reward(self, i: int, theta):
+        """r_i at the reports theta (any shape); a float for scalar input."""
+        r = np.interp(_on_grid(self.grid, theta, "report"), self.grid, self.rewards[i])
+        return float(r) if r.ndim == 0 else r
 
     def rewards_for_profile(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -468,6 +478,8 @@ def interim_curves(
     user_list = list(range(n)) if users is None else sorted(set(int(u) for u in users))
     if any(u < 0 or u >= n for u in user_list):
         raise IndexError("user index out of range")
+    if not user_list:
+        raise ValueError("need at least one user")
     dist = sc.dist
     p = sc.params
     grid = np.linspace(dist.lower, dist.upper, grid_size)

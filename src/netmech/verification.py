@@ -4,7 +4,9 @@ The interim utility of a user with true type theta who reports theta_hat is
 
     U~_i(theta, theta_hat) = V_i(theta_hat) + theta * gamma_i(theta_hat) + r_i(theta_hat)
 
-evaluated by linear interpolation on the curve grid. The checks:
+evaluated by linear interpolation on the curve grid. ``interim_utility`` is
+its only implementation: it broadcasts over both types, so each sweep below is
+one call per user. The checks:
 
   * incentive compatibility: no report beats the truthful one, for every user,
     every true type on one grid, every report on another; the best report must
@@ -13,8 +15,9 @@ evaluated by linear interpolation on the curve grid. The checks:
     and exactly zero at the lowest type (the binding participation constraint);
   * monotonicity: gamma_i is non-decreasing along the grid.
 
-All three return a ``VerificationReport`` carrying worst-case witnesses; a
-failed check is report content, never an exception.
+All three return a ``VerificationReport`` carrying worst-case witnesses: the
+first extremum in (user, true type) order, so ties resolve to the lowest user
+and type. A failed check is report content, never an exception.
 
 ``bruteforce_oracle`` maximizes the pointwise virtual-surplus objective
 
@@ -39,6 +42,7 @@ from .mechanism import (
     MonteCarloEngine,
     QuadratureEngine,
     RewardSchedule,
+    _on_grid,
     demand_solve,
     dominance_slack,
     interim_curves,
@@ -122,24 +126,24 @@ class VerificationReport:
         return lines
 
 
-def _interp(grid: np.ndarray, values: np.ndarray, theta: float) -> float:
-    if not grid[0] <= theta <= grid[-1]:
-        raise ValueError(f"type {theta} outside curve grid [{grid[0]}, {grid[-1]}]")
-    return float(np.interp(theta, grid, values))
-
-
 def interim_utility(
     curves: InterimCurves,
     rewards: RewardSchedule,
     i: int,
-    theta_true: float,
-    theta_hat: float,
-) -> float:
-    """V_i(theta_hat) + theta_true * gamma_i(theta_hat) + r_i(theta_hat)."""
-    v = _interp(curves.grid, curves.v[i], theta_hat)
-    gamma = _interp(curves.grid, curves.gamma[i], theta_hat)
-    _interp(curves.grid, curves.grid, theta_true)  # support check on the true type
-    return v + theta_true * gamma + rewards.reward(i, theta_hat)
+    theta_true,
+    theta_hat,
+):
+    """V_i(theta_hat) + theta_true * gamma_i(theta_hat) + r_i(theta_hat).
+
+    Broadcasts over theta_true and theta_hat; a float for scalar input.
+    """
+    grid = curves.grid
+    theta_true = _on_grid(grid, theta_true, "true type")
+    theta_hat = _on_grid(grid, theta_hat, "report")
+    v = np.interp(theta_hat, grid, curves.v[i])
+    gamma = np.interp(theta_hat, grid, curves.gamma[i])
+    u = v + theta_true * gamma + rewards.reward(i, theta_hat)
+    return float(u) if u.ndim == 0 else u
 
 
 def _ic_tolerance(curves: InterimCurves) -> float:
@@ -172,29 +176,19 @@ def verify_ic(
     reports = np.linspace(lo, hi, report_grid)
     step = reports[1] - reports[0]
 
-    v_hat = np.vstack([np.interp(reports, curves.grid, curves.v[i]) for i in curves.users])
-    g_hat = np.vstack([np.interp(reports, curves.grid, curves.gamma[i]) for i in curves.users])
-    r_hat = np.vstack([np.interp(reports, rewards.grid, rewards.rewards[i]) for i in curves.users])
-
-    max_gain = -np.inf
-    argmax_ok = True
-    worst = None
-    for row, i in enumerate(curves.users):
-        for theta in truths:
-            u_reports = v_hat[row] + theta * g_hat[row] + r_hat[row]
-            u_truth = interim_utility(curves, rewards, i, theta, theta)
-            gains = u_reports - u_truth
-            best = int(np.argmax(u_reports))
-            if abs(reports[best] - theta) > step * (1 + 1e-9):
-                argmax_ok = False
-            gain = float(gains[best])
-            if gain > max_gain:
-                max_gain = gain
-                worst = WorstCase(i, float(theta), float(reports[best]), gain)
+    users = curves.users
+    # (user, truth, report) utilities and the (user, truth) truthful ones
+    u = np.stack([interim_utility(curves, rewards, i, truths[:, None], reports) for i in users])
+    u_truth = np.stack([interim_utility(curves, rewards, i, truths, truths) for i in users])
+    best = np.argmax(u, axis=2)
+    gains = np.take_along_axis(u, best[..., None], axis=2)[..., 0] - u_truth
+    argmax_ok = not np.any(np.abs(reports[best] - truths) > step * (1 + 1e-9))
+    row, t = np.unravel_index(np.argmax(gains), gains.shape)
+    gain = float(gains[row, t])
     return VerificationReport(
-        ic_max_gain=max_gain,
+        ic_max_gain=gain,
         ic_argmax_within_step=argmax_ok,
-        worst_cases=(worst,) if worst else (),
+        worst_cases=(WorstCase(users[row], float(truths[t]), float(reports[best[row, t]]), gain),),
         tolerances={"ic": tol},
         estimator=dict(curves.detail),
     )
@@ -208,22 +202,15 @@ def verify_ir(
     tol: float = TOL_IR,
 ) -> VerificationReport:
     """Truthful interim utility nonnegative; binding (zero) at the lowest type."""
-    lo, hi = sc.dist.lower, sc.dist.upper
-    truths = np.linspace(lo, hi, true_grid)
-    ir_min = np.inf
-    worst = None
-    binding_gap = 0.0
-    for i in curves.users:
-        values = np.array([interim_utility(curves, rewards, i, t, t) for t in truths])
-        k = int(np.argmin(values))
-        if values[k] < ir_min:
-            ir_min = float(values[k])
-            worst = WorstCase(i, float(truths[k]), float(truths[k]), float(values[k]))
-        binding_gap = max(binding_gap, abs(interim_utility(curves, rewards, i, lo, lo)))
+    truths = np.linspace(sc.dist.lower, sc.dist.upper, true_grid)
+    values = np.stack([interim_utility(curves, rewards, i, truths, truths) for i in curves.users])
+    row, k = np.unravel_index(np.argmin(values), values.shape)
+    ir_min = float(values[row, k])
     return VerificationReport(
         ir_min=ir_min,
-        ir_binding_gap=float(binding_gap),
-        worst_cases=(worst,) if worst else (),
+        # truths[0] is the lowest type exactly, where participation binds
+        ir_binding_gap=float(np.max(np.abs(values[:, 0]))),
+        worst_cases=(WorstCase(curves.users[row], float(truths[k]), float(truths[k]), ir_min),),
         tolerances={"ir": tol},
         estimator=dict(curves.detail),
     )
@@ -313,7 +300,6 @@ def untruthful_impact(
     deviator: int,
     report_grid: int,
     rewards: RewardSchedule | None = None,
-    engine=None,
 ) -> ImpactRow:
     """Worst-case ex-post CP utility over the deviator's report sweep.
 
@@ -325,8 +311,7 @@ def untruthful_impact(
     if not 0 <= deviator < sc.n:
         raise IndexError(f"deviator index {deviator} out of range")
     if rewards is None:
-        if engine is None:
-            engine = QuadratureEngine() if sc.n <= _MAX_QUADRATURE_USERS else MonteCarloEngine()
+        engine = QuadratureEngine() if sc.n <= _MAX_QUADRATURE_USERS else MonteCarloEngine()
         rewards = reward_schedule(interim_curves(sc, max(report_grid, 33), engine))
     reports = np.linspace(sc.dist.lower, sc.dist.upper, report_grid)
 

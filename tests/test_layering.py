@@ -1,6 +1,9 @@
 """Import layering: type laws, market primitives and configs sit below the mechanism."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,12 @@ def test_parser_sees_relative_and_absolute_imports(tmp_path):
 @pytest.mark.parametrize("module", ["distributions", "market", "config"])
 def test_lower_layer_imports_no_upper_layer(module):
     assert not package_imports(SRC / f"{module}.py") & UPPER_LAYERS
+
+
+def test_cli_import_skips_scipy_stats():
+    """The type laws call scipy.special directly; scipy.stats is a slow import."""
+    script = "import sys, netmech.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
