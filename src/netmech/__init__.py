@@ -36,6 +36,7 @@ from .mechanism import (
     interim_curves,
     k_matrix,
     k_sensitivity,
+    make_engine,
     reward_schedule,
     system_matrix,
     truthful_interim_utility,

@@ -1,12 +1,23 @@
 """Command-line front end.
 
-Verbs: validate, solve, rewards, verify, experiment, bench. Exit codes:
-0 = success and every asserted property passed; 1 = a property check failed
-(the report is still written); 2 = config or validation error, with the
-violated assumption printed.
+Verbs and the flags each one reads (every verb takes ``--config``, optional
+for experiment and bench):
 
-All randomness flows from one seed. Precedence: --seed flag, then the
-NETMECH_SEED environment variable, then a "seed" key in the config file,
+  validate    --config
+  solve       --config --theta
+  rewards     --config --seed --engine --mc-samples --quad-order
+              --report-grid --threads --out
+  verify      the rewards flags plus --grid
+  experiment  the verify flags plus --name
+  bench       --config --seed --out --sizes
+
+A flag a verb does not read is a usage error. Exit codes: 0 = success and
+every asserted property passed; 1 = a property check failed (the report is
+still written); 2 = usage, config or validation error, with the flag, config
+key or violated assumption named.
+
+All randomness flows from one nonnegative seed. Precedence: --seed flag, then
+the NETMECH_SEED environment variable, then a "seed" key in the config file,
 then 0. Identical invocations produce byte-identical CSV output, including
 under different --threads.
 """
@@ -33,17 +44,57 @@ from .experiments import (
 from .market import InvalidScenarioError, Scenario
 from .mechanism import (
     EngineError,
-    MonteCarloEngine,
-    QuadratureEngine,
     SolverError,
     demand_solution,
     export_interim_csv,
     foc_residual,
     interim_curves,
+    make_engine,
     reward_schedule,
 )
 from .csvio import write_csv
 from .verification import report_csv_rows, verify_all
+
+
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return integer
+
+
+def _sizes(text: str):
+    """argparse type for --sizes: comma-separated network sizes >= 1 (empty: the default)."""
+    if not text:
+        return None
+    try:
+        sizes = tuple(int(v) for v in text.split(","))
+        if min(sizes) >= 1:
+            return sizes
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be comma-separated integers >= 1, got {text!r}")
+
+
+# the flags a verb may read besides --config; interim_curves and verify_ic need
+# grids of at least 9 points
+_FLAGS = {
+    "--seed": dict(type=_at_least(0), default=None,
+                   help="master seed (default: NETMECH_SEED, then config \"seed\", then 0)"),
+    "--engine": dict(choices=("quadrature", "mc"), default="quadrature"),
+    "--mc-samples": dict(type=int, default=20_000),
+    "--quad-order": dict(type=int, default=8),
+    "--report-grid": dict(type=_at_least(9), default=201, help="report grid size"),
+    "--threads": dict(type=int, default=os.cpu_count() or 1),
+    "--out": dict(default="out", help="output directory"),
+    "--grid": dict(type=_at_least(9), default=21, help="true-type grid size"),
+}
+_CURVE_FLAGS = ("--seed", "--engine", "--mc-samples", "--quad-order", "--report-grid", "--threads", "--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,30 +104,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, config_required=True):
+    def verb(name, help_text, *flags, config_required=True, grid_type=None):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=config_required, help="scenario config (JSON)")
-        p.add_argument("--seed", type=int, default=None, help="master seed (default: NETMECH_SEED or 0)")
-        p.add_argument("--engine", choices=("quadrature", "mc"), default="quadrature")
-        p.add_argument("--mc-samples", type=int, default=20_000)
-        p.add_argument("--quad-order", type=int, default=8)
-        p.add_argument("--grid", type=int, default=21, help="true-type grid size")
-        p.add_argument("--report-grid", type=int, default=201, help="report grid size")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--out", default="out", help="output directory")
+        for flag in flags:
+            kwargs = dict(_FLAGS[flag])
+            if grid_type and flag in ("--grid", "--report-grid"):
+                kwargs["type"] = grid_type
+            p.add_argument(flag, **kwargs)
+        return p
 
-    common(sub.add_parser("validate", help="check assumption 1 (regularity) and assumption 2 (feasibility)"))
-    p_solve = sub.add_parser("solve", help="optimal demand for one type profile")
-    common(p_solve)
-    p_solve.add_argument("--theta", required=True, help="comma-separated type profile")
-    common(sub.add_parser("rewards", help="interim curves and reward schedule to CSV"))
-    common(sub.add_parser("verify", help="certify IC, IR, and gamma monotonicity"))
-    p_exp = sub.add_parser("experiment", help="run a case-study experiment")
-    common(p_exp, config_required=False)
-    p_exp.add_argument("--name", required=True, choices=EXPERIMENT_NAMES + ("all",))
-    p_bench = sub.add_parser("bench", help="time the demand solve across network sizes")
-    common(p_bench, config_required=False)
-    p_bench.add_argument("--sizes", default=None, help="comma-separated network sizes")
+    verb("validate", "check assumption 1 (regularity) and assumption 2 (feasibility)")
+    verb("solve", "optimal demand for one type profile").add_argument(
+        "--theta", required=True, help="comma-separated type profile")
+    verb("rewards", "interim curves and reward schedule to CSV", *_CURVE_FLAGS)
+    verb("verify", "certify IC, IR, and gamma monotonicity", *_CURVE_FLAGS, "--grid")
+    # each experiment derives its own grids from these (fig4 adds a node, table1 takes >= 41)
+    verb("experiment", "run a case-study experiment", *_CURVE_FLAGS, "--grid",
+         config_required=False, grid_type=int).add_argument(
+        "--name", required=True, choices=EXPERIMENT_NAMES + ("all",))
+    verb("bench", "time the demand solve across network sizes", "--seed", "--out",
+         config_required=False).add_argument(
+        "--sizes", type=_sizes, default=None, help="comma-separated network sizes")
     return parser
+
+
+def _seed(value, source: str) -> int:
+    try:
+        seed = int(value)
+        if seed >= 0:
+            return seed
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{source} must be a nonnegative integer, got {value!r}")
 
 
 def _resolve_seed(args, cfg: dict | None) -> int:
@@ -84,24 +144,22 @@ def _resolve_seed(args, cfg: dict | None) -> int:
         return args.seed
     env = os.environ.get("NETMECH_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"NETMECH_SEED must be an integer, got {env!r}") from None
+        return _seed(env, "NETMECH_SEED")
     if cfg and "seed" in cfg:
-        return int(cfg["seed"])
+        return _seed(cfg["seed"], "config key 'seed'")
     return 0
-
-
-def _engine(args, seed: int):
-    if args.engine == "quadrature":
-        return QuadratureEngine(order=args.quad_order)
-    return MonteCarloEngine(samples=args.mc_samples, seed=seed)
 
 
 def _load_scenario(args) -> tuple[Scenario, dict]:
     cfg = load_config(args.config)
     return scenario_from_config(cfg), cfg
+
+
+def _curves_and_rewards(args):
+    sc, cfg = _load_scenario(args)
+    engine = make_engine(args.engine, args.quad_order, args.mc_samples, _resolve_seed(args, cfg))
+    curves = interim_curves(sc, args.report_grid, engine, threads=args.threads)
+    return sc, curves, reward_schedule(curves)
 
 
 def cmd_validate(args) -> int:
@@ -134,10 +192,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_rewards(args) -> int:
-    sc, cfg = _load_scenario(args)
-    seed = _resolve_seed(args, cfg)
-    curves = interim_curves(sc, args.report_grid, _engine(args, seed), threads=args.threads)
-    rewards = reward_schedule(curves)
+    _, curves, rewards = _curves_and_rewards(args)
     path = Path(args.out) / "rewards.csv"
     export_interim_csv(curves, rewards, path)
     print(f"wrote {path}")
@@ -145,10 +200,7 @@ def cmd_rewards(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sc, cfg = _load_scenario(args)
-    seed = _resolve_seed(args, cfg)
-    curves = interim_curves(sc, args.report_grid, _engine(args, seed), threads=args.threads)
-    rewards = reward_schedule(curves)
+    sc, curves, rewards = _curves_and_rewards(args)
     reports = verify_all(sc, curves, rewards, args.grid, args.report_grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -168,7 +220,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(
+        args,
+        engine=args.engine,
+        quad_order=args.quad_order,
+        mc_samples=args.mc_samples,
+        grid=args.grid,
+        report_grid=args.report_grid,
+        threads=args.threads,
+    )
     names = EXPERIMENT_NAMES if args.name == "all" else (args.name,)
     results = [run_experiment(spec, name) for name in names]
     summary_path = Path(args.out) / "summary.txt"
@@ -183,14 +243,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    spec = _spec_from_args(args)
-    sizes = None
-    if args.sizes:
-        try:
-            sizes = tuple(int(v) for v in args.sizes.split(","))
-        except ValueError:
-            raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
-    result = run_table2(spec, sizes=sizes)
+    result = run_table2(_spec_from_args(args), sizes=args.sizes)
     for rec in result.records:
         print(f"n={rec.n}: {rec.wall_seconds:.6f} s ({rec.statistic} of {rec.repetitions})")
     for check in result.checks:
@@ -199,19 +252,10 @@ def cmd_bench(args) -> int:
     return 0 if result.passed else 1
 
 
-def _spec_from_args(args) -> ExperimentSpec:
+def _spec_from_args(args, **fields) -> ExperimentSpec:
+    """Spec from --config (market and type law), --seed, --out and the verb's ``fields``."""
     cfg = load_config(args.config) if args.config else None
-    seed = _resolve_seed(args, cfg)
-    spec = ExperimentSpec(
-        out_dir=args.out,
-        seed=seed,
-        engine=args.engine,
-        quad_order=args.quad_order,
-        mc_samples=args.mc_samples,
-        grid=args.grid,
-        report_grid=args.report_grid,
-        threads=args.threads,
-    )
+    spec = ExperimentSpec(out_dir=args.out, seed=_resolve_seed(args, cfg), **fields)
     if cfg:
         sc = scenario_from_config(cfg)
         spec = replace(spec, params=sc.params, dist=sc.dist)

@@ -44,35 +44,43 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _value(block: dict, key: str, convert, what: str):
+    """convert(block[key]); ConfigError naming the key when the value does not convert."""
+    try:
+        return convert(block[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"key {key!r} must be {what}, got {block[key]!r}") from None
+
+
 def network_from_config(cfg: dict) -> Network:
     kind = str(cfg.get("kind", "")).lower()
     if not kind:
         raise ConfigError("network config needs a 'kind'")
     if kind == "hub":
         kind = "hub_plus_edge"
-    weight = float(cfg.get("weight", 1.0))
+    weight = _value(cfg, "weight", float, "a number") if "weight" in cfg else 1.0
+    if "n" not in cfg:
+        raise ConfigError(f"network kind {kind!r} needs 'n'")
+    n = _value(cfg, "n", int, "an integer")
+    if n < 1:
+        raise ConfigError(f"key 'n' must be at least 1, got {n}")
     if kind == "edges":
-        if "n" not in cfg or "edges" not in cfg:
-            raise ConfigError("network kind 'edges' needs 'n' and an 'edges' list")
-        n = int(cfg["n"])
+        if not isinstance(cfg.get("edges"), list):
+            raise ConfigError("network kind 'edges' needs an 'edges' list")
         w = np.zeros((n, n))
         for entry in cfg["edges"]:
-            if len(entry) == 2:
-                i, j = entry
-                val = 1.0
-            elif len(entry) == 3:
-                i, j, val = entry
-            else:
-                raise ConfigError(f"edge entry {entry!r} must be [i, j] or [i, j, weight]")
-            i, j = int(i), int(j)
+            try:
+                i, j, val = (*entry, 1.0) if len(entry) == 2 else entry
+                i, j, val = int(i), int(j), float(val)
+            except (TypeError, ValueError):
+                raise ConfigError(f"edge entry {entry!r} must be [i, j] or [i, j, weight]") from None
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ConfigError(f"edge ({i}, {j}) invalid for n={n}")
-            w[i, j] = w[j, i] = float(val)
+            w[i, j] = w[j, i] = val
     else:
         try:
-            w = make_network(kind, int(cfg["n"]), seed=cfg.get("seed")).weights
-        except KeyError:
-            raise ConfigError(f"network kind {kind!r} needs 'n'") from None
+            seed = _value(cfg, "seed", int, "an integer") if "seed" in cfg else None
+            w = make_network(kind, n, seed=seed).weights
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     try:
@@ -85,15 +93,11 @@ def scenario_from_config(cfg: dict) -> Scenario:
     for key in ("params", "network", "distribution"):
         if key not in cfg:
             raise ConfigError(f"config missing required block {key!r}")
+        if not isinstance(cfg[key], dict):
+            raise ConfigError(f"config block {key!r} must be a JSON object, got {cfg[key]!r}")
     pcfg = cfg["params"]
     try:
-        params = MarketParams(
-            a=float(pcfg["a"]),
-            b=float(pcfg["b"]),
-            s=float(pcfg["s"]),
-            t=float(pcfg["t"]),
-            p=float(pcfg["p"]),
-        )
+        params = MarketParams(**{k: _value(pcfg, k, float, "a number") for k in "abstp"})
     except KeyError as exc:
         raise ConfigError(f"params block missing key {exc}") from exc
     except ValueError as exc:

@@ -20,7 +20,7 @@ is evaluated. Hazard grids must therefore exclude the upper endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -279,5 +279,13 @@ def distribution_from_config(cfg: dict) -> TypeDistribution:
         raise ValueError(
             f"unknown distribution family {family!r}; expected one of {sorted(_FAMILIES)}"
         ) from None
-    params = {k: float(v) for k, v in cfg.get("params", {}).items()}
-    return cls(lower=lower, upper=upper, **params)
+    params = cfg.get("params", {})
+    known = sorted(f.name for f in fields(cls) if f.name not in ("lower", "upper"))
+    if not isinstance(params, dict):
+        raise ValueError(f"distribution params must be an object with keys from {known}")
+    for key in params:
+        if key not in known:
+            raise ValueError(
+                f"unknown parameter {key!r} of family {family!r}; expected one of {known}"
+            )
+    return cls(lower=lower, upper=upper, **{k: float(v) for k, v in params.items()})

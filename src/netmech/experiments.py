@@ -27,10 +27,9 @@ from .csvio import write_csv
 from .distributions import TypeDistribution, Uniform
 from .market import MarketParams, Network, Scenario, make_network, scaled_random_half_network
 from .mechanism import (
-    MonteCarloEngine,
-    QuadratureEngine,
     cumulative_trapezoid,
     interim_curves,
+    make_engine,
     reward_schedule,
     solve_profiles,
     truthful_interim_utility,
@@ -40,6 +39,8 @@ from .verification import interim_utility, untruthful_impact
 CASE_STUDY_PARAMS = MarketParams(a=0.5, b=6.0, s=1.0, t=1.0, p=0.1)
 DEFAULT_DIST = Uniform(0.4, 0.8)
 TABLE2_SIZES = (10, 20, 50, 100, 200, 400, 600, 800)
+FIG6_GRID = 9
+TABLE1_TRUTH = 0.6
 EXPERIMENT_NAMES = ("fig3", "fig4", "table1", "table2", "fig6")
 
 
@@ -60,17 +61,11 @@ class ExperimentSpec:
     threads: int = 1
     sizes: tuple = TABLE2_SIZES
     fig6_sizes: tuple = (10, 20, 50)
-    fig6_grid: int = 9
     repetitions: int = 5
-    table1_truth: float = 0.6
     fig3_truths: tuple = (0.45, 0.55, 0.65, 0.75)
 
     def make_engine(self):
-        if self.engine == "quadrature":
-            return QuadratureEngine(order=self.quad_order)
-        if self.engine == "mc":
-            return MonteCarloEngine(samples=self.mc_samples, seed=self.seed)
-        raise ValueError(f"unknown engine {self.engine!r}; expected quadrature or mc")
+        return make_engine(self.engine, self.quad_order, self.mc_samples, self.seed)
 
 
 @dataclass(frozen=True)
@@ -206,7 +201,7 @@ def run_table1(spec: ExperimentSpec) -> ExperimentResult:
     sweep_grid = max(41, spec.grid)
     curves = interim_curves(sc, max(spec.report_grid, 41), engine, threads=spec.threads)
     rewards = reward_schedule(curves)
-    truth = np.full(sc.n, spec.table1_truth)
+    truth = np.full(sc.n, TABLE1_TRUTH)
     labels = ["c.1", "c.2", "c.3", "c.4", "c.5"]
     impacts = [
         untruthful_impact(sc, truth, i, sweep_grid, rewards=rewards) for i in range(sc.n)
@@ -309,14 +304,14 @@ def run_fig6(spec: ExperimentSpec) -> ExperimentResult:
     sizes = tuple(spec.fig6_sizes)
     params, upper = spec.params, spec.dist.upper
     weight = min(scaled_random_half_network(n, spec.seed + n, params, upper)[1] for n in sizes)
-    engine = MonteCarloEngine(samples=spec.mc_samples, seed=spec.seed)
+    engine = make_engine("mc", spec.quad_order, spec.mc_samples, spec.seed)
     utilities = {}
     u_se = {}
     rows = []
     for n in sizes:
         net, _ = scaled_random_half_network(n, spec.seed + n, params, upper, edge_weight=weight)
         sc = _scenario(spec, net)
-        curves = interim_curves(sc, spec.fig6_grid, engine, users=[0], threads=spec.threads)
+        curves = interim_curves(sc, FIG6_GRID, engine, users=[0], threads=spec.threads)
         t_vals = truthful_interim_utility(curves)[0]
         # conservative error for the running integral: integrate the SE curve
         t_se = cumulative_trapezoid(curves.gamma_se, curves.grid)[0]

@@ -285,10 +285,6 @@ class QuadratureEngine:
         self.order = order
         self._cache: dict = {}
 
-    @property
-    def metadata(self) -> dict:
-        return {"method": "quadrature", "order": self.order}
-
     def _rule(self, dist: TypeDistribution):
         key = ("rule", dist)
         if key not in self._cache:
@@ -335,10 +331,6 @@ class MonteCarloEngine:
         self.seed = seed
         self._cache: dict = {}
 
-    @property
-    def metadata(self) -> dict:
-        return {"method": "mc", "samples": self.samples, "seed": self.seed}
-
     def _values(self, dist: TypeDistribution, n: int) -> np.ndarray:
         key = (dist, n)
         if key not in self._cache:
@@ -352,6 +344,16 @@ class MonteCarloEngine:
         values = self._values(dist, n)
         others = np.delete(np.arange(n), i)
         return values[:, others], np.full(self.samples, 1.0 / self.samples)
+
+
+def make_engine(kind: str, quad_order: int, mc_samples: int, seed: int):
+    """The expectation engine ``kind``: quadrature of ``quad_order``, or Monte
+    Carlo with ``mc_samples`` draws from ``seed``. The one place engines are built."""
+    if kind == "quadrature":
+        return QuadratureEngine(order=quad_order)
+    if kind == "mc":
+        return MonteCarloEngine(samples=mc_samples, seed=seed)
+    raise EngineError(f"unknown engine {kind!r}; expected quadrature or mc")
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +376,6 @@ class InterimCurves:
     c: np.ndarray
     users: tuple
     method: str
-    detail: dict
     gamma_se: np.ndarray | None = None
 
     @property
@@ -542,7 +543,6 @@ def interim_curves(
         c=c,
         users=tuple(user_list),
         method=engine.kind,
-        detail=engine.metadata,
         gamma_se=gamma_se,
     )
 

@@ -37,16 +37,11 @@ import numpy as np
 
 from .market import Scenario, cp_ex_post_utility
 from .mechanism import (
-    _MAX_QUADRATURE_USERS,
     InterimCurves,
-    MonteCarloEngine,
-    QuadratureEngine,
     RewardSchedule,
     _on_grid,
     demand_solve,
     dominance_slack,
-    interim_curves,
-    reward_schedule,
     system_matrix,
 )
 
@@ -80,7 +75,6 @@ class VerificationReport:
     gamma_min_slope: float | None = None
     worst_cases: tuple = ()
     tolerances: dict = field(default_factory=dict)
-    estimator: dict = field(default_factory=dict)
 
     def _verdicts(self) -> dict:
         """Pass/fail of each checked property, keyed by tolerance name."""
@@ -190,7 +184,6 @@ def verify_ic(
         ic_argmax_within_step=argmax_ok,
         worst_cases=(WorstCase(users[row], float(truths[t]), float(reports[best[row, t]]), gain),),
         tolerances={"ic": tol},
-        estimator=dict(curves.detail),
     )
 
 
@@ -212,7 +205,6 @@ def verify_ir(
         ir_binding_gap=float(np.max(np.abs(values[:, 0]))),
         worst_cases=(WorstCase(curves.users[row], float(truths[k]), float(truths[k]), ir_min),),
         tolerances={"ir": tol},
-        estimator=dict(curves.detail),
     )
 
 
@@ -228,7 +220,6 @@ def verify_monotonicity(curves: InterimCurves, tol: float = TOL_MONO) -> Verific
             WorstCase(user, float(curves.grid[col]), float(curves.grid[col + 1]), float(diffs[row, col])),
         ),
         tolerances={"mono": tol},
-        estimator=dict(curves.detail),
     )
 
 
@@ -299,20 +290,18 @@ def untruthful_impact(
     theta_true,
     deviator: int,
     report_grid: int,
-    rewards: RewardSchedule | None = None,
+    rewards: RewardSchedule,
 ) -> ImpactRow:
     """Worst-case ex-post CP utility over the deviator's report sweep.
 
     The sweep curve is returned whole so any fixed deviation convention can be
-    read off it. Rewards follow reports: R_j = r_j(report_j).
+    read off it. Rewards follow reports: R_j = r_j(report_j), read from the
+    deployed schedule ``rewards``.
     """
     sc.require_valid()
     theta_true = sc.check_profile(theta_true)
     if not 0 <= deviator < sc.n:
         raise IndexError(f"deviator index {deviator} out of range")
-    if rewards is None:
-        engine = QuadratureEngine() if sc.n <= _MAX_QUADRATURE_USERS else MonteCarloEngine()
-        rewards = reward_schedule(interim_curves(sc, max(report_grid, 33), engine))
     reports = np.linspace(sc.dist.lower, sc.dist.upper, report_grid)
 
     def cp_at(report: float) -> float:

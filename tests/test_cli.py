@@ -1,9 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from netmech import cli
 from netmech.cli import main
 from netmech.config import ConfigError, load_scenario, scenario_from_config
 from netmech.experiments import Check, ExperimentResult
@@ -244,3 +246,123 @@ class TestDeterminism:
         assert env == (tmp_path / "two" / "rewards.csv").read_bytes()  # env respected
         assert flag == (tmp_path / "one" / "rewards.csv").read_bytes()  # flag wins
         assert env != flag
+
+
+class TestBadValuesExitTwo:
+    @pytest.mark.parametrize("argv,env,named", [
+        (["rewards", "--config", COMPLETE5, "--report-grid", "5"], None, "--report-grid"),
+        (["verify", "--config", COMPLETE5, "--grid", "5"], None, "--grid"),
+        (["verify", "--config", COMPLETE5, "--report-grid", "8"], None, "--report-grid"),
+        (["bench", "--sizes", "0"], None, "--sizes"),
+        (["bench", "--sizes", "10,-2"], None, "--sizes"),
+        (["rewards", "--config", COMPLETE5, "--seed", "-1"], None, "--seed"),
+        (["experiment", "--name", "fig6", "--seed", "-1"], None, "--seed"),
+        (["bench", "--sizes", "5", "--seed", "-1"], None, "--seed"),
+        (["rewards", "--config", COMPLETE5, "--engine", "mc"], "-3", "NETMECH_SEED"),
+        (["verify", "--config", COMPLETE5], "abc", "NETMECH_SEED"),
+    ])
+    def test_exit_two_and_name(self, tmp_path, capsys, monkeypatch, argv, env, named):
+        if env is None:
+            monkeypatch.delenv("NETMECH_SEED", raising=False)
+        else:
+            monkeypatch.setenv("NETMECH_SEED", env)
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["rewards", "--config", COMPLETE5, "--report-grid", "9", "--quad-order", "2", "--seed", "0"],
+        ["verify", "--config", COMPLETE5, "--grid", "9", "--report-grid", "9", "--quad-order", "2"],
+        ["bench", "--sizes", "1"],
+    ])
+    def test_smallest_values_still_accepted(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("NETMECH_SEED", "0")
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("block,value,named", [
+        ("network", {"kind": "complete", "n": "x"}, "key 'n' must be an integer"),
+        ("network", {"kind": "edges", "n": "x", "edges": []}, "key 'n' must be an integer"),
+        ("network", {"kind": "edges", "n": -1, "edges": []}, "key 'n' must be at least 1"),
+        ("network", {"kind": "random_k", "n": 5, "seed": "abc"}, "key 'seed' must be an integer"),
+        ("network", {"kind": "complete", "n": 5, "weight": "heavy"}, "key 'weight' must be a number"),
+        ("network", {"kind": "edges", "n": 3, "edges": [[0, 1], 5]}, "edge entry 5"),
+        ("network", {"kind": "edges", "n": 3, "edges": [[0, "one"]]}, "edge entry [0, 'one']"),
+        ("seed", "abc", "config key 'seed' must be a nonnegative integer"),
+        ("seed", -2, "config key 'seed' must be a nonnegative integer"),
+        ("params", [1, 2], "block 'params' must be a JSON object"),
+        ("distribution", {"family": "uniform", "lower": 0.4, "upper": 0.8, "params": {"mu": 1}},
+         "unknown parameter 'mu' of family 'uniform'"),
+        ("distribution", {"family": "truncated_normal", "lower": 0.4, "upper": 0.8,
+                          "params": {"mu": 0.6, "rate": 1}},
+         "unknown parameter 'rate' of family 'truncated_normal'"),
+    ])
+    def test_exit_two_and_key_named(self, tmp_path, capsys, monkeypatch, block, value, named):
+        monkeypatch.delenv("NETMECH_SEED", raising=False)
+        cfg = json.loads(Path(COMPLETE5).read_text())
+        cfg[block] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["rewards", "--config", path, "--quad-order", "2", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+        if block != "seed":
+            with pytest.raises(ConfigError):
+                scenario_from_config(cfg)
+
+
+# the flags each verb defines, as parser dests: 34 settable values in all
+VERB_FLAGS = {
+    "validate": {"config"},
+    "solve": {"config", "theta"},
+    "rewards": {"config", "seed", "engine", "mc_samples", "quad_order", "report_grid",
+                "threads", "out"},
+    "bench": {"config", "seed", "out", "sizes"},
+}
+VERB_FLAGS["verify"] = VERB_FLAGS["rewards"] | {"grid"}
+VERB_FLAGS["experiment"] = VERB_FLAGS["verify"] | {"name"}
+
+
+def verb_dests(verb: str) -> set:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[verb]._actions if a.dest != "help"}
+
+
+class TestFlagAudit:
+    def test_each_verb_defines_its_flags(self):
+        assert {verb: verb_dests(verb) for verb in VERB_FLAGS} == VERB_FLAGS
+        assert sum(len(dests) for dests in VERB_FLAGS.values()) == 34
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--config", COMPLETE5],
+        ["solve", "--config", COMPLETE5, "--theta", "0.6,0.6,0.6,0.6,0.6"],
+        ["rewards", "--config", COMPLETE5, "--quad-order", "2", "--report-grid", "9"],
+        ["verify", "--config", COMPLETE5, "--quad-order", "2", "--report-grid", "9", "--grid", "9"],
+        ["experiment", "--config", COMPLETE5, "--name", "fig4", "--quad-order", "2", "--grid", "8"],
+        ["bench", "--sizes", "3"],
+    ])
+    def test_every_flag_is_read(self, tmp_path, capsys, argv):
+        """A verb defines no flag its command ignores."""
+        verb = argv[0]
+        if "out" in verb_dests(verb):
+            argv = argv + ["--out", str(tmp_path)]
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        args = Recording(**vars(cli.build_parser().parse_args(argv)))
+        assert cli._COMMANDS[verb](args) in (0, 1)
+        assert verb_dests(verb) <= read, verb_dests(verb) - read
+
+    def test_flag_of_another_verb_is_usage_error(self, capsys):
+        assert main(["validate", "--config", COMPLETE5, "--seed", "3"]) == 2
+        assert main(["solve", "--config", COMPLETE5, "--theta", "0.6,0.6,0.6,0.6,0.6",
+                     "--engine", "mc"]) == 2
+        assert main(["bench", "--sizes", "3", "--threads", "2"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -55,3 +55,35 @@ def test_cli_import_skips_scipy_stats():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "False"
+
+
+ENGINE_CLASSES = {"QuadratureEngine", "MonteCarloEngine"}
+
+
+def engine_constructions(tree: ast.AST) -> list:
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ENGINE_CLASSES
+    ]
+
+
+def test_engines_built_in_one_function():
+    total = sum(len(engine_constructions(ast.parse(p.read_text()))) for p in SRC.glob("*.py"))
+    mechanism = ast.parse((SRC / "mechanism.py").read_text())
+    factory = next(node for node in ast.walk(mechanism)
+                   if isinstance(node, ast.FunctionDef) and node.name == "make_engine")
+    assert len(engine_constructions(factory)) == total == 2
+
+
+def test_verification_builds_no_curves_or_engines():
+    """Certification and the impact sweep take curves and rewards; they never estimate them."""
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse((SRC / "verification.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    banned = ENGINE_CLASSES | {"make_engine", "interim_curves", "reward_schedule",
+                               "_MAX_QUADRATURE_USERS"}
+    assert not imported & banned

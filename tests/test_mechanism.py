@@ -23,6 +23,7 @@ from netmech import (
     interim_curves,
     k_matrix,
     k_sensitivity,
+    make_engine,
     reward_schedule,
     system_matrix,
     truthful_interim_utility,
@@ -341,6 +342,14 @@ class TestInterimCurves:
         with pytest.raises(EngineError):
             MonteCarloEngine(samples=0)
 
+    def test_make_engine(self):
+        quad = make_engine("quadrature", 5, 100, 7)
+        assert (quad.kind, quad.order) == ("quadrature", 5)
+        mc = make_engine("mc", 5, 100, 7)
+        assert (mc.kind, mc.samples, mc.seed) == ("mc", 100, 7)
+        with pytest.raises(EngineError, match="unknown engine 'lu'"):
+            make_engine("lu", 5, 100, 7)
+
     def test_threading_is_bit_identical(self, complete5):
         eng = QuadratureEngine(order=8)
         one = interim_curves(complete5, 33, eng, threads=1)
@@ -395,7 +404,6 @@ class TestRewardSchedule:
             c=curves.c,
             users=curves.users,
             method=curves.method,
-            detail=curves.detail,
         )
         with pytest.raises(ValueError, match="ascending"):
             reward_schedule(broken)

@@ -81,7 +81,6 @@ def oracle_ic(sc, curves, rewards, true_grid, report_grid):
         ic_argmax_within_step=argmax_ok,
         worst_cases=(worst,),
         tolerances={"ic": _ic_tolerance(curves)},
-        estimator=dict(curves.detail),
     )
 
 
@@ -103,7 +102,6 @@ def oracle_ir(sc, curves, rewards, true_grid):
         ir_binding_gap=float(binding_gap),
         worst_cases=(worst,),
         tolerances={"ir": TOL_IR},
-        estimator=dict(curves.detail),
     )
 
 

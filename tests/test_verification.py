@@ -164,7 +164,6 @@ class TestVerifyMonotonicity:
             c=curves.c,
             users=curves.users,
             method=curves.method,
-            detail=curves.detail,
         )
         report = verify_monotonicity(broken)
         assert not report.passed
@@ -199,7 +198,7 @@ class TestDetectorCompleteness:
         gamma[0, 5] = gamma[0, 6] + 10 * 1e-8
         dipped = InterimCurves(
             grid=curves.grid, gamma=gamma, v=curves.v, c=curves.c,
-            users=curves.users, method=curves.method, detail=curves.detail,
+            users=curves.users, method=curves.method,
         )
         assert not verify_monotonicity(dipped).passed
 
@@ -234,7 +233,8 @@ class TestUntruthfulImpact:
         w = np.zeros((3, 3))
         w[0, 1:] = w[1:, 0] = 1.0
         sc = Scenario(Network(w), case_params, uniform_dist)
-        row = untruthful_impact(sc, np.full(3, 0.6), 1, 17)
+        rewards = reward_schedule(interim_curves(sc, 33, QuadratureEngine()))
+        row = untruthful_impact(sc, np.full(3, 0.6), 1, 17, rewards=rewards)
         assert row.drop >= 0
         assert row.reports.size == 17
 
