@@ -36,6 +36,7 @@ from .config import ConfigError, load_config, scenario_from_config
 from .distributions import SupportError
 from .experiments import (
     EXPERIMENT_NAMES,
+    MIN_GRIDS,
     ExperimentSpec,
     run_experiment,
     run_table2,
@@ -90,7 +91,7 @@ _FLAGS = {
     "--mc-samples": dict(type=int, default=20_000),
     "--quad-order": dict(type=int, default=8),
     "--report-grid": dict(type=_at_least(9), default=201, help="report grid size"),
-    "--threads": dict(type=int, default=os.cpu_count() or 1),
+    "--threads": dict(type=_at_least(1), default=os.cpu_count() or 1),
     "--out": dict(default="out", help="output directory"),
     "--grid": dict(type=_at_least(9), default=21, help="true-type grid size"),
 }
@@ -119,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--theta", required=True, help="comma-separated type profile")
     verb("rewards", "interim curves and reward schedule to CSV", *_CURVE_FLAGS)
     verb("verify", "certify IC, IR, and gamma monotonicity", *_CURVE_FLAGS, "--grid")
-    # each experiment derives its own grids from these (fig4 adds a node, table1 takes >= 41)
+    # each experiment derives its own grids from these (fig4 adds a node, table1 takes >= 41);
+    # cmd_experiment checks them against experiments.MIN_GRIDS
     verb("experiment", "run a case-study experiment", *_CURVE_FLAGS, "--grid",
          config_required=False, grid_type=int).add_argument(
         "--name", required=True, choices=EXPERIMENT_NAMES + ("all",))
@@ -230,6 +232,11 @@ def cmd_experiment(args) -> int:
         threads=args.threads,
     )
     names = EXPERIMENT_NAMES if args.name == "all" else (args.name,)
+    for name in names:
+        for dest, low in MIN_GRIDS.get(name, {}).items():
+            if getattr(args, dest) < low:
+                raise ConfigError(f"--{dest.replace('_', '-')} must be an integer >= {low} "
+                                  f"for experiment {name}, got {getattr(args, dest)}")
     results = [run_experiment(spec, name) for name in names]
     summary_path = Path(args.out) / "summary.txt"
     write_summary(results, summary_path)

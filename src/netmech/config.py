@@ -78,6 +78,8 @@ def network_from_config(cfg: dict) -> Network:
                 raise ConfigError(f"edge ({i}, {j}) invalid for n={n}")
             w[i, j] = w[j, i] = val
     else:
+        if kind == "random_k" and "seed" not in cfg:
+            raise ConfigError("network kind 'random_k' needs 'seed'")
         try:
             seed = _value(cfg, "seed", int, "an integer") if "seed" in cfg else None
             w = make_network(kind, n, seed=seed).weights

@@ -9,14 +9,16 @@ Under the feasibility assumption A is strictly diagonally dominant with
 positive diagonal and nonpositive off-diagonal entries (an M-matrix), so the
 solve is well posed and the solution is entrywise positive.
 
-A single profile is solved matrix-free by conjugate gradients, which needs
-only products with G. Regularity (Assumption 1) gives 0 <= phi <= theta_bar,
-so with s = min row slack of Assumption 2 every A(theta) in the support is
-symmetric with its spectrum and ||A||_inf inside [s, 2(t+b) - s]
-(Gershgorin), and ||A^{-1}||_inf <= 1/s (Varah). Both bounds are known before
-the first iteration: the condition bound caps the iteration count, and a
+Every solve in the mechanism runs one matrix-free conjugate-gradient routine
+(``_cg``), which needs only products with G. Regularity (Assumption 1) gives
+0 <= phi <= theta_bar, so with s = min row slack of Assumption 2 every A(theta)
+in the support, and every A with some phi_j set to 0, is symmetric with its
+spectrum and ||A||_inf inside [s, 2(t+b) - s] (Gershgorin), and
+||A^{-1}||_inf <= 1/s (Varah). These bounds are known before the first
+iteration (``_a_priori``): the condition bound caps the iteration count, and a
 residual r turns into the forward-error bound ||x - x*||_inf <= ||r||_inf / s.
-Batched solves (``solve_profiles``, the curve kernel) stay on direct LU.
+Only ``solve_profiles`` (table2's timing and the test oracles) stays on
+direct LU.
 
 Interim quantities are expectations over the other users' types as a function
 of one user's own reported type v:
@@ -36,14 +38,16 @@ symmetric rank-2 term: with g_i = G[i, :],
     A(v) = B - phi_i(v) (e_i g_i^T + g_i e_i^T),
 
 where B is A with phi_i = 0 (the finite-update form of the K-sensitivity
-lemma dK/dtheta_i = K (E_i G + G^T E_i) K). One factorization per sample
-solves B [y z w] = [c 1, e_i, g_i], and the Sherman-Morrison-Woodbury
+lemma dK/dtheta_i = K (E_i G + G^T E_i) K). With y = B^-1 c 1,
+z = B^-1 e_i and w = B^-1 g_i per sample, the Sherman-Morrison-Woodbury
 identity turns every grid point into a 2x2 solve for (g_i.x, x_i), which is
-all that gamma, V and C need. The cost is one O(n^3) factorization per
-sample, not per sample and grid point. Memory is bounded by the float budget
-``_CHUNK_FLOATS``: stacked B matrices are solved in chunks of samples, and the
-grid stage runs in chunks of grid points, so each array of a chunk holds about
-that many floats whatever the sample count (at least one n x n matrix).
+all that gamma, V and C need; B is symmetric, so y never has to be solved.
+All samples' z and w are solved by one matrix-free CG on a stack with one
+system per column, at O(n^2) per iteration and system, not per sample and grid
+point. Memory is bounded by the float budget ``_CHUNK_FLOATS``: the CG stack
+runs in chunks of samples, and the grid stage in chunks of grid points, so
+each array of a chunk holds about that many floats whatever the sample count
+(at least one system).
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -86,9 +90,10 @@ _COND_LIMIT = 1e12
 _RESIDUAL_TOL = 1e-10
 # tensor quadrature needs order**(n-1) nodes per user; beyond this, use Monte Carlo
 _MAX_QUADRATURE_USERS = 7
-# floats per array in one chunk of the curve kernel: the stacked n x n matrices
-# of a chunk of samples, or the (grid points x samples) arrays of a grid chunk
-_CHUNK_FLOATS = 2**20
+# floats per array in one chunk of the curve kernel (512 KiB, cache-sized): the
+# (n, 2 samples) CG stack of a chunk of samples, or the (grid points, samples)
+# arrays of a grid chunk
+_CHUNK_FLOATS = 2**16
 
 
 def _assemble(sc: Scenario, phis: np.ndarray) -> np.ndarray:
@@ -124,41 +129,112 @@ class DemandSolution:
     error_bound: float
 
 
-def _cg(apply_a, rhs: np.ndarray, x: np.ndarray, floor, cap: int):
-    """Unpreconditioned conjugate gradients from x until ||r||_inf <= floor(x).
+@dataclass(frozen=True)
+class _APriori:
+    """Bounds that every system matrix of a valid scenario meets, known before a solve.
 
-    Returns (x, iterations); raises SolverError after ``cap`` iterations.
+    ``slack`` is s = min row slack, ``norm`` = 2(t+b) - s bounds ||A||_inf and
+    ``cap`` is the CG iteration cap from the Chebyshev bound on kappa(A).
+    """
+
+    slack: float
+    norm: float
+    cap: int
+
+    def floor(self, x: np.ndarray, scale) -> np.ndarray:
+        """The backward-error stop rule per system: 8 eps (||A||_inf ||x||_inf + ||rhs||_inf)."""
+        return 8.0 * np.finfo(float).eps * (self.norm * np.abs(x).max(axis=0) + scale)
+
+
+def _a_priori(sc: Scenario, system: str) -> _APriori:
+    """The a-priori bounds of the scenario's system matrices; SolverError if too ill-conditioned.
+
+    With s = min row slack, kappa <= (2(t+b) - s) / s. Chebyshev gives
+    ||r_k||_2 <= 2 sqrt(kappa) exp(-2k / sqrt(kappa)) ||r_0||_2; from x0 =
+    rhs / (t+b), ||r_0||_2 <= sqrt(n) ||rhs||_inf, while the stop floor is
+    >= 8 eps ||rhs||_inf, which sets the cap. ``system`` names the matrix in
+    the refusal.
+    """
+    tb = sc.params.t + sc.params.b
+    row_slack = sc.assumption2.row_slack
+    slack = float(np.min(row_slack))
+    norm = 2.0 * tb - slack
+    kappa = norm / slack
+    if not kappa <= _COND_LIMIT:
+        worst = int(np.argmin(row_slack))
+        raise SolverError(
+            f"{system} ill-conditioned: a-priori bound cond <= {kappa:.3g} exceeds "
+            f"{_COND_LIMIT:g} (min row slack {slack:g} at user {worst})"
+        )
+    root = np.sqrt(kappa)
+    cap = int(np.ceil(0.5 * root * np.log(root * np.sqrt(sc.n) / (4.0 * np.finfo(float).eps))))
+    return _APriori(slack, norm, cap)
+
+
+def _product(sc: Scenario, phi: np.ndarray):
+    """v -> A v = (t+b) v - phi o (G v) - G^T (phi o v), matrix-free.
+
+    v and phi have shape (n,) or (n, k): one system per column, two GEMMs.
+    """
+    g = sc.network.weights
+    tb = sc.params.t + sc.params.b
+    return lambda v: tb * v - phi * (g @ v) - g.T @ (phi * v)
+
+
+def _dots(u: np.ndarray, v: np.ndarray):
+    """Column-wise inner products of two (n, ...) stacks."""
+    # a 1-D BLAS dot: einsum's call overhead costs a single solve about 5%
+    return u @ v if u.ndim == 1 else np.einsum("i...,i...->...", u, v)
+
+
+def _cg(apply_a, rhs: np.ndarray, x: np.ndarray, floor, cap: int,
+        name=lambda system, entry: f"user {entry}"):
+    """Unpreconditioned conjugate gradients on every column of an (n, ...) stack from x.
+
+    Systems are columns, so the per-system dots and maxima reduce along the
+    leading axis, which stays fast when n is small. Each system runs its own
+    recurrence (its own rr, alpha and beta) until ||r||_inf <= floor(x) in its
+    column; a system at its floor is frozen, so a zero right-hand side costs
+    no 0/0. Returns (x, iterations); raises SolverError, prefixed by
+    ``name(system, entry)``, after ``cap`` iterations.
     """
     r = rhs - apply_a(x)
     d = r.copy()
-    rr = r @ r
+    rr = _dots(r, r)
     iterations = 0
-    while np.abs(r).max() > floor(x):
+    while True:
+        fl = floor(x)
+        active = np.abs(r).max(axis=0) > fl
+        if not np.count_nonzero(active):
+            return x, iterations
         if iterations == cap:
-            worst = int(np.argmax(np.abs(r)))
+            system = int(np.argmax(active))
+            r_sys = r.reshape(len(r), -1)[:, system]
+            entry = int(np.argmax(np.abs(r_sys)))
+            bound = np.broadcast_to(fl, active.shape).ravel()[system]
             raise SolverError(
-                f"user {worst}: CG residual |r_{worst}| = {abs(r[worst]):.3g} still above "
-                f"the backward-error floor {floor(x):.3g} after {cap} iterations"
+                f"{name(system, entry)}: CG residual |r_{entry}| = {abs(r_sys[entry]):.3g} "
+                f"still above the backward-error floor {bound:.3g} after {cap} iterations"
             )
+        # frozen systems get alpha = beta = 0 / (. + 1); active ones rr / (. + 0)
+        frozen = np.logical_not(active)
         q = apply_a(d)
-        alpha = rr / (d @ q)
+        alpha = rr * active / (_dots(d, q) + frozen)
         x = x + alpha * d
         r = r - alpha * q
-        rr, rr_old = r @ r, rr
-        d = r + (rr / rr_old) * d
+        rr, rr_old = _dots(r, r), rr
+        d = r + rr * active / (rr_old + frozen) * d
         iterations += 1
-    return x, iterations
 
 
 def demand_solution(sc: Scenario, theta) -> DemandSolution:
     """Optimal demand for one type profile by matrix-free CG, with its error bound.
 
-    Every bound comes from the scenario: with s = min row slack,
-    kappa(A) <= (2(t+b) - s) / s sets the iteration cap, and the stop rule is
-    the backward-error floor ||r||_inf <= 8 eps (||A||_inf ||x||_inf + c) with
-    ||A||_inf <= 2(t+b) - s. Raises SolverError naming the user when a virtual
-    value leaves [0, theta_bar], a demand is not positive, or the recomputed
-    residual misses ``_RESIDUAL_TOL`` * c.
+    Every bound comes from the scenario (``_a_priori``): the condition bound
+    sets the iteration cap, and the stop rule is the backward-error floor
+    ||r||_inf <= 8 eps (||A||_inf ||x||_inf + c). Raises SolverError naming
+    the user when a virtual value leaves [0, theta_bar], a demand is not
+    positive, or the recomputed residual misses ``_RESIDUAL_TOL`` * c.
     """
     sc.require_valid()
     th = sc.check_profile(theta)
@@ -171,34 +247,12 @@ def demand_solution(sc: Scenario, theta) -> DemandSolution:
             f"user {i}: virtual value phi_{i} = {phi[i]:.6g} leaves [0, theta_bar = "
             f"{theta_bar:g}], the premise of the a-priori bounds (Assumption 1)"
         )
-    g = sc.network.weights
+    bounds = _a_priori(sc, "demand system")
     p = sc.params
-    tb = p.t + p.b
     c = p.s + p.a - p.p
-    row_slack = sc.assumption2.row_slack
-    slack = float(np.min(row_slack))
-    norm_a = 2.0 * tb - slack
-    kappa = norm_a / slack
-    if not kappa <= _COND_LIMIT:
-        worst = int(np.argmin(row_slack))
-        raise SolverError(
-            f"demand system ill-conditioned: a-priori bound cond <= {kappa:.3g} exceeds "
-            f"{_COND_LIMIT:g} (min row slack {slack:g} at user {worst})"
-        )
-    # Chebyshev: ||r_k||_2 <= 2 sqrt(kappa) exp(-2k / sqrt(kappa)) ||r_0||_2, and
-    # ||r_0||_2 <= sqrt(n) c from x0 = c / (t+b), while the floor is >= 8 eps c
-    eps = np.finfo(float).eps
-    root = np.sqrt(kappa)
-    cap = int(np.ceil(0.5 * root * np.log(root * np.sqrt(sc.n) / (4.0 * eps))))
-
-    def apply_a(v):
-        return tb * v - phi * (g @ v) - g.T @ (phi * v)
-
-    def floor(x):
-        return 8.0 * eps * (norm_a * np.abs(x).max() + c)
-
+    apply_a = _product(sc, phi)
     rhs = np.full(sc.n, c)
-    x, iterations = _cg(apply_a, rhs, np.full(sc.n, c / tb), floor, cap)
+    x, iterations = _cg(apply_a, rhs, rhs / (p.t + p.b), lambda x: bounds.floor(x, c), bounds.cap)
     bad = ~(x > 0)
     if bad.any():
         i = int(np.argmax(bad))
@@ -214,8 +268,8 @@ def demand_solution(sc: Scenario, theta) -> DemandSolution:
             f"exceeds tolerance {_RESIDUAL_TOL * c:.3g}"
         )
     # the evaluated residual is within (n+3) eps (||A|| ||x|| + c) of the exact one
-    rounding = (sc.n + 3) * eps * (norm_a * x.max() + c)
-    return DemandSolution(x, iterations, float(residual[worst] + rounding) / slack)
+    rounding = (sc.n + 3) * np.finfo(float).eps * (bounds.norm * x.max() + c)
+    return DemandSolution(x, iterations, float(residual[worst] + rounding) / bounds.slack)
 
 
 def demand_solve(sc: Scenario, theta) -> np.ndarray:
@@ -420,39 +474,64 @@ def _chunk_slices(m: int, chunk: int):
 def _rank2_factors(sc: Scenario, i: int, phis_others: np.ndarray):
     """Per-sample SMW factors of user i's curve: s = [g_i.y, y_i] and S (2 x 2).
 
-    Solves B [y z w] = [c 1, e_i, g_i] for every sample of the other users'
-    virtual values, where B is A with phi_i = 0; returns s with shape
-    (samples, 2) and S with shape (samples, 2, 2), rows (g_i.[z w], [z_i w_i]).
+    For every sample of the other users' virtual values, B is A with
+    phi_i = 0, y = B^-1 c 1, z = B^-1 e_i and w = B^-1 g_i. B is symmetric for
+    any G, so g_i.y = c 1.w and y_i = c 1.z, and only z and w are solved: by
+    one CG on the (n, 2 samples) stack [z w], in chunks of samples, whose
+    product (t+b) V - Phi o (G V) - G^T (Phi o V) is two GEMMs. B meets the
+    bounds of ``_a_priori``, since phi_i = 0 only raises row slack. Returns s
+    with shape (samples, 2) and S with shape (samples, 2, 2), rows
+    (g_i.[z w], [z_i w_i]). Raises SolverError naming the user when a virtual
+    value leaves [0, theta_bar] or a recomputed residual misses
+    ``_RESIDUAL_TOL`` times its right-hand side's scale.
     """
     n = sc.n
-    n_samples = phis_others.shape[0]
-    others = np.delete(np.arange(n), i)
+    theta_bar = sc.assumption2.theta_max
+    bad = ~((phis_others >= 0) & (phis_others <= theta_bar))
+    if bad.any():
+        k, j = np.argwhere(bad)[0]
+        raise SolverError(
+            f"user {i}: virtual value phi_{j + (j >= i)} = {phis_others[k, j]:.6g} at sample "
+            f"{k} leaves [0, theta_bar = {theta_bar:g}], the premise of the a-priori bounds "
+            f"(Assumption 1)"
+        )
+    system = f"user {i}: base system (phi_{i} = 0)"
+    bounds = _a_priori(sc, system)
+    p = sc.params
     g_i = sc.network.weights[i]
-    rhs = np.zeros((n, 3))
-    rhs[:, 0] = sc.params.s + sc.params.a - sc.params.p
-    rhs[i, 1] = 1.0
-    rhs[:, 2] = g_i
-    rhs_scale = np.abs(rhs).max(axis=0)
-    g_sol = np.empty((n_samples, 3))
-    i_sol = np.empty((n_samples, 3))
-    for sl in _chunk_slices(n_samples, max(1, _CHUNK_FLOATS // (n * n))):
-        phis = np.zeros((sl.stop - sl.start, n))
-        phis[:, others] = phis_others[sl]
-        b = _assemble(sc, phis)
-        sol = np.linalg.solve(b, rhs)
-        residual = np.abs(b @ sol - rhs).max(axis=1)
-        bad = ~(residual <= _RESIDUAL_TOL * rhs_scale)
+    rhs = np.zeros((n, 2))
+    rhs[i, 0] = 1.0
+    rhs[:, 1] = g_i
+    scale = np.abs(rhs).max(axis=0)
+    others = np.delete(np.arange(n), i)
+    c = p.s + p.a - p.p
+    n_samples = phis_others.shape[0]
+    s = np.empty((n_samples, 2))
+    big_s = np.empty((n_samples, 2, 2))
+    for sl in _chunk_slices(n_samples, max(1, _CHUNK_FLOATS // (2 * n))):
+        m = sl.stop - sl.start
+        phi = np.zeros((n, 2 * m))
+        phi[others, :m] = phis_others[sl].T
+        phi[:, m:] = phi[:, :m]
+        b = np.repeat(rhs, m, axis=1)
+        b_scale = np.repeat(scale, m)
+        apply_b = _product(sc, phi)
+
+        def where(column):
+            return f"right-hand side {('e_i', 'g_i')[column // m]} at sample {sl.start + column % m}"
+
+        x, _ = _cg(apply_b, b, b / (p.t + p.b), lambda x: bounds.floor(x, b_scale), bounds.cap,
+                   lambda column, entry: f"{system} {where(column)}")
+        residual = np.abs(b - apply_b(x)).max(axis=0)
+        bad = ~(residual <= _RESIDUAL_TOL * b_scale)
         if bad.any():
-            k, col = np.argwhere(bad)[0]
+            column = int(np.argmax(bad))
             raise SolverError(
-                f"user {i}: base system (phi_{i} = 0) residual {residual[k, col]:.3g} "
-                f"exceeds tolerance in right-hand side {('c*1', 'e_i', 'g_i')[col]} "
-                f"at sample {sl.start + k}"
+                f"{system} residual {residual[column]:.3g} exceeds tolerance in {where(column)}"
             )
-        g_sol[sl] = g_i @ sol
-        i_sol[sl] = sol[:, i, :]
-    s = np.stack([g_sol[:, 0], i_sol[:, 0]], axis=1)
-    big_s = np.stack([g_sol[:, 1:], i_sol[:, 1:]], axis=1)
+        z, w = x[:, :m], x[:, m:]
+        s[sl] = c * np.stack([w.sum(axis=0), z.sum(axis=0)], axis=1)
+        big_s[sl] = np.stack([g_i @ z, g_i @ w, z[i], w[i]], axis=1).reshape(m, 2, 2)
     return s, big_s
 
 

@@ -260,6 +260,11 @@ class TestBadValuesExitTwo:
         (["bench", "--sizes", "5", "--seed", "-1"], None, "--seed"),
         (["rewards", "--config", COMPLETE5, "--engine", "mc"], "-3", "NETMECH_SEED"),
         (["verify", "--config", COMPLETE5], "abc", "NETMECH_SEED"),
+        (["rewards", "--config", COMPLETE5, "--threads", "0"], None, "--threads"),
+        (["verify", "--config", COMPLETE5, "--threads", "-4"], None, "--threads"),
+        (["experiment", "--name", "fig3", "--report-grid", "5"], None, "--report-grid"),
+        (["experiment", "--name", "fig4", "--grid", "3"], None, "--grid"),
+        (["experiment", "--name", "all", "--grid", "7"], None, "--grid"),
     ])
     def test_exit_two_and_name(self, tmp_path, capsys, monkeypatch, argv, env, named):
         if env is None:
@@ -275,6 +280,9 @@ class TestBadValuesExitTwo:
         ["rewards", "--config", COMPLETE5, "--report-grid", "9", "--quad-order", "2", "--seed", "0"],
         ["verify", "--config", COMPLETE5, "--grid", "9", "--report-grid", "9", "--quad-order", "2"],
         ["bench", "--sizes", "1"],
+        ["rewards", "--config", COMPLETE5, "--report-grid", "9", "--quad-order", "2", "--threads", "1"],
+        ["experiment", "--name", "fig3", "--report-grid", "9", "--quad-order", "2"],
+        ["experiment", "--name", "fig4", "--grid", "8", "--quad-order", "2"],
     ])
     def test_smallest_values_still_accepted(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.setenv("NETMECH_SEED", "0")
@@ -298,6 +306,7 @@ class TestMalformedConfig:
         ("distribution", {"family": "truncated_normal", "lower": 0.4, "upper": 0.8,
                           "params": {"mu": 0.6, "rate": 1}},
          "unknown parameter 'rate' of family 'truncated_normal'"),
+        ("network", {"kind": "random_k", "n": 5}, "network kind 'random_k' needs 'seed'"),
     ])
     def test_exit_two_and_key_named(self, tmp_path, capsys, monkeypatch, block, value, named):
         monkeypatch.delenv("NETMECH_SEED", raising=False)

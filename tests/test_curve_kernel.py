@@ -1,10 +1,13 @@
 """The rank-2 interim-curve kernel against the stacked per-grid-point solve.
 
-The oracle below is the direct algorithm: stack the full (grid, samples, n)
-virtual-value array and solve every system with ``solve_profiles``. The
-kernel must agree with it to 1e-12 of each quantity's largest magnitude.
+Two oracles. ``oracle_curves`` is the direct algorithm: stack the full
+(grid, samples, n) virtual-value array and solve every system with
+``solve_profiles``. ``lu_factors`` solves B [y z w] = [c 1, e_i, g_i] by one
+LU per sample, the kernel's factors before it moved to CG. The kernel must
+agree with both to 1e-12 of each quantity's largest magnitude.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -13,10 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netmech import MonteCarloEngine, QuadratureEngine, SolverError, interim_curves
+from netmech import MonteCarloEngine, Network, QuadratureEngine, Scenario, SolverError, interim_curves
 from netmech import mechanism
 from netmech.mechanism import solve_profiles
 from conftest import random_valid_scenario
+from test_mechanism import boundary_scenario
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -41,6 +45,36 @@ def oracle_curves(sc, grid_size, engine, users):
         var = ((gamma_samples - out["gamma"][i][:, None]) ** 2 @ weights) * m / max(1, m - 1)
         out["se"][i] = np.sqrt(var / m)
     return out
+
+
+def lu_factors(sc, i, phis_others):
+    """s = [g_i.y, y_i] and S = [g_i.[z w]; [z_i w_i]] from one LU solve of B [y z w] per sample."""
+    n = sc.n
+    phis = np.zeros((phis_others.shape[0], n))
+    phis[:, np.delete(np.arange(n), i)] = phis_others
+    g_i = sc.network.weights[i]
+    rhs = np.zeros((n, 3))
+    rhs[:, 0] = sc.params.s + sc.params.a - sc.params.p
+    rhs[i, 1] = 1.0
+    rhs[:, 2] = g_i
+    sol = np.linalg.solve(mechanism._assemble(sc, phis), rhs)
+    g_sol = g_i @ sol
+    i_sol = sol[:, i, :]
+    return (np.stack([g_sol[:, 0], i_sol[:, 0]], axis=1),
+            np.stack([g_sol[:, 1:], i_sol[:, 1:]], axis=1))
+
+
+def assert_factors_match_lu(sc, engine, users=None):
+    for i in range(sc.n) if users is None else users:
+        values, _ = engine.others_samples(sc.dist, sc.n, i)
+        phis = np.asarray(sc.dist.virtual_value(values), dtype=float)
+        got = mechanism._rank2_factors(sc, i, phis)
+        want = lu_factors(sc, i, phis)
+        for name, g, w in zip(("s", "S"), got, want):
+            assert g.shape == w.shape
+            g, w = g.reshape(len(phis), -1), w.reshape(len(phis), -1)
+            scale = np.max(np.abs(w), axis=0)
+            assert np.all(np.max(np.abs(g - w), axis=0) <= 1e-12 * scale), (i, name)
 
 
 def assert_matches_oracle(sc, grid_size, engine, users):
@@ -72,12 +106,87 @@ class TestAgainstStackedSolve:
         assert_matches_oracle(hub5, 17, QuadratureEngine(order=6), [1, 3])
 
 
+class TestFactorsAgainstLU:
+    @pytest.mark.parametrize("draw", range(10))
+    def test_random_scenarios(self, draw):
+        rng = np.random.default_rng(2000 + draw)
+        sc = random_valid_scenario(rng, n=int(rng.integers(2, 31)))
+        if sc.n <= 4:
+            assert_factors_match_lu(sc, QuadratureEngine(order=6))
+        users = sorted(rng.choice(sc.n, size=min(3, sc.n), replace=False).tolist())
+        assert_factors_match_lu(sc, MonteCarloEngine(samples=500, seed=draw), users)
+
+    def test_isolated_user(self, case_params, uniform_dist):
+        """User 4 has no edges: g_4 = 0 and B e_4 = (t+b) e_4, so both its systems start at r = 0."""
+        w = np.zeros((6, 6))
+        for a, b in ((0, 1), (1, 2), (2, 3), (3, 5), (0, 5)):
+            w[a, b] = w[b, a] = 1.0
+        sc = Scenario(Network(w), case_params, uniform_dist)
+        with np.errstate(all="raise"):
+            assert_factors_match_lu(sc, MonteCarloEngine(samples=400, seed=1))
+
+    def test_user_with_no_outgoing_weight(self):
+        """g_2 = 0 while others weigh user 2: the g_i columns sit at r = 0 beside active e_i ones."""
+        base = random_valid_scenario(np.random.default_rng(5), n=6)
+        w = base.network.weights.copy()
+        w[2] = 0.0
+        sc = Scenario(Network(w), base.params, base.dist)
+        assert sc.valid
+        with np.errstate(all="raise"):
+            assert_factors_match_lu(sc, MonteCarloEngine(samples=400, seed=3), users=[2])
+
+    def test_zero_network(self, zero5):
+        with np.errstate(all="raise"):
+            assert_factors_match_lu(zero5, QuadratureEngine(order=4))
+
+    def test_chunks_do_not_change_factors(self, hub5, monkeypatch):
+        values, _ = MonteCarloEngine(samples=700, seed=2).others_samples(hub5.dist, 5, 0)
+        phis = np.asarray(hub5.dist.virtual_value(values), dtype=float)
+        whole = mechanism._rank2_factors(hub5, 0, phis)
+        monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2 * 5 * 64)
+        for got, want in zip(mechanism._rank2_factors(hub5, 0, phis), whole):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestGuards:
     def test_residual_of_base_solve(self, complete5, monkeypatch):
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: -solve(a, b))
-        with pytest.raises(SolverError, match=r"user 0: base system .* residual .* exceeds tolerance"):
+        cg = mechanism._cg
+        monkeypatch.setattr(mechanism, "_cg", lambda *args: (-cg(*args)[0], 0))
+        with pytest.raises(SolverError, match=r"^user 0: base system .* residual .* exceeds "
+                                              r"tolerance in right-hand side e_i at sample 0$"):
             interim_curves(complete5, 9, QuadratureEngine(order=4))
+
+    def test_iteration_cap(self, complete5, monkeypatch):
+        bounds = mechanism._a_priori
+        monkeypatch.setattr(mechanism, "_a_priori",
+                            lambda *args: dataclasses.replace(bounds(*args), cap=1))
+        with pytest.raises(SolverError, match=r"^user 3: base system \(phi_3 = 0\) right-hand "
+                                              r"side e_i at sample 0: CG residual .* after 1 iterations"):
+            interim_curves(complete5, 9, QuadratureEngine(order=4), users=[3])
+
+    def test_condition_bound_refused(self, complete5):
+        sc = boundary_scenario(complete5, 1e-13)
+        assert sc.valid
+        with pytest.raises(SolverError, match=r"^user 1: base system \(phi_1 = 0\) ill-conditioned: "
+                                              r"a-priori bound cond <= .* exceeds 1e\+12"):
+            interim_curves(sc, 9, QuadratureEngine(order=4), users=[1])
+
+    @pytest.mark.parametrize("value", [-0.1, 0.9])
+    def test_virtual_value_outside_zero_theta_bar(self, complete5, monkeypatch, value):
+        virtual_value = type(complete5.dist).virtual_value
+
+        def tampered(dist, theta):
+            phi = np.array(virtual_value(dist, theta), dtype=float)
+            if phi.ndim == 2:  # the other users' samples, not the type grid
+                phi[7, 2] = value
+            return phi
+
+        monkeypatch.setattr(type(complete5.dist), "virtual_value", tampered)
+        with pytest.raises(SolverError) as err:
+            interim_curves(complete5, 9, QuadratureEngine(order=4), users=[1])
+        assert str(err.value).startswith(
+            f"user 1: virtual value phi_3 = {value:g} at sample 7 leaves [0, theta_bar = 0.8]"
+        )
 
     # phi(0.4) = 0 on Uniform(0.4, 0.8), so det = 1 there and first fails at 0.45
     @pytest.mark.parametrize("theta,quantity,tamper", [

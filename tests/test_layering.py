@@ -87,3 +87,52 @@ def test_verification_builds_no_curves_or_engines():
     banned = ENGINE_CLASSES | {"make_engine", "interim_curves", "reward_schedule",
                                "_MAX_QUADRATURE_USERS"}
     assert not imported & banned
+
+
+MECHANISM = ast.parse((SRC / "mechanism.py").read_text())
+FUNCTIONS = {node.name: node for node in MECHANISM.body if isinstance(node, ast.FunctionDef)}
+
+
+def references(function: ast.FunctionDef) -> set:
+    """Names a function's body refers to, bare (f) or as an attribute (np.linalg.f)."""
+    found = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def referrers(name: str) -> set:
+    return {fn for fn, node in FUNCTIONS.items() if fn != name and name in references(node)}
+
+
+def reachable(name: str) -> set:
+    """The module functions ``name`` uses, directly or through each other."""
+    seen, todo = set(), [name]
+    while todo:
+        fn = todo.pop()
+        if fn not in seen:
+            seen.add(fn)
+            todo.extend(references(FUNCTIONS[fn]) & FUNCTIONS.keys())
+    return seen
+
+
+def test_assembly_only_for_single_profiles_and_the_lu_batch():
+    """The curve kernel and the CG solve stay matrix-free."""
+    assert referrers("_assemble") == {"system_matrix", "solve_profiles"}
+
+
+@pytest.mark.parametrize("kernel", ["_rank2_factors", "interim_curves"])
+def test_curve_kernel_calls_no_dense_solver(kernel):
+    for fn in reachable(kernel):
+        assert "linalg" not in references(FUNCTIONS[fn]), fn
+        assert "_assemble" not in references(FUNCTIONS[fn]), fn
+
+
+def test_one_cg_and_one_bounds_helper_serve_both_solves():
+    defined = [node.name for node in ast.walk(MECHANISM)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert defined.count("_cg") == defined.count("_a_priori") == 1
+    assert referrers("_cg") == referrers("_a_priori") == {"demand_solution", "_rank2_factors"}
