@@ -37,6 +37,7 @@ from .distributions import SupportError
 from .experiments import (
     EXPERIMENT_NAMES,
     MIN_GRIDS,
+    TABLE2_SIZES,
     ExperimentSpec,
     run_experiment,
     run_table2,
@@ -44,6 +45,7 @@ from .experiments import (
 )
 from .market import InvalidScenarioError, Scenario
 from .mechanism import (
+    MIN_GRID,
     EngineError,
     SolverError,
     demand_solution,
@@ -72,7 +74,7 @@ def _at_least(low: int):
 def _sizes(text: str):
     """argparse type for --sizes: comma-separated network sizes >= 1 (empty: the default)."""
     if not text:
-        return None
+        return TABLE2_SIZES
     try:
         sizes = tuple(int(v) for v in text.split(","))
         if min(sizes) >= 1:
@@ -83,17 +85,17 @@ def _sizes(text: str):
 
 
 # the flags a verb may read besides --config; interim_curves and verify_ic need
-# grids of at least 9 points
+# grids of at least MIN_GRID points
 _FLAGS = {
     "--seed": dict(type=_at_least(0), default=None,
                    help="master seed (default: NETMECH_SEED, then config \"seed\", then 0)"),
     "--engine": dict(choices=("quadrature", "mc"), default="quadrature"),
-    "--mc-samples": dict(type=int, default=20_000),
-    "--quad-order": dict(type=int, default=8),
-    "--report-grid": dict(type=_at_least(9), default=201, help="report grid size"),
+    "--mc-samples": dict(type=_at_least(1), default=20_000),
+    "--quad-order": dict(type=_at_least(1), default=8),
+    "--report-grid": dict(type=_at_least(MIN_GRID), default=201, help="report grid size"),
     "--threads": dict(type=_at_least(1), default=os.cpu_count() or 1),
     "--out": dict(default="out", help="output directory"),
-    "--grid": dict(type=_at_least(9), default=21, help="true-type grid size"),
+    "--grid": dict(type=_at_least(MIN_GRID), default=21, help="true-type grid size"),
 }
 _CURVE_FLAGS = ("--seed", "--engine", "--mc-samples", "--quad-order", "--report-grid", "--threads", "--out")
 
@@ -127,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--name", required=True, choices=EXPERIMENT_NAMES + ("all",))
     verb("bench", "time the demand solve across network sizes", "--seed", "--out",
          config_required=False).add_argument(
-        "--sizes", type=_sizes, default=None, help="comma-separated network sizes")
+        "--sizes", type=_sizes, default=TABLE2_SIZES, help="comma-separated network sizes")
     return parser
 
 

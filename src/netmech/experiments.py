@@ -27,6 +27,7 @@ from .csvio import write_csv
 from .distributions import TypeDistribution, Uniform
 from .market import MarketParams, Network, Scenario, make_network, scaled_random_half_network
 from .mechanism import (
+    MIN_GRID,
     cumulative_trapezoid,
     interim_curves,
     make_engine,
@@ -42,9 +43,9 @@ TABLE2_SIZES = (10, 20, 50, 100, 200, 400, 600, 800)
 FIG6_GRID = 9
 TABLE1_TRUTH = 0.6
 EXPERIMENT_NAMES = ("fig3", "fig4", "table1", "table2", "fig6")
-# the smallest spec grids an experiment runs with: interim_curves needs 9 points,
+# the smallest spec grids an experiment runs with: interim_curves needs MIN_GRID points,
 # and fig4 adds one to spec.grid (table1 raises both to 41, table2 and fig6 ignore them)
-MIN_GRIDS = {"fig3": {"report_grid": 9}, "fig4": {"grid": 8}}
+MIN_GRIDS = {"fig3": {"report_grid": MIN_GRID}, "fig4": {"grid": MIN_GRID - 1}}
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,7 @@ class ExperimentSpec:
     grid: int = 21
     report_grid: int = 201
     threads: int = 1
-    sizes: tuple = TABLE2_SIZES
     fig6_sizes: tuple = (10, 20, 50)
-    repetitions: int = 5
     fig3_truths: tuple = (0.45, 0.55, 0.65, 0.75)
 
     def make_engine(self):
@@ -243,14 +242,13 @@ def run_table1(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult("table1", (path, sweep_path), tuple(checks))
 
 
-def run_table2(spec: ExperimentSpec, sizes=None) -> ExperimentResult:
+def run_table2(spec: ExperimentSpec, sizes=TABLE2_SIZES) -> ExperimentResult:
     """Median wall time of matrix assembly + LU solve across network sizes.
 
     Timing runs sequentially; the log-log slope over the four largest sizes is
     checked against the cubic-solve bound only when the sizes reach the
     hundreds (below that, constant overheads dominate the fit).
     """
-    sizes = tuple(spec.sizes if sizes is None else sizes)
     records = []
     rows = []
     for n in sizes:
@@ -263,7 +261,7 @@ def run_table2(spec: ExperimentSpec, sizes=None) -> ExperimentResult:
         phis = np.asarray(sc.dist.virtual_value(theta), dtype=float)[None]
         solve_profiles(sc, phis)  # warm up
         # sub-millisecond solves need many repetitions for a stable median
-        reps = max(5, spec.repetitions, min(60, 6000 // max(1, n)))
+        reps = max(5, min(60, 6000 // max(1, n)))
         samples = []
         for _ in range(reps):
             start = time.perf_counter()

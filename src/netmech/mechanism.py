@@ -9,16 +9,17 @@ Under the feasibility assumption A is strictly diagonally dominant with
 positive diagonal and nonpositive off-diagonal entries (an M-matrix), so the
 solve is well posed and the solution is entrywise positive.
 
-Every solve in the mechanism runs one matrix-free conjugate-gradient routine
-(``_cg``), which needs only products with G. Regularity (Assumption 1) gives
-0 <= phi <= theta_bar, so with s = min row slack of Assumption 2 every A(theta)
-in the support, and every A with some phi_j set to 0, is symmetric with its
-spectrum and ||A||_inf inside [s, 2(t+b) - s] (Gershgorin), and
-||A^{-1}||_inf <= 1/s (Varah). These bounds are known before the first
-iteration (``_a_priori``): the condition bound caps the iteration count, and a
-residual r turns into the forward-error bound ||x - x*||_inf <= ||r||_inf / s.
-Only ``solve_profiles`` (table2's timing and the test oracles) stays on
-direct LU.
+Every solve in the mechanism goes through ``_solve``, the one guarded solve:
+matrix-free conjugate gradients (``_cg``) on products with G alone, and every
+check that decides whether its result can be trusted. Regularity
+(Assumption 1) gives 0 <= phi <= theta_bar, so with s = min row slack of
+Assumption 2 every A(theta) in the support, and every A with some phi_j set to
+0, is symmetric with its spectrum and ||A||_inf inside [s, 2(t+b) - s]
+(Gershgorin), and ||A^{-1}||_inf <= 1/s (Varah). These bounds are known before
+the first iteration (``_a_priori``): the condition bound caps the iteration
+count, and a residual r turns into the forward-error bound
+||x - x*||_inf <= ||r||_inf / s. Only ``solve_profiles`` (table2's timing and
+the test oracles) stays on direct LU, unguarded.
 
 Interim quantities are expectations over the other users' types as a function
 of one user's own reported type v:
@@ -88,6 +89,8 @@ class NegativeRewardWarning(UserWarning):
 _COND_LIMIT = 1e12
 # residual accepted from a demand or base-system solve, relative to the right-hand side
 _RESIDUAL_TOL = 1e-10
+# the smallest type grid of the interim curves and the IC sweeps
+MIN_GRID = 9
 # tensor quadrature needs order**(n-1) nodes per user; beyond this, use Monte Carlo
 _MAX_QUADRATURE_USERS = 7
 # floats per array in one chunk of the curve kernel (512 KiB, cache-sized): the
@@ -141,10 +144,6 @@ class _APriori:
     norm: float
     cap: int
 
-    def floor(self, x: np.ndarray, scale) -> np.ndarray:
-        """The backward-error stop rule per system: 8 eps (||A||_inf ||x||_inf + ||rhs||_inf)."""
-        return 8.0 * np.finfo(float).eps * (self.norm * np.abs(x).max(axis=0) + scale)
-
 
 def _a_priori(sc: Scenario, system: str) -> _APriori:
     """The a-priori bounds of the scenario's system matrices; SolverError if too ill-conditioned.
@@ -169,16 +168,6 @@ def _a_priori(sc: Scenario, system: str) -> _APriori:
     root = np.sqrt(kappa)
     cap = int(np.ceil(0.5 * root * np.log(root * np.sqrt(sc.n) / (4.0 * np.finfo(float).eps))))
     return _APriori(slack, norm, cap)
-
-
-def _product(sc: Scenario, phi: np.ndarray):
-    """v -> A v = (t+b) v - phi o (G v) - G^T (phi o v), matrix-free.
-
-    v and phi have shape (n,) or (n, k): one system per column, two GEMMs.
-    """
-    g = sc.network.weights
-    tb = sc.params.t + sc.params.b
-    return lambda v: tb * v - phi * (g @ v) - g.T @ (phi * v)
 
 
 def _dots(u: np.ndarray, v: np.ndarray):
@@ -227,32 +216,70 @@ def _cg(apply_a, rhs: np.ndarray, x: np.ndarray, floor, cap: int,
         iterations += 1
 
 
-def demand_solution(sc: Scenario, theta) -> DemandSolution:
-    """Optimal demand for one type profile by matrix-free CG, with its error bound.
+def _solve(sc: Scenario, phi: np.ndarray, rhs: np.ndarray, system: str,
+           name=lambda column, entry: f"user {entry}"):
+    """The one guarded solve: A(phi) X = rhs on every column of an (n,) or (n, k) stack.
 
-    Every bound comes from the scenario (``_a_priori``): the condition bound
-    sets the iteration cap, and the stop rule is the backward-error floor
-    ||r||_inf <= 8 eps (||A||_inf ||x||_inf + c). Raises SolverError naming
-    the user when a virtual value leaves [0, theta_bar], a demand is not
-    positive, or the recomputed residual misses ``_RESIDUAL_TOL`` * c.
+    Column k of phi holds the virtual values of system k, so A(phi) X is
+    (t+b) X - phi o (G X) - G^T (phi o X), two GEMMs. The checks: every phi in
+    [0, theta_bar], the premise of ``_a_priori``, whose condition refusal
+    names ``system``; CG from X0 = rhs / (t+b) until each column meets the
+    backward-error floor 8 eps (||A||_inf ||x||_inf + ||rhs||_inf), within the
+    a-priori cap; and the recomputed residual within ``_RESIDUAL_TOL`` times
+    each column's right-hand-side scale ||rhs||_inf. A SolverError is prefixed
+    by ``name(column, entry)``. Returns (X, iterations, residual, bounds), with
+    residual = ||rhs - A X||_inf per column.
+    """
+    theta_bar = sc.assumption2.theta_max
+    bad = ~((phi >= 0) & (phi <= theta_bar))
+    if bad.any():
+        bad = bad.reshape(len(bad), -1)
+        column = int(np.argmax(bad.any(axis=0)))
+        entry = int(np.argmax(bad[:, column]))
+        raise SolverError(
+            f"{name(column, entry)}: virtual value phi_{entry} = "
+            f"{phi.reshape(len(phi), -1)[entry, column]:.6g} leaves [0, theta_bar = "
+            f"{theta_bar:g}], the premise of the a-priori bounds (Assumption 1)"
+        )
+    bounds = _a_priori(sc, system)
+    g = sc.network.weights
+    tb = sc.params.t + sc.params.b
+    scale = np.abs(rhs).max(axis=0)
+
+    def apply_a(v):
+        return tb * v - phi * (g @ v) - g.T @ (phi * v)
+
+    def floor(x):
+        return 8.0 * np.finfo(float).eps * (bounds.norm * np.abs(x).max(axis=0) + scale)
+
+    x, iterations = _cg(apply_a, rhs, rhs / tb, floor, bounds.cap, name)
+    residual = np.abs(rhs - apply_a(x))
+    worst = residual.max(axis=0)
+    bad = np.ravel(~(worst <= _RESIDUAL_TOL * scale))
+    if bad.any():
+        column = int(np.argmax(bad))
+        entry = int(np.argmax(residual.reshape(len(residual), -1)[:, column]))
+        raise SolverError(
+            f"{name(column, entry)}: residual |r_{entry}| = {np.ravel(worst)[column]:.3g} "
+            f"exceeds tolerance {_RESIDUAL_TOL * np.ravel(scale)[column]:.3g}"
+        )
+    return x, iterations, worst, bounds
+
+
+def demand_solution(sc: Scenario, theta) -> DemandSolution:
+    """Optimal demand for one type profile by the guarded solve, with its error bound.
+
+    ``_solve`` runs every check on the CG result; here x must also be
+    positive, which Assumption 2 promises. Raises SolverError naming the user
+    when a virtual value leaves [0, theta_bar], a demand is not positive, or
+    the recomputed residual misses ``_RESIDUAL_TOL`` * c.
     """
     sc.require_valid()
     th = sc.check_profile(theta)
     phi = np.asarray(sc.dist.virtual_value(th), dtype=float)
-    theta_bar = sc.assumption2.theta_max
-    bad = ~((phi >= 0) & (phi <= theta_bar))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise SolverError(
-            f"user {i}: virtual value phi_{i} = {phi[i]:.6g} leaves [0, theta_bar = "
-            f"{theta_bar:g}], the premise of the a-priori bounds (Assumption 1)"
-        )
-    bounds = _a_priori(sc, "demand system")
     p = sc.params
     c = p.s + p.a - p.p
-    apply_a = _product(sc, phi)
-    rhs = np.full(sc.n, c)
-    x, iterations = _cg(apply_a, rhs, rhs / (p.t + p.b), lambda x: bounds.floor(x, c), bounds.cap)
+    x, iterations, residual, bounds = _solve(sc, phi, np.full(sc.n, c), "demand system")
     bad = ~(x > 0)
     if bad.any():
         i = int(np.argmax(bad))
@@ -260,16 +287,9 @@ def demand_solution(sc: Scenario, theta) -> DemandSolution:
             f"user {i}: demand x_{i} = {x[i]:.6g} is not positive, "
             f"which Assumption 2 promises"
         )
-    residual = np.abs(rhs - apply_a(x))
-    worst = int(np.argmax(residual))
-    if not residual[worst] <= _RESIDUAL_TOL * c:
-        raise SolverError(
-            f"user {worst}: demand residual |r_{worst}| = {residual[worst]:.3g} "
-            f"exceeds tolerance {_RESIDUAL_TOL * c:.3g}"
-        )
     # the evaluated residual is within (n+3) eps (||A|| ||x|| + c) of the exact one
     rounding = (sc.n + 3) * np.finfo(float).eps * (bounds.norm * x.max() + c)
-    return DemandSolution(x, iterations, float(residual[worst] + rounding) / bounds.slack)
+    return DemandSolution(x, iterations, float(residual + rounding) / bounds.slack)
 
 
 def demand_solve(sc: Scenario, theta) -> np.ndarray:
@@ -314,7 +334,12 @@ def k_sensitivity(sc: Scenario, theta, i: int) -> np.ndarray:
 
 
 def solve_profiles(sc: Scenario, phis: np.ndarray) -> np.ndarray:
-    """Batched demand solve for a stack of virtual-value profiles (..., n)."""
+    """Batched demand solve for a stack of virtual-value profiles (..., n), by direct LU.
+
+    Unguarded: no premise, condition or residual check. It serves only
+    table2's timing of the O(n^3) solve and the test oracles; every certified
+    number comes from the guarded ``_solve``.
+    """
     rhs = np.full(phis.shape + (1,), sc.params.s + sc.params.a - sc.params.p)
     return np.linalg.solve(_assemble(sc, phis), rhs)[..., 0]
 
@@ -432,10 +457,6 @@ class InterimCurves:
     method: str
     gamma_se: np.ndarray | None = None
 
-    @property
-    def n(self) -> int:
-        return self.gamma.shape[0]
-
 
 def _on_grid(grid: np.ndarray, theta, what: str) -> np.ndarray:
     """theta as a float array; SupportError naming ``what`` if any value is off the grid."""
@@ -477,32 +498,19 @@ def _rank2_factors(sc: Scenario, i: int, phis_others: np.ndarray):
     For every sample of the other users' virtual values, B is A with
     phi_i = 0, y = B^-1 c 1, z = B^-1 e_i and w = B^-1 g_i. B is symmetric for
     any G, so g_i.y = c 1.w and y_i = c 1.z, and only z and w are solved: by
-    one CG on the (n, 2 samples) stack [z w], in chunks of samples, whose
-    product (t+b) V - Phi o (G V) - G^T (Phi o V) is two GEMMs. B meets the
-    bounds of ``_a_priori``, since phi_i = 0 only raises row slack. Returns s
-    with shape (samples, 2) and S with shape (samples, 2, 2), rows
-    (g_i.[z w], [z_i w_i]). Raises SolverError naming the user when a virtual
-    value leaves [0, theta_bar] or a recomputed residual misses
-    ``_RESIDUAL_TOL`` times its right-hand side's scale.
+    the guarded ``_solve`` on the (n, 2 samples) stack [z w], in chunks of
+    samples. B meets the bounds of ``_a_priori``, since phi_i = 0 only raises
+    row slack. Returns s with shape (samples, 2) and S with shape
+    (samples, 2, 2), rows (g_i.[z w], [z_i w_i]). A SolverError names the user,
+    the right-hand side and the sample.
     """
     n = sc.n
-    theta_bar = sc.assumption2.theta_max
-    bad = ~((phis_others >= 0) & (phis_others <= theta_bar))
-    if bad.any():
-        k, j = np.argwhere(bad)[0]
-        raise SolverError(
-            f"user {i}: virtual value phi_{j + (j >= i)} = {phis_others[k, j]:.6g} at sample "
-            f"{k} leaves [0, theta_bar = {theta_bar:g}], the premise of the a-priori bounds "
-            f"(Assumption 1)"
-        )
     system = f"user {i}: base system (phi_{i} = 0)"
-    bounds = _a_priori(sc, system)
     p = sc.params
     g_i = sc.network.weights[i]
     rhs = np.zeros((n, 2))
     rhs[i, 0] = 1.0
     rhs[:, 1] = g_i
-    scale = np.abs(rhs).max(axis=0)
     others = np.delete(np.arange(n), i)
     c = p.s + p.a - p.p
     n_samples = phis_others.shape[0]
@@ -513,22 +521,12 @@ def _rank2_factors(sc: Scenario, i: int, phis_others: np.ndarray):
         phi = np.zeros((n, 2 * m))
         phi[others, :m] = phis_others[sl].T
         phi[:, m:] = phi[:, :m]
-        b = np.repeat(rhs, m, axis=1)
-        b_scale = np.repeat(scale, m)
-        apply_b = _product(sc, phi)
 
-        def where(column):
-            return f"right-hand side {('e_i', 'g_i')[column // m]} at sample {sl.start + column % m}"
+        def where(column, entry):
+            return (f"{system} right-hand side {('e_i', 'g_i')[column // m]} "
+                    f"at sample {sl.start + column % m}")
 
-        x, _ = _cg(apply_b, b, b / (p.t + p.b), lambda x: bounds.floor(x, b_scale), bounds.cap,
-                   lambda column, entry: f"{system} {where(column)}")
-        residual = np.abs(b - apply_b(x)).max(axis=0)
-        bad = ~(residual <= _RESIDUAL_TOL * b_scale)
-        if bad.any():
-            column = int(np.argmax(bad))
-            raise SolverError(
-                f"{system} residual {residual[column]:.3g} exceeds tolerance in {where(column)}"
-            )
+        x = _solve(sc, phi, np.repeat(rhs, m, axis=1), system, where)[0]
         z, w = x[:, :m], x[:, m:]
         s[sl] = c * np.stack([w.sum(axis=0), z.sum(axis=0)], axis=1)
         big_s[sl] = np.stack([g_i @ z, g_i @ w, z[i], w[i]], axis=1).reshape(m, 2, 2)
@@ -551,8 +549,8 @@ def interim_curves(
     quantity when a solve breaks the M-matrix promises of Assumption 2
     (det(I - phi S) > 0, x_i > 0, g_i.x >= 0) or misses the residual tolerance.
     """
-    if grid_size < 9:
-        raise ValueError("need grid_size >= 9")
+    if grid_size < MIN_GRID:
+        raise ValueError(f"need grid_size >= {MIN_GRID}")
     sc.require_valid()
     n = sc.n
     user_list = list(range(n)) if users is None else sorted(set(int(u) for u in users))

@@ -37,6 +37,7 @@ import numpy as np
 
 from .market import Scenario, cp_ex_post_utility
 from .mechanism import (
+    MIN_GRID,
     InterimCurves,
     RewardSchedule,
     _on_grid,
@@ -45,8 +46,9 @@ from .mechanism import (
     system_matrix,
 )
 
-# defaults: analytic tolerance for quadrature-backed checks, slope tolerance,
-# and the IR tolerance (grid-exact at nodes, so effectively rounding noise)
+# tolerances: IC on quadrature-backed curves (Monte Carlo ones take theirs from
+# the standard error), IR (grid-exact at nodes, so effectively rounding noise)
+# and the gamma slope
 TOL_IC_QUADRATURE = 1e-6
 TOL_IR = 1e-8
 TOL_MONO = 1e-8
@@ -158,13 +160,10 @@ def verify_ic(
     rewards: RewardSchedule,
     true_grid: int,
     report_grid: int,
-    tol: float | None = None,
 ) -> VerificationReport:
     """Sweep (true type, report) pairs and record the worst misreport gain."""
-    if true_grid < 9 or report_grid < 9:
-        raise ValueError("need grids of at least 9 points")
-    if tol is None:
-        tol = _ic_tolerance(curves)
+    if true_grid < MIN_GRID or report_grid < MIN_GRID:
+        raise ValueError(f"need grids of at least {MIN_GRID} points")
     lo, hi = sc.dist.lower, sc.dist.upper
     truths = np.linspace(lo, hi, true_grid)
     reports = np.linspace(lo, hi, report_grid)
@@ -183,7 +182,7 @@ def verify_ic(
         ic_max_gain=gain,
         ic_argmax_within_step=argmax_ok,
         worst_cases=(WorstCase(users[row], float(truths[t]), float(reports[best[row, t]]), gain),),
-        tolerances={"ic": tol},
+        tolerances={"ic": _ic_tolerance(curves)},
     )
 
 
@@ -192,7 +191,6 @@ def verify_ir(
     curves: InterimCurves,
     rewards: RewardSchedule,
     true_grid: int,
-    tol: float = TOL_IR,
 ) -> VerificationReport:
     """Truthful interim utility nonnegative; binding (zero) at the lowest type."""
     truths = np.linspace(sc.dist.lower, sc.dist.upper, true_grid)
@@ -204,11 +202,11 @@ def verify_ir(
         # truths[0] is the lowest type exactly, where participation binds
         ir_binding_gap=float(np.max(np.abs(values[:, 0]))),
         worst_cases=(WorstCase(curves.users[row], float(truths[k]), float(truths[k]), ir_min),),
-        tolerances={"ir": tol},
+        tolerances={"ir": TOL_IR},
     )
 
 
-def verify_monotonicity(curves: InterimCurves, tol: float = TOL_MONO) -> VerificationReport:
+def verify_monotonicity(curves: InterimCurves) -> VerificationReport:
     """Forward differences of gamma_i must be nonnegative along the grid."""
     diffs = np.diff(curves.gamma[list(curves.users)], axis=1)
     flat = int(np.argmin(diffs))
@@ -219,7 +217,7 @@ def verify_monotonicity(curves: InterimCurves, tol: float = TOL_MONO) -> Verific
         worst_cases=(
             WorstCase(user, float(curves.grid[col]), float(curves.grid[col + 1]), float(diffs[row, col])),
         ),
-        tolerances={"mono": tol},
+        tolerances={"mono": TOL_MONO},
     )
 
 

@@ -156,7 +156,7 @@ def test_criterion_8_untruthful_impact_structure(tmp_path):
 
 
 def test_criterion_9_solve_scaling(tmp_path):
-    spec = ExperimentSpec(out_dir=str(tmp_path), repetitions=7)
+    spec = ExperimentSpec(out_dir=str(tmp_path))
     result = run_table2(spec, sizes=(100, 200, 400, 800))
     t800 = next(r.wall_seconds for r in result.records if r.n == 800)
     slope_check = result.checks[0]

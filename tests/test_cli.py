@@ -265,6 +265,10 @@ class TestBadValuesExitTwo:
         (["experiment", "--name", "fig3", "--report-grid", "5"], None, "--report-grid"),
         (["experiment", "--name", "fig4", "--grid", "3"], None, "--grid"),
         (["experiment", "--name", "all", "--grid", "7"], None, "--grid"),
+        (["rewards", "--config", COMPLETE5, "--quad-order", "0"], None, "--quad-order"),
+        (["verify", "--config", COMPLETE5, "--engine", "mc", "--mc-samples", "0"], None,
+         "--mc-samples"),
+        (["experiment", "--name", "fig6", "--mc-samples", "-5"], None, "--mc-samples"),
     ])
     def test_exit_two_and_name(self, tmp_path, capsys, monkeypatch, argv, env, named):
         if env is None:

@@ -152,8 +152,9 @@ class TestGuards:
     def test_residual_of_base_solve(self, complete5, monkeypatch):
         cg = mechanism._cg
         monkeypatch.setattr(mechanism, "_cg", lambda *args: (-cg(*args)[0], 0))
-        with pytest.raises(SolverError, match=r"^user 0: base system .* residual .* exceeds "
-                                              r"tolerance in right-hand side e_i at sample 0$"):
+        with pytest.raises(SolverError, match=r"^user 0: base system \(phi_0 = 0\) right-hand side "
+                                              r"e_i at sample 0: residual \|r_0\| = 2 exceeds "
+                                              r"tolerance 1e-10$"):
             interim_curves(complete5, 9, QuadratureEngine(order=4))
 
     def test_iteration_cap(self, complete5, monkeypatch):
@@ -171,8 +172,14 @@ class TestGuards:
                                               r"a-priori bound cond <= .* exceeds 1e\+12"):
             interim_curves(sc, 9, QuadratureEngine(order=4), users=[1])
 
-    @pytest.mark.parametrize("value", [-0.1, 0.9])
-    def test_virtual_value_outside_zero_theta_bar(self, complete5, monkeypatch, value):
+    # chunks of 4 samples put sample 7 in the second chunk, after the first is solved
+    @pytest.mark.parametrize("value,chunk_floats", [
+        pytest.param(-0.1, mechanism._CHUNK_FLOATS, id="-0.1"),
+        pytest.param(0.9, mechanism._CHUNK_FLOATS, id="0.9"),
+        pytest.param(-0.1, 2 * 5 * 4, id="-0.1-chunks-of-4"),
+        pytest.param(0.9, 2 * 5 * 4, id="0.9-chunks-of-4"),
+    ])
+    def test_virtual_value_outside_zero_theta_bar(self, complete5, monkeypatch, value, chunk_floats):
         virtual_value = type(complete5.dist).virtual_value
 
         def tampered(dist, theta):
@@ -182,10 +189,12 @@ class TestGuards:
             return phi
 
         monkeypatch.setattr(type(complete5.dist), "virtual_value", tampered)
+        monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", chunk_floats)
         with pytest.raises(SolverError) as err:
             interim_curves(complete5, 9, QuadratureEngine(order=4), users=[1])
         assert str(err.value).startswith(
-            f"user 1: virtual value phi_3 = {value:g} at sample 7 leaves [0, theta_bar = 0.8]"
+            f"user 1: base system (phi_1 = 0) right-hand side e_i at sample 7: "
+            f"virtual value phi_3 = {value:g} leaves [0, theta_bar = 0.8]"
         )
 
     # phi(0.4) = 0 on Uniform(0.4, 0.8), so det = 1 there and first fails at 0.45

@@ -132,7 +132,11 @@ def test_curve_kernel_calls_no_dense_solver(kernel):
 
 
 def test_one_cg_and_one_bounds_helper_serve_both_solves():
+    """Only _solve runs CG, takes the a-priori bounds, reads the residual tolerance and
+    compares phi with theta_bar; the demand solve and the curve kernel both call it."""
     defined = [node.name for node in ast.walk(MECHANISM)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    assert defined.count("_cg") == defined.count("_a_priori") == 1
-    assert referrers("_cg") == referrers("_a_priori") == {"demand_solution", "_rank2_factors"}
+    assert defined.count("_cg") == defined.count("_a_priori") == defined.count("_solve") == 1
+    for name in ("_cg", "_a_priori", "_RESIDUAL_TOL", "theta_max"):
+        assert referrers(name) == {"_solve"}, name
+    assert referrers("_solve") == {"demand_solution", "_rank2_factors"}

@@ -209,7 +209,7 @@ class TestFeasibilityBoundary:
         # evaluated residual is about eps ||A|| ||x*|| ~ 1e-8, far above 1e-10 c
         sc = boundary_scenario(Scenario(complete_network(4), case_params, uniform_dist), 1e-8)
         theta = np.full(4, 0.8)
-        with pytest.raises(SolverError, match=r"^user \d: demand residual \|r_\d\| = "):
+        with pytest.raises(SolverError, match=r"^user \d: residual \|r_\d\| = "):
             demand_solve(sc, theta)
         x_lu = solve_profiles(sc, np.asarray(sc.dist.virtual_value(theta), dtype=float)[None])[0]
         assert np.allclose(x_lu, 2e7, rtol=1e-6)
@@ -233,18 +233,19 @@ class TestDemandSolveGuards:
             f"user 3: virtual value phi_3 = {value:g} leaves [0, theta_bar = 0.8]"
         )
 
-    @pytest.mark.parametrize("user,quantity,tamper", [
-        (2, "demand residual |r_2| = ", lambda x: x + 1e-3 * np.eye(5)[2]),
-        (1, "demand x_1 = -", lambda x: x * np.where(np.arange(5) == 1, -1.0, 1.0)),
+    # _solve checks the residual of the CG result; positivity is checked on _solve's result
+    @pytest.mark.parametrize("seam,user,quantity,tamper", [
+        ("_cg", 2, "residual |r_2| = ", lambda x: x + 1e-3 * np.eye(5)[2]),
+        ("_solve", 1, "demand x_1 = -", lambda x: x * np.where(np.arange(5) == 1, -1.0, 1.0)),
     ])
-    def test_cg_result_checked(self, complete5, monkeypatch, user, quantity, tamper):
-        cg = mechanism._cg
+    def test_cg_result_checked(self, complete5, monkeypatch, seam, user, quantity, tamper):
+        solve = getattr(mechanism, seam)
 
         def tampered(*args):
-            x, iterations = cg(*args)
-            return tamper(x), iterations
+            x, *rest = solve(*args)
+            return (tamper(x), *rest)
 
-        monkeypatch.setattr(mechanism, "_cg", tampered)
+        monkeypatch.setattr(mechanism, seam, tampered)
         with pytest.raises(SolverError) as err:
             demand_solve(complete5, np.array([0.5, 0.6, 0.7, 0.8, 0.45]))
         assert str(err.value).startswith(f"user {user}: {quantity}")
