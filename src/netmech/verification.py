@@ -15,9 +15,11 @@ one call per user. The checks:
     and exactly zero at the lowest type (the binding participation constraint);
   * monotonicity: gamma_i is non-decreasing along the grid.
 
-All three return a ``VerificationReport`` carrying worst-case witnesses: the
-first extremum in (user, true type) order, so ties resolve to the lowest user
-and type. A failed check is report content, never an exception.
+All three return a ``VerificationReport`` carrying a worst-case witness: the
+first entry in (user, grid index) order within rounding of the extremum, so
+users that tie up to the last bits (symmetric users of a symmetric network)
+always name the lowest one. The reported value is the exact extremum. A failed
+check is report content, never an exception.
 
 ``bruteforce_oracle`` maximizes the pointwise virtual-surplus objective
 
@@ -52,6 +54,8 @@ from .mechanism import (
 TOL_IC_QUADRATURE = 1e-6
 TOL_IR = 1e-8
 TOL_MONO = 1e-8
+# witness ties: within this many eps of the swept quantity's largest magnitude
+WITNESS_ULPS = 64
 
 
 class NonConcaveError(RuntimeError):
@@ -142,6 +146,19 @@ def interim_utility(
     return float(u) if u.ndim == 0 else u
 
 
+def _witness(values: np.ndarray, extremum: float, scale: float) -> tuple:
+    """(user row, grid index) of the first entry within rounding of ``extremum``.
+
+    Rounding is ``WITNESS_ULPS`` eps times ``scale``, the largest magnitude of
+    the quantity the sweep evaluated. A NaN extremum names the first NaN entry.
+    """
+    if np.isnan(extremum):
+        near = np.isnan(values)
+    else:
+        near = np.abs(values - extremum) <= WITNESS_ULPS * np.finfo(float).eps * scale
+    return np.unravel_index(int(np.argmax(near)), values.shape)
+
+
 def _ic_tolerance(curves: InterimCurves) -> float:
     if curves.method == "quadrature":
         return TOL_IC_QUADRATURE
@@ -176,8 +193,8 @@ def verify_ic(
     best = np.argmax(u, axis=2)
     gains = np.take_along_axis(u, best[..., None], axis=2)[..., 0] - u_truth
     argmax_ok = not np.any(np.abs(reports[best] - truths) > step * (1 + 1e-9))
-    row, t = np.unravel_index(np.argmax(gains), gains.shape)
-    gain = float(gains[row, t])
+    gain = float(np.max(gains))
+    row, t = _witness(gains, gain, np.max(np.abs(u)))
     return VerificationReport(
         ic_max_gain=gain,
         ic_argmax_within_step=argmax_ok,
@@ -195,8 +212,8 @@ def verify_ir(
     """Truthful interim utility nonnegative; binding (zero) at the lowest type."""
     truths = np.linspace(sc.dist.lower, sc.dist.upper, true_grid)
     values = np.stack([interim_utility(curves, rewards, i, truths, truths) for i in curves.users])
-    row, k = np.unravel_index(np.argmin(values), values.shape)
-    ir_min = float(values[row, k])
+    ir_min = float(np.min(values))
+    row, k = _witness(values, ir_min, np.max(np.abs(values)))
     return VerificationReport(
         ir_min=ir_min,
         # truths[0] is the lowest type exactly, where participation binds
@@ -208,14 +225,14 @@ def verify_ir(
 
 def verify_monotonicity(curves: InterimCurves) -> VerificationReport:
     """Forward differences of gamma_i must be nonnegative along the grid."""
-    diffs = np.diff(curves.gamma[list(curves.users)], axis=1)
-    flat = int(np.argmin(diffs))
-    row, col = np.unravel_index(flat, diffs.shape)
-    user = curves.users[row]
+    gamma = curves.gamma[list(curves.users)]
+    diffs = np.diff(gamma, axis=1)
+    slope = float(np.min(diffs))
+    row, col = _witness(diffs, slope, np.max(np.abs(gamma)))
     return VerificationReport(
-        gamma_min_slope=float(diffs[row, col]),
+        gamma_min_slope=slope,
         worst_cases=(
-            WorstCase(user, float(curves.grid[col]), float(curves.grid[col + 1]), float(diffs[row, col])),
+            WorstCase(curves.users[row], float(curves.grid[col]), float(curves.grid[col + 1]), slope),
         ),
         tolerances={"mono": TOL_MONO},
     )

@@ -8,15 +8,30 @@ agree with both to 1e-12 of each quantity's largest magnitude.
 """
 
 import dataclasses
+import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netmech import MonteCarloEngine, Network, QuadratureEngine, Scenario, SolverError, interim_curves
+from netmech import (
+    MonteCarloEngine,
+    NegativeRewardWarning,
+    Network,
+    QuadratureEngine,
+    Scenario,
+    SolverError,
+    interim_curves,
+    reward_schedule,
+    verify_all,
+)
 from netmech import mechanism
 from netmech.mechanism import solve_profiles
 from conftest import random_valid_scenario
@@ -211,6 +226,33 @@ class TestGuards:
         message = str(err.value)
         assert message.startswith(f"user 2 at theta {theta}: {quantity} = ")
         assert "Assumption 2" in message
+
+
+class TestNearEdge:
+    """Scenarios whose min row slack is delta (t+b), delta down to 1e-9: the pipeline
+    certifies every property or refuses with a SolverError that names a user."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        family=st.sampled_from(["uniform", "truncated_exponential", "truncated_normal"]),
+        delta=st.floats(-9.0, math.log10(0.5)).map(lambda e: 10.0**e),
+    )
+    def test_certified_or_refused_naming_a_user(self, seed, n, family, delta):
+        base = random_valid_scenario(np.random.default_rng(seed), n=n, families=(family,))
+        sc = boundary_scenario(base, delta)
+        assert sc.valid
+        try:
+            curves = interim_curves(sc, 9, QuadratureEngine(order=4))
+        except SolverError as err:
+            assert re.match(r"user \d+[ :]", str(err)), str(err)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeRewardWarning)
+            rewards = reward_schedule(curves)
+        for report in verify_all(sc, curves, rewards, 9, 9):
+            assert report.passed, report.summary_lines()
 
 
 def test_mc_memory_within_budget():

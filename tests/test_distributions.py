@@ -1,17 +1,30 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import ndtr, ndtri
 
 from netmech import (
+    MonteCarloEngine,
+    QuadratureEngine,
+    Scenario,
     SupportError,
     TruncatedExponential,
     TruncatedNormal,
     Uniform,
     distribution_from_config,
+    interim_curves,
     validate_regularity,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 ALL_FAMILIES = [
     Uniform(0.4, 0.8),
@@ -179,3 +192,74 @@ class TestConfig:
     def test_non_finite_support_bound(self, family, lower, upper, field):
         with pytest.raises(ValueError, match=f"support bound {field} must be finite"):
             family(lower, upper)
+
+
+NORMAL_LAWS = [
+    TruncatedNormal(0.4, 0.8, mu=0.3, sigma=0.3),
+    TruncatedNormal(0.5, 0.9, mu=0.7, sigma=0.1),
+    TruncatedNormal(-1.0, 2.0, mu=0.5, sigma=1.5),
+]
+
+
+def direct_normal(dist):
+    """The truncated-normal formulas written against scipy.special directly."""
+    z = lambda t: (np.asarray(t, dtype=float) - dist.mu) / dist.sigma
+    mass = float(ndtr(z(dist.upper)) - ndtr(z(dist.lower)))
+    pdf = lambda t: np.exp(-(z(t) ** 2) / 2.0) / np.sqrt(2 * np.pi) / (dist.sigma * mass)
+    survival = lambda t: (ndtr(-z(t)) - ndtr(-z(dist.upper))) / mass
+    return {
+        "_mass": mass,
+        "pdf": pdf,
+        "cdf": lambda t: (ndtr(z(t)) - ndtr(z(dist.lower))) / mass,
+        "survival": survival,
+        "quantile": lambda u: dist.mu + dist.sigma * ndtri(ndtr(z(dist.lower))
+                                                           + np.asarray(u, dtype=float) * mass),
+        "virtual_value": lambda t: t - survival(t) / pdf(t),
+    }
+
+
+class TestDeferredNormalLaw:
+    """Importing scipy.special on first use changes no bit of the truncated normal."""
+
+    @pytest.mark.parametrize("dist", NORMAL_LAWS, ids=str)
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    def test_bit_identical_to_direct_formulas(self, dist, shape):
+        want = direct_normal(dist)
+        assert dist._mass == want["_mass"]
+        thetas = np.linspace(dist.lower, dist.upper, 33)
+        us = np.linspace(0.0, 1.0, 33)
+        if shape == "scalar":
+            thetas, us = float(thetas[11]), float(us[11])
+        for name in ("pdf", "cdf", "survival", "virtual_value"):
+            assert np.array_equal(getattr(dist, name)(thetas), want[name](thetas)), name
+        assert np.array_equal(dist.quantile(us), want["quantile"](us))
+
+    @pytest.mark.parametrize("engine", [QuadratureEngine(order=4), MonteCarloEngine(300, seed=2)],
+                             ids=["quadrature", "mc"])
+    def test_first_use_in_threaded_curves(self, hub5, engine, tmp_path):
+        """A fresh process whose first truncated-normal call is inside interim_curves(threads=2)
+        gets the curves of a threads=1 run, byte for byte."""
+        sc = Scenario(hub5.network, hub5.params, TruncatedNormal(0.4, 0.8, mu=0.4, sigma=0.3))
+        assert sc.valid
+        # unpickling skips Scenario.__post_init__, so no law function runs before the curves
+        (tmp_path / "in.pkl").write_bytes(pickle.dumps((sc, engine)))
+        script = (
+            "import pickle, sys\n"
+            "import numpy as np\n"
+            "from netmech import interim_curves\n"
+            f"sc, engine = pickle.loads(open({str(tmp_path / 'in.pkl')!r}, 'rb').read())\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "curves = interim_curves(sc, 9, engine, threads=2)\n"
+            "assert 'scipy.special' in sys.modules\n"
+            f"np.savez({str(tmp_path / 'out.npz')!r}, gamma=curves.gamma, v=curves.v, c=curves.c,\n"
+            "         se=np.zeros(0) if curves.gamma_se is None else curves.gamma_se)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        got = np.load(tmp_path / "out.npz")
+        want = interim_curves(sc, 9, engine, threads=1)
+        for key, value in (("gamma", want.gamma), ("v", want.v), ("c", want.c),
+                           ("se", np.zeros(0) if want.gamma_se is None else want.gamma_se)):
+            assert got[key].tobytes() == value.tobytes(), key

@@ -48,13 +48,69 @@ def test_lower_layer_imports_no_upper_layer(module):
     assert not package_imports(SRC / f"{module}.py") & UPPER_LAYERS
 
 
-def test_cli_import_skips_scipy_stats():
-    """The type laws call scipy.special directly; scipy.stats is a slow import."""
-    script = "import sys, netmech.cli; print('scipy.stats' in sys.modules)"
+def scipy_modules_after(script: str) -> list:
+    """The scipy modules a fresh interpreter holds after running ``script``."""
+    script += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy.special is imported by the truncated normal on first use, not at start-up."""
+    assert scipy_modules_after("import netmech.cli") == []
+
+
+def test_uniform_verify_loads_no_scipy(tmp_path):
+    config = SRC.parents[1] / "configs" / "hub5.json"
+    script = (
+        "import netmech.cli\n"
+        f"code = netmech.cli.main(['verify', '--config', {str(config)!r}, '--quad-order', '3', "
+        f"'--report-grid', '9', '--grid', '9', '--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+    )
+    assert scipy_modules_after(script) == []
+
+
+def test_truncated_normal_loads_scipy_special_on_first_use():
+    script = (
+        "import sys\n"
+        "from netmech import TruncatedNormal\n"
+        "dist = TruncatedNormal(0.4, 0.8, mu=0.3, sigma=0.3)\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "dist.cdf(0.5)\n"
+    )
+    assert "scipy.special" in scipy_modules_after(script)
+
+
+def module_level_imports(tree: ast.AST) -> list:
+    """Top-level module names imported outside any function body."""
+    found = []
+    todo = list(ast.iter_child_nodes(tree))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.extend(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_module_level_import_parser():
+    tree = ast.parse("import numpy as np\nif True:\n    from scipy import special\n"
+                     "class A:\n    import os\n"
+                     "def f():\n    import scipy.sparse\n    from scipy.special import ndtr\n")
+    assert sorted(module_level_imports(tree)) == ["numpy", "os", "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    assert "scipy" not in module_level_imports(ast.parse(path.read_text()))
 
 
 ENGINE_CLASSES = {"QuadratureEngine", "MonteCarloEngine"}

@@ -171,6 +171,40 @@ class TestVerifyMonotonicity:
         assert witness.user == 3
         assert witness.theta_true == pytest.approx(curves.grid[9])
 
+    @staticmethod
+    def two_dips(curves, dip_1, dip_3):
+        """gamma flat except user 1 falls by dip_1 at grid index 4 and user 3 by dip_3 at 0."""
+        gamma = np.zeros((5, curves.grid.size))
+        gamma[1, 5:] = dip_1
+        gamma[3, 1:] = dip_3
+        return InterimCurves(grid=curves.grid, gamma=gamma, v=curves.v, c=curves.c,
+                             users=curves.users, method=curves.method)
+
+    def test_rounding_tie_names_the_lowest_user(self, zero5_certified):
+        """User 3's minimum slope is 1 ulp below user 1's: the witness is user 1,
+        and the reported slope is still the exact minimum."""
+        _, curves, _ = zero5_certified
+        lowest = np.nextafter(-0.25, -1.0)
+        report = verify_monotonicity(self.two_dips(curves, -0.25, lowest))
+        assert report.gamma_min_slope == lowest
+        witness = report.worst_cases[0]
+        assert (witness.user, witness.theta_true, witness.theta_hat, witness.value) == (
+            1, curves.grid[4], curves.grid[5], lowest)
+
+    def test_gap_beyond_rounding_names_the_minimum(self, zero5_certified):
+        _, curves, _ = zero5_certified
+        report = verify_monotonicity(self.two_dips(curves, -0.25, -0.25 - 1e-12))
+        witness = report.worst_cases[0]
+        assert (witness.user, witness.theta_true) == (3, curves.grid[0])
+
+    def test_nan_curve_fails_and_is_named(self, zero5_certified):
+        _, curves, _ = zero5_certified
+        broken = self.two_dips(curves, -0.25, -0.5)
+        broken.gamma[2, 6] = np.nan
+        report = verify_monotonicity(broken)
+        assert not report.passed
+        assert (report.worst_cases[0].user, report.worst_cases[0].theta_true) == (2, curves.grid[5])
+
 
 class TestPropositionChains:
     def test_truthful_utility_nonnegative_chain(self, complete5_certified):
