@@ -186,6 +186,8 @@ def cmd_solve(args) -> int:
         theta = np.array([float(v) for v in args.theta.split(",")])
     except ValueError:
         raise ConfigError(f"--theta must be comma-separated numbers, got {args.theta!r}") from None
+    if theta.size != sc.n:
+        raise ConfigError(f"--theta needs {sc.n} types, one per user, got {theta.size}")
     sol = demand_solution(sc, theta)
     for i, value in enumerate(sol.x):
         print(f"x[{i}] = {value:.12g}")

@@ -31,7 +31,10 @@ of one user's own reported type v:
 estimated either by tensor Gauss-Legendre quadrature (tight, small n) or by
 Monte Carlo with common random numbers: one sample set of the other users'
 types is reused across the whole type grid so the grid structure of the
-curves is not drowned by independent noise.
+curves is not drowned by independent noise. Both engines are plain values:
+``others_samples(dist, n, i)`` is a pure function that rebuilds the rule, or
+redraws the same uniforms from the engine's seed, on each call, so users
+share their common columns and threads share an engine without a lock.
 
 Along the grid only user i's virtual value moves, and it enters A through a
 symmetric rank-2 term: with g_i = G[i, :],
@@ -54,14 +57,25 @@ The interim reward schedule that makes truth-telling optimal is
 
     r_i(v) = integral_{lower}^{v} gamma_i(y) dy - v * gamma_i(v) - V_i(v)
 
-discretized with a cumulative trapezoid on the curve grid and interpolated
-linearly between grid points. The ex-post reward paid to user i depends on
-the own report only: R_i(theta_hat) = r_i(theta_hat_i).
+discretized with a cumulative trapezoid on the curve grid. Between grid points
+gamma and V are linear, and r follows the exact integral of that
+piecewise-linear gamma: at fraction t of cell k, of width h, it is the linear
+interpolant of the node rewards plus t (1 - t) h (gamma_{k+1} - gamma_k) / 2,
+a term that is exactly 0 at every node. With I the integral of that gamma
+from lower,
+
+    U_i(theta, theta_hat) = I(theta_hat) + (theta - theta_hat) gamma_i(theta_hat),
+
+so a misreport gains integral_{theta}^{theta_hat} (gamma_i(y) - gamma_i(theta_hat)) dy,
+which is <= 0 for every pair on the interval exactly when the node gammas are
+non-decreasing, and truth-telling earns I(theta) >= 0: a passed monotonicity
+check certifies IC and IR on the continuum, not only on the nodes. The
+ex-post reward paid to user i depends on the own report only:
+R_i(theta_hat) = r_i(theta_hat_i).
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -91,8 +105,9 @@ _COND_LIMIT = 1e12
 _RESIDUAL_TOL = 1e-10
 # the smallest type grid of the interim curves and the IC sweeps
 MIN_GRID = 9
-# tensor quadrature needs order**(n-1) nodes per user; beyond this, use Monte Carlo
+# tensor quadrature needs order**(n-1) nodes per user; beyond these, use Monte Carlo
 _MAX_QUADRATURE_USERS = 7
+_MAX_QUADRATURE_NODES = 2**20
 # floats per array in one chunk of the curve kernel (512 KiB, cache-sized): the
 # (n, 2 samples) CG stack of a chunk of samples, or the (grid points, samples)
 # arrays of a grid chunk
@@ -349,30 +364,21 @@ def solve_profiles(sc: Scenario, phis: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class QuadratureEngine:
     """Tensor Gauss-Legendre expectation over the other users' types.
 
     The node count grows as order**(n-1); refuse networks beyond
-    ``_MAX_QUADRATURE_USERS`` and point to the Monte Carlo engine instead.
+    ``_MAX_QUADRATURE_USERS`` users or ``_MAX_QUADRATURE_NODES`` nodes and
+    point to the Monte Carlo engine instead.
     """
 
+    order: int = 8
     kind = "quadrature"
 
-    def __init__(self, order: int = 8):
-        if order < 1:
+    def __post_init__(self):
+        if self.order < 1:
             raise EngineError("quadrature order must be >= 1")
-        self.order = order
-        self._cache: dict = {}
-
-    def _rule(self, dist: TypeDistribution):
-        key = ("rule", dist)
-        if key not in self._cache:
-            x, w = np.polynomial.legendre.leggauss(self.order)
-            half = 0.5 * (dist.upper - dist.lower)
-            nodes = dist.lower + (x + 1.0) * half
-            weights = w * half * np.asarray(dist.pdf(nodes), dtype=float)
-            self._cache[key] = (nodes, weights)
-        return self._cache[key]
 
     def others_samples(self, dist: TypeDistribution, n: int, i: int):
         """(values, weights) for the n-1 other coordinates; independent of i."""
@@ -381,48 +387,41 @@ class QuadratureEngine:
                 f"tensor quadrature limited to n <= {_MAX_QUADRATURE_USERS} users "
                 f"(got n={n}); use MonteCarloEngine"
             )
-        n_others = n - 1
-        key = ("tensor", dist, n_others)
-        if key not in self._cache:
-            nodes, weights = self._rule(dist)
-            if n_others == 0:
-                self._cache[key] = (np.zeros((1, 0)), np.ones(1))
-            else:
-                idx = np.indices((self.order,) * n_others).reshape(n_others, -1).T
-                self._cache[key] = (nodes[idx], np.prod(weights[idx], axis=1))
-        return self._cache[key]
+        count = self.order ** (n - 1)
+        if count > _MAX_QUADRATURE_NODES:
+            raise EngineError(
+                f"tensor quadrature of order {self.order} at n={n} needs {count} nodes, "
+                f"over the budget of {_MAX_QUADRATURE_NODES}; lower the order or use MonteCarloEngine"
+            )
+        x, w = np.polynomial.legendre.leggauss(self.order)
+        half = 0.5 * (dist.upper - dist.lower)
+        nodes = dist.lower + (x + 1.0) * half
+        weights = w * half * np.asarray(dist.pdf(nodes), dtype=float)
+        idx = np.indices((self.order,) * (n - 1)).reshape(n - 1, count).T
+        return nodes[idx], np.prod(weights[idx], axis=1)
 
 
+@dataclass(frozen=True)
 class MonteCarloEngine:
     """Monte Carlo expectation with common random numbers.
 
-    One uniform matrix is drawn per (distribution, n) and mapped through the
-    quantile function; user i's sample set is the columns other than i, so it
-    is identical across grid points and heavily shared across users.
+    Each call draws the same (samples, n) uniform matrix from ``seed``; user
+    i's sample set is its columns other than i through the quantile function,
+    so it is identical across grid points and shared between users.
     """
 
+    samples: int = 20_000
+    seed: int = 0
     kind = "mc"
 
-    def __init__(self, samples: int = 20_000, seed: int = 0):
-        if samples < 1:
+    def __post_init__(self):
+        if self.samples < 1:
             raise EngineError("need at least one Monte Carlo sample")
-        self.samples = samples
-        self.seed = seed
-        self._cache: dict = {}
-
-    def _values(self, dist: TypeDistribution, n: int) -> np.ndarray:
-        key = (dist, n)
-        if key not in self._cache:
-            rng = np.random.default_rng(self.seed)
-            self._cache[key] = np.asarray(
-                dist.quantile(rng.random((self.samples, n))), dtype=float
-            )
-        return self._cache[key]
 
     def others_samples(self, dist: TypeDistribution, n: int, i: int):
-        values = self._values(dist, n)
-        others = np.delete(np.arange(n), i)
-        return values[:, others], np.full(self.samples, 1.0 / self.samples)
+        uniforms = np.random.default_rng(self.seed).random((self.samples, n))
+        values = dist.quantile(np.delete(uniforms, i, axis=1))
+        return np.asarray(values, dtype=float), np.full(self.samples, 1.0 / self.samples)
 
 
 def make_engine(kind: str, quad_order: int, mc_samples: int, seed: int):
@@ -471,15 +470,25 @@ def _on_grid(grid: np.ndarray, theta, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RewardSchedule:
-    """Interim reward r_i on the curve grid, linear interpolation in between."""
+    """Interim reward r_i: ``rewards`` on the curve grid, the exact integral in between.
+
+    ``cell_term[i, k]`` is h (gamma_{k+1} - gamma_k) / 2 for cell k of width
+    h; at fraction t of the cell, r is the linear interpolant of the node
+    rewards plus t (1 - t) times it.
+    """
 
     grid: np.ndarray
     rewards: np.ndarray
+    cell_term: np.ndarray
     users: tuple
 
     def reward(self, i: int, theta):
         """r_i at the reports theta (any shape); a float for scalar input."""
-        r = np.interp(_on_grid(self.grid, theta, "report"), self.grid, self.rewards[i])
+        grid = self.grid
+        theta = _on_grid(grid, theta, "report")
+        k = np.clip(np.searchsorted(grid, theta, side="right") - 1, 0, grid.size - 2)
+        t = (theta - grid[k]) / (grid[k + 1] - grid[k])
+        r = np.interp(theta, grid, self.rewards[i]) + t * (1.0 - t) * self.cell_term[i, k]
         return float(r) if r.ndim == 0 else r
 
     def rewards_for_profile(self, theta) -> np.ndarray:
@@ -569,11 +578,8 @@ def interim_curves(
     track_se = engine.kind == "mc"
     gamma_se = np.full((n, grid_size), np.nan) if track_se else None
 
-    samples_lock = threading.Lock()
-
     def run_user(i):
-        with samples_lock:  # engines fill their sample caches on first use
-            values, weights = engine.others_samples(dist, n, i)
+        values, weights = engine.others_samples(dist, n, i)
         n_samples = values.shape[0]
         s, big_s = _rank2_factors(sc, i, np.asarray(dist.virtual_value(values), dtype=float))
         for sl in _chunk_slices(grid_size, max(1, _CHUNK_FLOATS // n_samples)):
@@ -606,6 +612,7 @@ def interim_curves(
                 var = (resid**2 @ weights) * n_samples / max(1, n_samples - 1)
                 gamma_se[i, sl] = np.sqrt(var / n_samples)
 
+    # threads=1 stays in this thread, under the caller's np.errstate (pool threads lack it)
     if threads > 1 and len(user_list) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_user, user_list))
@@ -661,7 +668,8 @@ def reward_schedule(curves: InterimCurves) -> RewardSchedule:
             NegativeRewardWarning,
             stacklevel=2,
         )
-    return RewardSchedule(grid=grid, rewards=rewards, users=curves.users)
+    cell_term = 0.5 * np.diff(grid) * np.diff(curves.gamma, axis=1)
+    return RewardSchedule(grid=grid, rewards=rewards, cell_term=cell_term, users=curves.users)
 
 
 def cp_expected_utility(sc: Scenario, curves: InterimCurves, rewards: RewardSchedule) -> float:

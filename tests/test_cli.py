@@ -12,6 +12,7 @@ from netmech.experiments import Check, ExperimentResult
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 COMPLETE5 = str(CONFIG_DIR / "complete5.json")
+HUB5 = str(CONFIG_DIR / "hub5.json")
 BAD_THETA_BAR = str(CONFIG_DIR / "bad_theta_bar.json")
 
 
@@ -84,6 +85,12 @@ class TestSolveVerb:
 
     def test_bad_theta_string(self, capsys):
         assert main(["solve", "--config", COMPLETE5, "--theta", "a,b"]) == 2
+
+    def test_theta_count_must_match_n(self, capsys):
+        assert main(["solve", "--config", COMPLETE5, "--theta", "0.5,0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "--theta needs 5 types" in err and "got 2" in err
+        assert "Traceback" not in err
 
     def test_profile_outside_support(self, capsys):
         assert main(["solve", "--config", COMPLETE5, "--theta", "0.9,0.6,0.6,0.6,0.6"]) == 2
@@ -159,6 +166,12 @@ class TestVerifyVerb:
         report_csv = (tmp_path / "verify_report.csv").read_text().splitlines()
         assert report_csv[0].startswith("property,value,tolerance,status")
         assert any(line.startswith("ic_max_gain") and ",PASS," in line for line in report_csv)
+
+    @pytest.mark.parametrize("config", [HUB5, COMPLETE5], ids=["hub5", "complete5"])
+    def test_ic_holds_between_report_nodes(self, tmp_path, capsys, config):
+        # the 21 true types are not nodes of a 33-point curve grid
+        assert main(["verify", "--config", config, "--report-grid", "33", "--out", str(tmp_path)]) == 0
+        assert "IC PASS" in capsys.readouterr().out
 
 
 class TestHelpAndErrors:
@@ -269,6 +282,7 @@ class TestBadValuesExitTwo:
         (["verify", "--config", COMPLETE5, "--engine", "mc", "--mc-samples", "0"], None,
          "--mc-samples"),
         (["experiment", "--name", "fig6", "--mc-samples", "-5"], None, "--mc-samples"),
+        (["rewards", "--config", HUB5, "--quad-order", "100"], None, "order 100 at n=5"),
     ])
     def test_exit_two_and_name(self, tmp_path, capsys, monkeypatch, argv, env, named):
         if env is None:

@@ -104,6 +104,7 @@ class TestFig3:
         corrupted = RewardSchedule(
             grid=rewards.grid,
             rewards=rewards.rewards + 0.5 * rewards.grid[None, :],
+            cell_term=rewards.cell_term,
             users=rewards.users,
         )
         result = run_fig3(fast(spec, fig3_truths=(0.45,)), rewards=corrupted)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from netmech import (
     system_matrix,
     truthful_interim_utility,
 )
-from netmech.market import InvalidScenarioError
+from netmech.market import InvalidScenarioError, scaled_random_half_network
 from netmech import mechanism
 from netmech.mechanism import demand_solution, solve_profiles
 from conftest import CASE_PARAMS, UNIFORM, complete_network, random_valid_scenario, zero_network
@@ -364,6 +365,53 @@ class TestInterimCurves:
         assert curves.users == (2,)
         assert np.all(np.isfinite(curves.gamma[2]))
         assert np.all(np.isnan(curves.gamma[0]))
+
+
+class TestStatelessEngines:
+    ENGINES = [QuadratureEngine(order=5), MonteCarloEngine(samples=300, seed=4)]
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.kind)
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_repeated_calls_are_equal(self, engine, n):
+        first = engine.others_samples(UNIFORM, n, n - 1)
+        second = engine.others_samples(UNIFORM, n, n - 1)
+        assert first[0].shape == (first[1].size, n - 1)
+        assert first[1].sum() == pytest.approx(1.0)
+        assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
+
+    def test_mc_users_share_their_common_columns(self):
+        engine = MonteCarloEngine(samples=200, seed=9)
+        n, i, j = 6, 1, 4
+        values_i, _ = engine.others_samples(UNIFORM, n, i)
+        values_j, _ = engine.others_samples(UNIFORM, n, j)
+        common = [k for k in range(n) if k not in (i, j)]
+        cols_i = [k for k in range(n) if k != i]
+        cols_j = [k for k in range(n) if k != j]
+        assert np.array_equal(values_i[:, [cols_i.index(k) for k in common]],
+                              values_j[:, [cols_j.index(k) for k in common]])
+
+    def test_mc_engine_reused_across_sizes(self):
+        # fig6 runs one engine over several n; each size gets a fresh engine's curves
+        reused = MonteCarloEngine(samples=300, seed=5)
+        for n in (8, 16, 8):
+            net, _ = scaled_random_half_network(n, n, CASE_PARAMS, UNIFORM.upper)
+            sc = Scenario(net, CASE_PARAMS, UNIFORM)
+            got = interim_curves(sc, 9, reused, users=[0])
+            want = interim_curves(sc, 9, MonteCarloEngine(samples=300, seed=5), users=[0])
+            for field in ("gamma", "v", "c", "gamma_se"):
+                assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+
+    @pytest.mark.parametrize("engine,field", [(ENGINES[0], "order"), (ENGINES[1], "seed")])
+    def test_fields_are_frozen(self, engine, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(engine, field, 7)
+
+    def test_quadrature_node_budget(self):
+        # 33**4 = 1,185,921 nodes exceed 2**20; 32**4 = 2**20 is the largest accepted
+        with pytest.raises(EngineError, match="order 33 at n=5 needs 1185921 nodes"):
+            QuadratureEngine(order=33).others_samples(UNIFORM, 5, 0)
+        values, weights = QuadratureEngine(order=32).others_samples(UNIFORM, 5, 0)
+        assert values.shape == (2**20, 4) and weights.shape == (2**20,)
 
 
 class TestRewardSchedule:

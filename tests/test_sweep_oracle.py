@@ -46,6 +46,17 @@ ENGINES = {
 }
 
 
+def scalar_reward(rewards, i, theta_hat):
+    """r_i at one report: the linear interpolant plus t (1 - t) times its cell's term."""
+    grid = rewards.grid
+    k = 0
+    while k < grid.size - 2 and grid[k + 1] <= theta_hat:
+        k += 1
+    t = (theta_hat - grid[k]) / (grid[k + 1] - grid[k])
+    linear = float(np.interp(theta_hat, grid, rewards.rewards[i]))
+    return linear + t * (1.0 - t) * float(rewards.cell_term[i, k])
+
+
 def scalar_utility(curves, rewards, i, theta_true, theta_hat):
     """One point of U_i, each term interpolated on its own with a support check."""
     grid = curves.grid
@@ -54,7 +65,7 @@ def scalar_utility(curves, rewards, i, theta_true, theta_hat):
             raise ValueError(f"type {theta} outside curve grid [{grid[0]}, {grid[-1]}]")
     v = float(np.interp(theta_hat, grid, curves.v[i]))
     gamma = float(np.interp(theta_hat, grid, curves.gamma[i]))
-    return v + theta_true * gamma + float(np.interp(theta_hat, rewards.grid, rewards.rewards[i]))
+    return v + theta_true * gamma + scalar_reward(rewards, i, theta_hat)
 
 
 def oracle_ic(sc, curves, rewards, true_grid, report_grid):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmech import (
     InterimCurves,
@@ -46,7 +48,8 @@ def zero5_certified():
 
 def shift_rewards(rewards: RewardSchedule, delta) -> RewardSchedule:
     return RewardSchedule(
-        grid=rewards.grid, rewards=rewards.rewards + delta, users=rewards.users
+        grid=rewards.grid, rewards=rewards.rewards + delta, cell_term=rewards.cell_term,
+        users=rewards.users,
     )
 
 
@@ -116,6 +119,59 @@ class TestVerifyIc:
         sc, curves, rewards = complete5_certified
         with pytest.raises(ValueError):
             verify_ic(sc, curves, rewards, 5, 101)
+
+
+def one_user_schedule(grid, gamma, v):
+    """Curves of one user with the given node gamma and V, and their reward schedule."""
+    zeros = np.zeros((1, grid.size))
+    curves = InterimCurves(grid, gamma[None, :], v[None, :], zeros, (0,), "quadrature")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeRewardWarning)
+        return curves, reward_schedule(curves)
+
+
+class TestContinuumIncentives:
+    """Between the nodes the schedule pays the exact integral of the linear gamma."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo=st.floats(0.0, 1.0),
+        width=st.floats(0.25, 1.0),
+        start=st.floats(0.0, 1.0),
+        steps=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=11),
+        v=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_non_decreasing_gamma_is_ic_and_ir_off_the_nodes(self, lo, width, start, steps, v, seed):
+        grid = np.linspace(lo, lo + width, len(steps) + 1)
+        gamma = start + np.cumsum([0.0] + steps)
+        v = width * gamma.max() * np.array(v[:grid.size])
+        curves, rewards = one_user_schedule(grid, gamma, v)
+        off_node = np.random.default_rng(seed).uniform(lo, grid[-1], 20 * grid.size)
+        types = np.unique(np.concatenate([grid, off_node]))
+        u = interim_utility(curves, rewards, 0, types[:, None], types)
+        truthful = np.diag(u)
+        rounding = 64 * np.finfo(float).eps * np.abs(u).max()
+        assert np.max(u - truthful[:, None]) <= rounding
+        assert np.min(truthful) >= -rounding
+
+    def test_one_decreasing_cell_gains_inside_it(self):
+        grid = np.linspace(0.4, 0.8, 9)
+        gamma = np.linspace(0.1, 0.9, 9)
+        k = 4
+        gamma[k + 1] = gamma[k] - 0.05
+        curves, rewards = one_user_schedule(grid, gamma, np.zeros(grid.size))
+        types = np.linspace(0.4, 0.8, 8 * 40 + 1)
+        u = interim_utility(curves, rewards, 0, types[:, None], types)
+        gains = u - np.diag(u)[:, None]
+        _, report = np.unravel_index(np.argmax(gains), gains.shape)
+        assert gains.max() > 1e-4
+        assert grid[k] <= types[report] <= grid[k + 1]
+        # from the bottom of the cell, reporting its top gains h (gamma_k - gamma_{k+1}) / 2
+        bottom, top = grid[k], grid[k + 1]
+        pair = (interim_utility(curves, rewards, 0, bottom, top)
+                - interim_utility(curves, rewards, 0, bottom, bottom))
+        assert pair == pytest.approx(0.5 * (top - bottom) * (gamma[k] - gamma[k + 1]), rel=1e-9)
 
 
 class TestVerifyIr:
@@ -245,7 +301,7 @@ class TestDetectorCompleteness:
         bump = 10 * tol + penalty
         corrupted = rewards.rewards.copy()
         corrupted[:, 41] += bump  # off the 21-point true grid
-        report = verify_ic(sc, curves, RewardSchedule(rewards.grid, corrupted, rewards.users), 21, 101)
+        report = verify_ic(sc, curves, RewardSchedule(rewards.grid, corrupted, rewards.cell_term, rewards.users), 21, 101)
         assert report.ic_max_gain > tol
         assert not report.passed
 
