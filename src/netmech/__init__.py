@@ -17,7 +17,6 @@ from .market import (
     Network,
     Scenario,
     cp_ex_post_utility,
-    user_utility,
     validate_assumption2,
 )
 from .mechanism import (
@@ -29,13 +28,10 @@ from .mechanism import (
     RewardSchedule,
     SolverError,
     cp_expected_utility,
-    cp_expected_utility_virtual,
     demand_solve,
     export_interim_csv,
     foc_residual,
     interim_curves,
-    k_matrix,
-    k_sensitivity,
     make_engine,
     reward_schedule,
     system_matrix,
@@ -44,7 +40,6 @@ from .mechanism import (
 from .verification import (
     ImpactRow,
     VerificationReport,
-    bruteforce_oracle,
     interim_utility,
     untruthful_impact,
     verify_all,

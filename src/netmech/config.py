@@ -110,7 +110,3 @@ def scenario_from_config(cfg: dict) -> Scenario:
     except ValueError as exc:
         raise ConfigError(f"bad distribution block: {exc}") from exc
     return Scenario(network, params, dist)
-
-
-def load_scenario(path) -> Scenario:
-    return scenario_from_config(load_config(path))

@@ -18,7 +18,7 @@ the cross-size comparison.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,6 @@ MIN_GRIDS = {"fig3": {"report_grid": MIN_GRID}, "fig4": {"grid": MIN_GRID - 1}}
 class ExperimentSpec:
     """Configuration for the case-study runs."""
 
-    name: str = "custom"
     out_dir: str = "out"
     seed: int = 0
     params: MarketParams = CASE_STUDY_PARAMS
@@ -355,7 +354,7 @@ def run_experiment(spec: ExperimentSpec, name: str) -> ExperimentResult:
         runner = _RUNNERS[name]
     except KeyError:
         raise ValueError(f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}") from None
-    return runner(replace(spec, name=name))
+    return runner(spec)
 
 
 def write_summary(results, path) -> None:

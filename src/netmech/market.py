@@ -233,22 +233,6 @@ def scaled_random_half_network(n: int, seed: int, params: MarketParams, theta_ma
     return Network(base.weights * edge_weight), edge_weight
 
 
-def user_utility(sc: Scenario, x, rewards, true_theta, i: int) -> float:
-    """Ex-post utility of user i under demand x, rewards R, and true types."""
-    x = np.asarray(x, dtype=float)
-    rewards = np.asarray(rewards, dtype=float)
-    theta = np.asarray(true_theta, dtype=float)
-    n = sc.n
-    if x.shape != (n,) or rewards.shape != (n,) or theta.shape != (n,):
-        raise ValueError("x, rewards, and true_theta must all have length n")
-    if not 0 <= i < n:
-        raise IndexError(f"user index {i} out of range for n={n}")
-    p = sc.params
-    internal = p.a * x[i] - 0.5 * p.b * x[i] ** 2
-    network = theta[i] * x[i] * float(sc.network.weights[i] @ x)
-    return float(internal + network - p.p * x[i] + rewards[i])
-
-
 def cp_ex_post_utility(sc: Scenario, x, rewards) -> float:
     """Content provider's ex-post utility: ad revenue minus rewards paid."""
     x = np.asarray(x, dtype=float)

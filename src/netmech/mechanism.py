@@ -108,6 +108,8 @@ MIN_GRID = 9
 # tensor quadrature needs order**(n-1) nodes per user; beyond these, use Monte Carlo
 _MAX_QUADRATURE_USERS = 7
 _MAX_QUADRATURE_NODES = 2**20
+# floats in the (samples, n) uniform matrix a Monte Carlo engine draws per user (128 MiB)
+_MAX_MC_FLOATS = 2**24
 # floats per array in one chunk of the curve kernel (512 KiB, cache-sized): the
 # (n, 2 samples) CG stack of a chunk of samples, or the (grid points, samples)
 # arrays of a grid chunk
@@ -125,11 +127,6 @@ def system_matrix(sc: Scenario, theta) -> np.ndarray:
     """Assemble A = (t+b) I - (M G + G^T M) for one type profile."""
     th = sc.check_profile(theta)
     return _assemble(sc, np.asarray(sc.dist.virtual_value(th), dtype=float))
-
-
-def dominance_slack(a: np.ndarray) -> np.ndarray:
-    """Per-row diagonal dominance slack a_ii - sum_{j != i} |a_ij|."""
-    return np.diag(a) - (np.abs(a).sum(axis=1) - np.abs(np.diag(a)))
 
 
 @dataclass(frozen=True)
@@ -324,30 +321,6 @@ def foc_residual(sc: Scenario, theta, x) -> float:
     return float(np.max(np.abs(term)))
 
 
-def k_matrix(sc: Scenario, theta) -> np.ndarray:
-    """Explicit inverse of the system matrix (tests and sensitivity only)."""
-    return np.linalg.inv(system_matrix(sc, theta))
-
-
-def k_sensitivity(sc: Scenario, theta, i: int) -> np.ndarray:
-    """Derivative of K = A^{-1} with respect to user i's type: K (E_i G + G^T E_i) K.
-
-    E_i carries d(phi)/d(theta_i) at entry (i, i) and zeros elsewhere; under
-    regularity the result is entrywise nonnegative.
-    """
-    sc.require_valid()
-    th = sc.check_profile(theta)
-    if not 0 <= i < sc.n:
-        raise IndexError(f"user index {i} out of range for n={sc.n}")
-    k = k_matrix(sc, th)
-    slope = float(sc.dist.virtual_value_slope(th[i]))
-    g = sc.network.weights
-    b = np.zeros((sc.n, sc.n))
-    b[i, :] += slope * g[i, :]
-    b[:, i] += slope * g[i, :]
-    return k @ b @ k
-
-
 def solve_profiles(sc: Scenario, phis: np.ndarray) -> np.ndarray:
     """Batched demand solve for a stack of virtual-value profiles (..., n), by direct LU.
 
@@ -407,7 +380,8 @@ class MonteCarloEngine:
 
     Each call draws the same (samples, n) uniform matrix from ``seed``; user
     i's sample set is its columns other than i through the quantile function,
-    so it is identical across grid points and shared between users.
+    so it is identical across grid points and shared between users. Refuse a
+    matrix of more than ``_MAX_MC_FLOATS`` floats before drawing it.
     """
 
     samples: int = 20_000
@@ -419,6 +393,11 @@ class MonteCarloEngine:
             raise EngineError("need at least one Monte Carlo sample")
 
     def others_samples(self, dist: TypeDistribution, n: int, i: int):
+        if self.samples * n > _MAX_MC_FLOATS:
+            raise EngineError(
+                f"Monte Carlo with {self.samples} samples at n={n} draws {self.samples * n} "
+                f"floats, over the budget of {_MAX_MC_FLOATS}; lower the sample count"
+            )
         uniforms = np.random.default_rng(self.seed).random((self.samples, n))
         values = dist.quantile(np.delete(uniforms, i, axis=1))
         return np.asarray(values, dtype=float), np.full(self.samples, 1.0 / self.samples)
@@ -674,26 +653,13 @@ def reward_schedule(curves: InterimCurves) -> RewardSchedule:
 
 def cp_expected_utility(sc: Scenario, curves: InterimCurves, rewards: RewardSchedule) -> float:
     """Expected provider utility: sum_i integral of (C_i - r_i) against the pdf."""
-    _require_all_users(sc, curves)
+    if tuple(curves.users) != tuple(range(sc.n)):
+        raise ValueError("provider utility needs curves for every user")
     if rewards.grid.shape != curves.grid.shape or np.any(rewards.grid != curves.grid):
         raise ValueError("curves and rewards must share one grid")
     f = np.asarray(sc.dist.pdf(curves.grid), dtype=float)
     integrand = (curves.c - rewards.rewards) * f[None, :]
     return float(np.sum(np.trapezoid(integrand, curves.grid, axis=1)))
-
-
-def cp_expected_utility_virtual(sc: Scenario, curves: InterimCurves) -> float:
-    """Same quantity through the virtual-surplus form: sum_i E[C_i + V_i + phi*gamma_i]."""
-    _require_all_users(sc, curves)
-    phi = np.asarray(sc.dist.virtual_value(curves.grid), dtype=float)
-    f = np.asarray(sc.dist.pdf(curves.grid), dtype=float)
-    integrand = (curves.c + curves.v + phi[None, :] * curves.gamma) * f[None, :]
-    return float(np.sum(np.trapezoid(integrand, curves.grid, axis=1)))
-
-
-def _require_all_users(sc: Scenario, curves: InterimCurves) -> None:
-    if tuple(curves.users) != tuple(range(sc.n)):
-        raise ValueError("provider utility needs curves for every user")
 
 
 def export_interim_csv(curves: InterimCurves, rewards: RewardSchedule, path) -> None:

@@ -20,15 +20,6 @@ first entry in (user, grid index) order within rounding of the extremum, so
 users that tie up to the last bits (symmetric users of a symmetric network)
 always name the lowest one. The reported value is the exact extremum. A failed
 check is report content, never an exception.
-
-``bruteforce_oracle`` maximizes the pointwise virtual-surplus objective
-
-    sum_i [ (s+a-p) x_i - ((t+b)/2) x_i^2 + phi_i x_i sum_j g_ij x_j ]
-
-over x >= 0 by grid refinement or projected gradient ascent. It exists only
-to cross-check the closed-form demand solve: the objective and its gradient
-share no code with the solve. Only its concavity guard reuses the solve's
-matrix assembly and dominance slack, to refuse scenarios with no maximizer.
 """
 
 from __future__ import annotations
@@ -38,15 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .market import Scenario, cp_ex_post_utility
-from .mechanism import (
-    MIN_GRID,
-    InterimCurves,
-    RewardSchedule,
-    _on_grid,
-    demand_solve,
-    dominance_slack,
-    system_matrix,
-)
+from .mechanism import MIN_GRID, InterimCurves, RewardSchedule, _on_grid, demand_solve
 
 # tolerances: IC on quadrature-backed curves (Monte Carlo ones take theirs from
 # the standard error), IR (grid-exact at nodes, so effectively rounding noise)
@@ -56,10 +39,6 @@ TOL_IR = 1e-8
 TOL_MONO = 1e-8
 # witness ties: within this many eps of the swept quantity's largest magnitude
 WITNESS_ULPS = 64
-
-
-class NonConcaveError(RuntimeError):
-    """The brute-force objective is not strictly concave (feasibility broken)."""
 
 
 @dataclass(frozen=True)
@@ -336,88 +315,3 @@ def untruthful_impact(
         reports=reports,
         cp_utilities=utilities,
     )
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle for the demand solve
-# ---------------------------------------------------------------------------
-
-
-def virtual_surplus(sc: Scenario, theta, x: np.ndarray) -> np.ndarray:
-    """Pointwise virtual-surplus objective, vectorized over stacked x rows."""
-    th = sc.check_profile(theta)
-    phi = np.asarray(sc.dist.virtual_value(th), dtype=float)
-    g = sc.network.weights
-    p = sc.params
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    linear = (p.s + p.a - p.p) * x.sum(axis=-1)
-    quad = 0.5 * (p.t + p.b) * (x**2).sum(axis=-1)
-    cross = ((phi * x) * (x @ g.T)).sum(axis=-1)
-    return linear - quad + cross
-
-
-def _check_concave(sc: Scenario, theta) -> None:
-    slack = dominance_slack(system_matrix(sc, theta))
-    if np.min(slack) <= 0:
-        raise NonConcaveError(
-            f"objective Hessian not strictly diagonally dominant (worst slack {np.min(slack):g})"
-        )
-
-
-def _x_upper_bound(sc: Scenario) -> float:
-    slack = float(np.min(sc.assumption2.row_slack))
-    return (sc.params.s + sc.params.a - sc.params.p) / slack
-
-
-def bruteforce_oracle(sc: Scenario, theta, method: str = "grid") -> np.ndarray:
-    """Maximize the virtual surplus directly; test oracle for the linear solve.
-
-    ``grid``: full grid search with window refinement, n <= 3 only.
-    ``ascent``: projected gradient ascent with a conservative step size.
-    """
-    sc.require_valid()
-    theta = sc.check_profile(theta)
-    _check_concave(sc, theta)
-    if method == "grid":
-        return _grid_maximize(sc, theta)
-    if method == "ascent":
-        return _ascent_maximize(sc, theta)
-    raise ValueError(f"unknown oracle method {method!r}")
-
-
-def _grid_maximize(sc: Scenario, theta, points: int = 21, rounds: int = 6) -> np.ndarray:
-    n = sc.n
-    if n > 3:
-        raise ValueError("grid search oracle limited to n <= 3")
-    lo = np.zeros(n)
-    hi = np.full(n, _x_upper_bound(sc))
-    best = None
-    for _ in range(rounds):
-        axes = [np.linspace(lo[d], hi[d], points) for d in range(n)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        values = virtual_surplus(sc, theta, mesh)
-        best = mesh[int(np.argmax(values))]
-        span = (hi - lo) / (points - 1)
-        lo = np.maximum(best - span, 0.0)
-        hi = best + span
-    return best
-
-
-def _ascent_maximize(
-    sc: Scenario, theta, tol: float = 1e-11, max_iter: int = 200_000
-) -> np.ndarray:
-    th = np.asarray(theta, dtype=float)
-    phi = np.asarray(sc.dist.virtual_value(th), dtype=float)
-    g = sc.network.weights
-    p = sc.params
-    tb = p.t + p.b
-    coupling = (phi[:, None] * g + g.T * phi[None, :]).sum(axis=1).max()
-    step = 1.0 / (tb + coupling)  # below 2/L for the concave quadratic
-    x = np.full(sc.n, (p.s + p.a - p.p) / tb)
-    for _ in range(max_iter):
-        grad = (p.s + p.a - p.p) - tb * x + phi * (g @ x) + g.T @ (phi * x)
-        x_new = np.maximum(x + step * grad, 0.0)
-        if np.max(np.abs(x_new - x)) < tol:
-            return x_new
-        x = x_new
-    return x

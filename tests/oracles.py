@@ -1,0 +1,132 @@
+"""Independent reference forms of the paper's results, for the tests to compare against.
+
+``bruteforce_oracle`` maximizes the virtual surplus directly and shares no code with
+the demand solve it checks, so a fault in the solve cannot make both sides agree. It
+needs no concavity guard: after ``require_valid``, 0 <= phi <= theta_bar leaves every
+row slack of A(theta) at least (t+b) - theta_bar sum_j (g_ij + g_ji) > 0.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from netmech import InterimCurves, Scenario, system_matrix
+
+
+def virtual_surplus(sc: Scenario, theta, x: np.ndarray) -> np.ndarray:
+    """Pointwise virtual-surplus objective, vectorized over stacked x rows."""
+    th = sc.check_profile(theta)
+    phi = np.asarray(sc.dist.virtual_value(th), dtype=float)
+    g = sc.network.weights
+    p = sc.params
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    linear = (p.s + p.a - p.p) * x.sum(axis=-1)
+    quad = 0.5 * (p.t + p.b) * (x**2).sum(axis=-1)
+    cross = ((phi * x) * (x @ g.T)).sum(axis=-1)
+    return linear - quad + cross
+
+
+def _x_upper_bound(sc: Scenario) -> float:
+    slack = float(np.min(sc.assumption2.row_slack))
+    return (sc.params.s + sc.params.a - sc.params.p) / slack
+
+
+def bruteforce_oracle(sc: Scenario, theta, method: str = "grid") -> np.ndarray:
+    """Maximize the virtual surplus directly; test oracle for the linear solve.
+
+    ``grid``: full grid search with window refinement, n <= 3 only.
+    ``ascent``: projected gradient ascent with a conservative step size.
+    """
+    sc.require_valid()
+    theta = sc.check_profile(theta)
+    if method == "grid":
+        return _grid_maximize(sc, theta)
+    if method == "ascent":
+        return _ascent_maximize(sc, theta)
+    raise ValueError(f"unknown oracle method {method!r}")
+
+
+def _grid_maximize(sc: Scenario, theta, points: int = 21, rounds: int = 6) -> np.ndarray:
+    n = sc.n
+    if n > 3:
+        raise ValueError("grid search oracle limited to n <= 3")
+    lo = np.zeros(n)
+    hi = np.full(n, _x_upper_bound(sc))
+    best = None
+    for _ in range(rounds):
+        axes = [np.linspace(lo[d], hi[d], points) for d in range(n)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        values = virtual_surplus(sc, theta, mesh)
+        best = mesh[int(np.argmax(values))]
+        span = (hi - lo) / (points - 1)
+        lo = np.maximum(best - span, 0.0)
+        hi = best + span
+    return best
+
+
+def _ascent_maximize(sc: Scenario, theta, tol: float = 1e-11, max_iter: int = 200_000) -> np.ndarray:
+    th = np.asarray(theta, dtype=float)
+    phi = np.asarray(sc.dist.virtual_value(th), dtype=float)
+    g = sc.network.weights
+    p = sc.params
+    tb = p.t + p.b
+    coupling = (phi[:, None] * g + g.T * phi[None, :]).sum(axis=1).max()
+    step = 1.0 / (tb + coupling)  # below 2/L for the concave quadratic
+    x = np.full(sc.n, (p.s + p.a - p.p) / tb)
+    for _ in range(max_iter):
+        grad = (p.s + p.a - p.p) - tb * x + phi * (g @ x) + g.T @ (phi * x)
+        x_new = np.maximum(x + step * grad, 0.0)
+        if np.max(np.abs(x_new - x)) < tol:
+            return x_new
+        x = x_new
+    return x
+
+
+def k_matrix(sc: Scenario, theta) -> np.ndarray:
+    """Explicit inverse of the system matrix."""
+    return np.linalg.inv(system_matrix(sc, theta))
+
+
+def k_sensitivity(sc: Scenario, theta, i: int) -> np.ndarray:
+    """Derivative of K = A^{-1} with respect to user i's type: K (E_i G + G^T E_i) K.
+
+    E_i carries d(phi)/d(theta_i) at entry (i, i) and zeros elsewhere; under
+    regularity the result is entrywise nonnegative.
+    """
+    sc.require_valid()
+    th = sc.check_profile(theta)
+    if not 0 <= i < sc.n:
+        raise IndexError(f"user index {i} out of range for n={sc.n}")
+    k = k_matrix(sc, th)
+    slope = float(sc.dist.virtual_value_slope(th[i]))
+    g = sc.network.weights
+    b = np.zeros((sc.n, sc.n))
+    b[i, :] += slope * g[i, :]
+    b[:, i] += slope * g[i, :]
+    return k @ b @ k
+
+
+def cp_expected_utility_virtual(sc: Scenario, curves: InterimCurves) -> float:
+    """Expected provider utility through the virtual-surplus form: sum_i E[C_i + V_i + phi*gamma_i]."""
+    if tuple(curves.users) != tuple(range(sc.n)):
+        raise ValueError("provider utility needs curves for every user")
+    phi = np.asarray(sc.dist.virtual_value(curves.grid), dtype=float)
+    f = np.asarray(sc.dist.pdf(curves.grid), dtype=float)
+    integrand = (curves.c + curves.v + phi[None, :] * curves.gamma) * f[None, :]
+    return float(np.sum(np.trapezoid(integrand, curves.grid, axis=1)))
+
+
+def user_utility(sc: Scenario, x, rewards, true_theta, i: int) -> float:
+    """Ex-post utility of user i under demand x, rewards R, and true types."""
+    x = np.asarray(x, dtype=float)
+    rewards = np.asarray(rewards, dtype=float)
+    theta = np.asarray(true_theta, dtype=float)
+    n = sc.n
+    if x.shape != (n,) or rewards.shape != (n,) or theta.shape != (n,):
+        raise ValueError("x, rewards, and true_theta must all have length n")
+    if not 0 <= i < n:
+        raise IndexError(f"user index {i} out of range for n={n}")
+    p = sc.params
+    internal = p.a * x[i] - 0.5 * p.b * x[i] ** 2
+    network = theta[i] * x[i] * float(sc.network.weights[i] @ x)
+    return float(internal + network - p.p * x[i] + rewards[i])

@@ -14,12 +14,9 @@ from netmech import (
     NegativeRewardWarning,
     QuadratureEngine,
     Scenario,
-    bruteforce_oracle,
     demand_solve,
     foc_residual,
     interim_curves,
-    k_matrix,
-    k_sensitivity,
     reward_schedule,
     verify_ic,
     verify_ir,
@@ -28,6 +25,7 @@ from netmech import (
 from netmech.cli import main
 from netmech.experiments import ExperimentSpec, run_fig4, run_table1, run_table2
 from conftest import CASE_PARAMS, UNIFORM, complete_network, random_valid_scenario
+from oracles import bruteforce_oracle, k_matrix, k_sensitivity
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -7,7 +7,7 @@ import pytest
 
 from netmech import cli
 from netmech.cli import main
-from netmech.config import ConfigError, load_scenario, scenario_from_config
+from netmech.config import ConfigError, load_config, scenario_from_config
 from netmech.experiments import Check, ExperimentResult
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -24,7 +24,7 @@ def write_config(tmp_path, cfg, name="scenario.json") -> str:
 
 class TestConfig:
     def test_load_complete5(self):
-        sc = load_scenario(COMPLETE5)
+        sc = scenario_from_config(load_config(COMPLETE5))
         assert sc.n == 5
         assert sc.valid
 
@@ -55,11 +55,11 @@ class TestConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
-            load_scenario(path)
+            scenario_from_config(load_config(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
-            load_scenario(tmp_path / "absent.json")
+            scenario_from_config(load_config(tmp_path / "absent.json"))
 
 
 class TestSolveVerb:
@@ -283,6 +283,8 @@ class TestBadValuesExitTwo:
          "--mc-samples"),
         (["experiment", "--name", "fig6", "--mc-samples", "-5"], None, "--mc-samples"),
         (["rewards", "--config", HUB5, "--quad-order", "100"], None, "order 100 at n=5"),
+        (["rewards", "--config", HUB5, "--engine", "mc", "--mc-samples", "100000000"], None,
+         "100000000 samples at n=5 draws 500000000 floats, over the budget of 16777216"),
     ])
     def test_exit_two_and_name(self, tmp_path, capsys, monkeypatch, argv, env, named):
         if env is None:

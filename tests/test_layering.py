@@ -133,7 +133,8 @@ def test_engines_built_in_one_function():
 
 
 def test_verification_builds_no_curves_or_engines():
-    """Certification and the impact sweep take curves and rewards; they never estimate them."""
+    """Certification and the impact sweep take curves and rewards; they never estimate them,
+    and they leave the solve's matrix and its LU batch alone."""
     imported = {
         alias.name
         for node in ast.walk(ast.parse((SRC / "verification.py").read_text()))
@@ -141,12 +142,16 @@ def test_verification_builds_no_curves_or_engines():
         for alias in node.names
     }
     banned = ENGINE_CLASSES | {"make_engine", "interim_curves", "reward_schedule",
-                               "_MAX_QUADRATURE_USERS"}
+                               "_MAX_QUADRATURE_USERS", "system_matrix", "solve_profiles", "_assemble"}
     assert not imported & banned
 
 
+def top_level_functions(tree: ast.Module) -> dict:
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
 MECHANISM = ast.parse((SRC / "mechanism.py").read_text())
-FUNCTIONS = {node.name: node for node in MECHANISM.body if isinstance(node, ast.FunctionDef)}
+FUNCTIONS = top_level_functions(MECHANISM)
 
 
 def references(function: ast.FunctionDef) -> set:
@@ -164,14 +169,14 @@ def referrers(name: str) -> set:
     return {fn for fn, node in FUNCTIONS.items() if fn != name and name in references(node)}
 
 
-def reachable(name: str) -> set:
+def reachable(name: str, functions: dict = FUNCTIONS) -> set:
     """The module functions ``name`` uses, directly or through each other."""
     seen, todo = set(), [name]
     while todo:
         fn = todo.pop()
         if fn not in seen:
             seen.add(fn)
-            todo.extend(references(FUNCTIONS[fn]) & FUNCTIONS.keys())
+            todo.extend(references(functions[fn]) & functions.keys())
     return seen
 
 
@@ -196,3 +201,13 @@ def test_one_cg_and_one_bounds_helper_serve_both_solves():
     for name in ("_cg", "_a_priori", "_RESIDUAL_TOL", "theta_max"):
         assert referrers(name) == {"_solve"}, name
     assert referrers("_solve") == {"demand_solution", "_rank2_factors"}
+
+
+def test_bruteforce_oracle_shares_no_code_with_the_solve():
+    oracles = top_level_functions(ast.parse((Path(__file__).parent / "oracles.py").read_text()))
+    defined = FUNCTIONS.keys() | {node.name for node in MECHANISM.body if isinstance(node, ast.ClassDef)}
+    defined |= {target.id for node in MECHANISM.body if isinstance(node, ast.Assign)
+                for target in node.targets}
+    assert {"system_matrix", "_solve", "SolverError", "_COND_LIMIT"} <= defined
+    for fn in reachable("bruteforce_oracle", oracles):
+        assert not references(oracles[fn]) & defined, fn

@@ -12,10 +12,10 @@ from netmech import (
     SupportError,
     Uniform,
     cp_ex_post_utility,
-    user_utility,
     validate_assumption2,
 )
 from conftest import CASE_PARAMS, UNIFORM, complete_network, zero_network
+from oracles import user_utility
 
 
 class TestUserUtility:

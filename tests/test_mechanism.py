@@ -17,13 +17,10 @@ from netmech import (
     Network,
     Uniform,
     cp_expected_utility,
-    cp_expected_utility_virtual,
     demand_solve,
     export_interim_csv,
     foc_residual,
     interim_curves,
-    k_matrix,
-    k_sensitivity,
     make_engine,
     reward_schedule,
     system_matrix,
@@ -33,6 +30,7 @@ from netmech.market import InvalidScenarioError, scaled_random_half_network
 from netmech import mechanism
 from netmech.mechanism import demand_solution, solve_profiles
 from conftest import CASE_PARAMS, UNIFORM, complete_network, random_valid_scenario, zero_network
+from oracles import cp_expected_utility_virtual, k_matrix, k_sensitivity
 
 
 def hub_network(n: int) -> Network:
@@ -204,6 +202,17 @@ class TestFeasibilityBoundary:
         worst = int(np.argmax(g.sum(axis=1) + g.sum(axis=0)))
         with pytest.raises(InvalidScenarioError, match=rf"user {worst}: t\+b > theta_bar"):
             demand_solve(beyond, np.full(n, beyond.dist.upper))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 20), log_delta=st.floats(-8.0, -1.0))
+    def test_row_slack_of_a_at_least_min_row_slack(self, seed, n, log_delta):
+        # 0 <= phi <= theta_bar: the oracle's objective is strictly concave on the whole support
+        base = random_valid_scenario(np.random.default_rng(seed), n=n)
+        for sc in (base, boundary_scenario(base, 10.0**log_delta)):
+            floor = np.min(sc.assumption2.row_slack) - 8 * np.finfo(float).eps * (sc.params.t + sc.params.b)
+            for theta in (np.full(n, sc.dist.lower), np.full(n, sc.dist.upper), sc.dist.sample(n, seed=seed)):
+                a = np.abs(system_matrix(sc, theta))
+                assert np.min(2 * np.diag(a) - a.sum(axis=1)) >= floor
 
     def test_regular_coupling_at_theta_bar_is_refused(self, case_params, uniform_dist):
         # A(theta_bar) 1 = delta (t+b) 1, so x* = 1.4 / (7e-8) = 2e7 and any
@@ -412,6 +421,15 @@ class TestStatelessEngines:
             QuadratureEngine(order=33).others_samples(UNIFORM, 5, 0)
         values, weights = QuadratureEngine(order=32).others_samples(UNIFORM, 5, 0)
         assert values.shape == (2**20, 4) and weights.shape == (2**20,)
+
+    def test_mc_float_budget(self, monkeypatch):
+        # (2**22 + 1) x 4 floats are refused before the draw, so nothing is allocated
+        with pytest.raises(EngineError, match="draws 16777220 floats, over the budget of 16777216"):
+            MonteCarloEngine(samples=2**22 + 1).others_samples(UNIFORM, 4, 0)
+        monkeypatch.setattr(mechanism, "_MAX_MC_FLOATS", 12)
+        assert MonteCarloEngine(samples=4).others_samples(UNIFORM, 3, 0)[0].shape == (4, 2)
+        with pytest.raises(EngineError, match="13 floats, over the budget of 12"):
+            MonteCarloEngine(samples=13).others_samples(UNIFORM, 1, 0)
 
 
 class TestRewardSchedule:

@@ -13,7 +13,6 @@ from netmech import (
     QuadratureEngine,
     RewardSchedule,
     Scenario,
-    bruteforce_oracle,
     demand_solve,
     interim_curves,
     interim_utility,
@@ -24,8 +23,8 @@ from netmech import (
     verify_ir,
     verify_monotonicity,
 )
-from netmech.verification import NonConcaveError, virtual_surplus
 from conftest import CASE_PARAMS, UNIFORM, complete_network, zero_network
+from oracles import bruteforce_oracle, virtual_surplus
 
 
 @pytest.fixture(scope="module")
