@@ -44,14 +44,26 @@ symmetric rank-2 term: with g_i = G[i, :],
 where B is A with phi_i = 0 (the finite-update form of the K-sensitivity
 lemma dK/dtheta_i = K (E_i G + G^T E_i) K). With y = B^-1 c 1,
 z = B^-1 e_i and w = B^-1 g_i per sample, the Sherman-Morrison-Woodbury
-identity turns every grid point into a 2x2 solve for (g_i.x, x_i), which is
-all that gamma, V and C need; B is symmetric, so y never has to be solved.
-All samples' z and w are solved by one matrix-free CG on a stack with one
-system per column, at O(n^2) per iteration and system, not per sample and grid
-point. Memory is bounded by the float budget ``_CHUNK_FLOATS``: the CG stack
-runs in chunks of samples, and the grid stage in chunks of grid points, so
-each array of a chunk holds about that many floats whatever the sample count
-(at least one system).
+identity turns every grid point into the 2x2 solve
+
+    (I - phi_i S) [g_i.x, x_i] = s,   s = [g_i.y, y_i],   S = [g_i.[z w]; [z_i w_i]],
+
+which is all that gamma, V and C need; B is symmetric, so y never has to be
+solved. All samples' z and w are solved by one matrix-free CG on a stack with
+one system per column, at O(n^2) per iteration and system, not per sample and
+grid point. Cramer's rule then runs on four coefficients formed once per
+sample, ca = S10 s0 - S00 s1, cb = S01 s1 - S11 s0, tr = S00 + S11 and
+dt = det S:
+
+    det = 1 - phi_i (tr - phi_i dt),  x_i = (s1 + phi_i ca) / det,  g_i.x = (s0 + phi_i cb) / det,
+
+a few passes per (grid point, sample) element, each sign guard one
+min-reduction. gamma is E[x_i g_i.x]; V and C are quadratics in x_i, so both
+come from E[x_i] and E[x_i^2], one product with the weights each. Memory is
+bounded by the float budget ``_CHUNK_FLOATS``: the CG stack runs in chunks of
+samples, and the grid stage in chunks of grid points, so each array of a
+chunk holds about that many floats whatever the sample count (at least one
+system).
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -399,7 +411,9 @@ class MonteCarloEngine:
                 f"floats, over the budget of {_MAX_MC_FLOATS}; lower the sample count"
             )
         uniforms = np.random.default_rng(self.seed).random((self.samples, n))
-        values = dist.quantile(np.delete(uniforms, i, axis=1))
+        others = np.delete(uniforms, i, axis=1)
+        del uniforms  # not held through the quantile
+        values = dist.quantile(others)
         return np.asarray(values, dtype=float), np.full(self.samples, 1.0 / self.samples)
 
 
@@ -560,32 +574,51 @@ def interim_curves(
     def run_user(i):
         values, weights = engine.others_samples(dist, n, i)
         n_samples = values.shape[0]
-        s, big_s = _rank2_factors(sc, i, np.asarray(dist.virtual_value(values), dtype=float))
+        phis = np.asarray(dist.virtual_value(values), dtype=float)
+        del values
+        s, big_s = _rank2_factors(sc, i, phis)
+        del phis
+        # (I - phi S) [g_i.x, x_i] = s by Cramer's rule, its phi-free parts once per sample
+        s0, s1 = s.T.copy()
+        del s
+        ca = big_s[:, 1, 0] * s0 - big_s[:, 0, 0] * s1
+        cb = big_s[:, 0, 1] * s1 - big_s[:, 1, 1] * s0
+        tr = big_s[:, 0, 0] + big_s[:, 1, 1]
+        dt = big_s[:, 0, 0] * big_s[:, 1, 1] - big_s[:, 0, 1] * big_s[:, 1, 0]
+        del big_s
         for sl in _chunk_slices(grid_size, max(1, _CHUNK_FLOATS // n_samples)):
             ph = phi_grid[sl][:, None]
-            # (I - phi S) [g_i.x, x_i] = s, solved in closed form
-            d00 = 1.0 - ph * big_s[:, 0, 0]
-            d11 = 1.0 - ph * big_s[:, 1, 1]
-            det = d00 * d11 - ph * ph * big_s[:, 0, 1] * big_s[:, 1, 0]
-            gx = (d11 * s[:, 0] + ph * big_s[:, 0, 1] * s[:, 1]) / det
-            xi = (d00 * s[:, 1] + ph * big_s[:, 1, 0] * s[:, 0]) / det
-            for name, value, ok in (
-                ("det(I - phi S)", det, det > 0),
-                (f"x_{i}", xi, xi > 0),
-                (f"g_{i}.x", gx, gx >= 0),
+            # det = 1 - phi (tr - phi dt), x_i = (s1 + phi ca) / det, g_i.x = (s0 + phi cb) / det
+            det = ph * dt
+            np.subtract(tr, det, out=det)
+            det *= ph
+            np.subtract(1.0, det, out=det)
+            xi = ph * ca
+            xi += s1
+            xi /= det
+            gx = ph * cb
+            gx += s0
+            gx /= det
+            for name, value, holds in (
+                ("det(I - phi S)", det, np.greater),
+                (f"x_{i}", xi, np.greater),
+                (f"g_{i}.x", gx, np.greater_equal),
             ):
-                if not ok.all():
-                    k, j = np.argwhere(~ok)[0]
+                # one min-reduction: a NaN carries through min and fails the test too
+                if not holds(value.min(), 0.0):
+                    k, j = np.argwhere(~holds(value, 0.0))[0]
                     raise SolverError(
                         f"user {i} at theta {grid[sl][k]:.12g}: {name} = {value[k, j]:.6g} "
                         f"at sample {j} breaks the sign that Assumption 2 promises"
                     )
-            gamma_samples = xi * gx
-            v_samples = (p.a - p.p) * xi - 0.5 * p.b * xi**2
-            c_samples = p.s * xi - 0.5 * p.t * xi**2
+            gamma_samples = np.multiply(xi, gx, out=gx)
             gamma[i, sl] = gamma_samples @ weights
-            v[i, sl] = v_samples @ weights
-            c[i, sl] = c_samples @ weights
+            # V and C are quadratics in x_i: both come from E[x_i] and E[x_i^2]
+            mean = xi @ weights
+            xi *= xi
+            square = xi @ weights
+            v[i, sl] = (p.a - p.p) * mean - 0.5 * p.b * square
+            c[i, sl] = p.s * mean - 0.5 * p.t * square
             if track_se:
                 resid = gamma_samples - gamma[i, sl][:, None]
                 var = (resid**2 @ weights) * n_samples / max(1, n_samples - 1)

@@ -4,8 +4,10 @@ The interim utility of a user with true type theta who reports theta_hat is
 
     U~_i(theta, theta_hat) = V_i(theta_hat) + theta * gamma_i(theta_hat) + r_i(theta_hat)
 
-evaluated by linear interpolation on the curve grid. ``interim_utility`` is
-its only implementation: it broadcasts over both types, so each sweep below is
+where V and gamma interpolate linearly between curve-grid nodes and r is the
+deployed schedule's ``RewardSchedule.reward``, whose cells carry the
+t (1 - t) term of the exact integral. ``interim_utility`` is its only
+implementation: it broadcasts over both types, so each sweep below is
 one call per user. The checks:
 
   * incentive compatibility: no report beats the truthful one, for every user,

@@ -79,6 +79,30 @@ def lu_factors(sc, i, phis_others):
             np.stack([g_sol[:, 1:], i_sol[:, 1:]], axis=1))
 
 
+def with_rows(big_s, rows):
+    """A copy of the S factors with S = [[c, 0], [0, 0]] at each sample j of ``rows`` {j: c}."""
+    big_s = big_s.copy()
+    for j, c in rows.items():
+        big_s[j] = [[c, 0.0], [0.0, 0.0]]
+    return big_s
+
+
+def first_sign_break(sc, grid_size, s, big_s, quantity):
+    """(grid index, sample) of the first element in (grid, sample) order at which the
+    named quantity of the 2x2 system (I - phi S) [g_i.x, x_i] = s breaks its sign,
+    from the LAPACK determinant and solve of every system."""
+    grid = np.linspace(sc.dist.lower, sc.dist.upper, grid_size)
+    phi = np.asarray(sc.dist.virtual_value(grid))[:, None, None, None]
+    m = np.eye(2) - phi * big_s
+    if quantity.startswith("det"):
+        with np.errstate(invalid="ignore"):  # a NaN factor is one of the cases
+            bad = ~(np.linalg.det(m) > 0)
+    else:
+        x = np.linalg.solve(m, np.broadcast_to(s[..., None], m.shape[:-1] + (1,)))[..., 0]
+        bad = ~(x[..., 1] > 0) if quantity.startswith("x_") else ~(x[..., 0] >= 0)
+    return tuple(np.argwhere(bad)[0])
+
+
 def assert_factors_match_lu(sc, engine, users=None):
     for i in range(sc.n) if users is None else users:
         values, _ = engine.others_samples(sc.dist, sc.n, i)
@@ -217,15 +241,50 @@ class TestGuards:
         ("0.45", "det(I - phi S)", lambda s, big_s: (s, big_s * np.array([[1e6, 1.0], [1.0, 1.0]]))),
         ("0.4", "x_2", lambda s, big_s: (-s, big_s)),
         ("0.4", "g_2.x", lambda s, big_s: (s * np.array([-1.0, 1.0]), big_s)),
+        # a NaN in one sample's S makes det NaN at every type, phi = 0 included
+        pytest.param("0.4", "det(I - phi S)", lambda s, big_s: (s, with_rows(big_s, {5: np.nan})),
+                     id="nan-factor"),
+        # S = [[c, 0], [0, 0]] gives det = 1 - phi c, first <= 0 where phi >= 1/c: sample 37
+        # breaks at phi = 0.5 (theta 0.65), sample 11 only at 0.7, sample 200 with sample 37
+        pytest.param("0.65", "det(I - phi S)",
+                     lambda s, big_s: (s, with_rows(big_s, {11: 1 / 0.65, 37: 1 / 0.45, 200: 1 / 0.45})),
+                     id="first-bad-after-sample-0"),
     ])
     def test_m_matrix_signs(self, complete5, monkeypatch, theta, quantity, tamper):
         factors = mechanism._rank2_factors
-        monkeypatch.setattr(mechanism, "_rank2_factors", lambda *args: tamper(*factors(*args)))
-        with pytest.raises(SolverError) as err:
-            interim_curves(complete5, 9, QuadratureEngine(order=4), users=[2])
-        message = str(err.value)
-        assert message.startswith(f"user 2 at theta {theta}: {quantity} = ")
-        assert "Assumption 2" in message
+        seen = []
+
+        def tampered(*args):
+            seen.append(tamper(*factors(*args)))
+            return seen[-1]
+
+        monkeypatch.setattr(mechanism, "_rank2_factors", tampered)
+        # 4**4 samples: the default budget holds the whole grid in one chunk, 256 one
+        # grid point per chunk, so a later bad theta lies in a later chunk
+        for chunk_floats in (mechanism._CHUNK_FLOATS, 4**4):
+            monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", chunk_floats)
+            with pytest.raises(SolverError) as err:
+                interim_curves(complete5, 9, QuadratureEngine(order=4), users=[2])
+            message = str(err.value)
+            assert message.startswith(f"user 2 at theta {theta}: {quantity} = ")
+            k, j = first_sign_break(complete5, 9, *seen[-1], quantity)
+            assert f"{np.linspace(0.4, 0.8, 9)[k]:.12g}" == theta
+            assert f" at sample {j} breaks" in message, chunk_floats
+            assert "Assumption 2" in message
+
+    def test_grid_chunks_do_not_change_curves(self, hub5, monkeypatch):
+        """The grid stage never mixes grid points: one per chunk gives the default curves."""
+        for engine in (QuadratureEngine(order=6), MonteCarloEngine(samples=1500, seed=4)):
+            whole = interim_curves(hub5, 17, engine)
+            samples = len(engine.others_samples(hub5.dist, 5, 0)[1])
+            monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", samples)
+            single = interim_curves(hub5, 17, engine)
+            monkeypatch.undo()
+            pairs = [(single.gamma, whole.gamma), (single.v, whole.v), (single.c, whole.c)]
+            if whole.gamma_se is not None:
+                pairs.append((single.gamma_se, whole.gamma_se))
+            for got, want in pairs:
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestNearEdge:
