@@ -32,9 +32,13 @@ estimated either by tensor Gauss-Legendre quadrature (tight, small n) or by
 Monte Carlo with common random numbers: one sample set of the other users'
 types is reused across the whole type grid so the grid structure of the
 curves is not drowned by independent noise. Both engines are plain values:
-``others_samples(dist, n, i)`` is a pure function that rebuilds the rule, or
-redraws the same uniforms from the engine's seed, on each call, so users
-share their common columns and threads share an engine without a lock.
+``others_rows(dist, n, i)`` is a pure function that rebuilds the rule, or
+reseeds the generator, on each call, and hands out the sample set a slice of
+rows at a time: quadrature computes the rows' tensor multi-indices, and Monte
+Carlo advances the generator past the earlier rows, so any slicing gives the
+rows of the one (samples, n) uniform draw. Users share their common columns,
+and threads share an engine without a lock. ``others_samples`` is the whole
+set at once.
 
 Along the grid only user i's virtual value moves, and it enters A through a
 symmetric rank-2 term: with g_i = G[i, :],
@@ -63,7 +67,10 @@ come from E[x_i] and E[x_i^2], one product with the weights each. Memory is
 bounded by the float budget ``_CHUNK_FLOATS``: the CG stack runs in chunks of
 samples, and the grid stage in chunks of grid points, so each array of a
 chunk holds about that many floats whatever the sample count (at least one
-system).
+system). A CG chunk draws only its own rows of the sample set, and solves
+in place on a workspace that the next chunk reuses, so its solve allocates
+nothing of the stack's size; what grows with the sample count is the
+per-sample factors. With one user, its chunks are the parallel tasks.
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -89,8 +96,11 @@ R_i(theta_hat) = r_i(theta_hat_i).
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -120,7 +130,8 @@ MIN_GRID = 9
 # tensor quadrature needs order**(n-1) nodes per user; beyond these, use Monte Carlo
 _MAX_QUADRATURE_USERS = 7
 _MAX_QUADRATURE_NODES = 2**20
-# floats in the (samples, n) uniform matrix a Monte Carlo engine draws per user (128 MiB)
+# floats in the (samples, n) uniform matrix of a Monte Carlo sample set (128 MiB), refused
+# before any draw; the curve kernel draws it in row chunks, others_samples whole
 _MAX_MC_FLOATS = 2**24
 # floats per array in one chunk of the curve kernel (512 KiB, cache-sized): the
 # (n, 2 samples) CG stack of a chunk of samples, or the (grid points, samples)
@@ -201,23 +212,27 @@ def _dots(u: np.ndarray, v: np.ndarray):
 
 
 def _cg(apply_a, rhs: np.ndarray, x: np.ndarray, floor, cap: int,
-        name=lambda system, entry: f"user {entry}"):
+        name=lambda system, entry: f"user {entry}", work=None):
     """Unpreconditioned conjugate gradients on every column of an (n, ...) stack from x.
 
     Systems are columns, so the per-system dots and maxima reduce along the
     leading axis, which stays fast when n is small. Each system runs its own
-    recurrence (its own rr, alpha and beta) until ||r||_inf <= floor(x) in its
-    column; a system at its floor is frozen, so a zero right-hand side costs
-    no 0/0. Returns (x, iterations); raises SolverError, prefixed by
+    recurrence (its own rr, alpha and beta) until ||r||_inf <= floor(||x||_inf)
+    in its column; a system at its floor is frozen, so a zero right-hand side
+    costs no 0/0. x is updated in place, and ``work``, three arrays of x's
+    shape (allocated if None), holds r, d and a temporary, so an iteration
+    allocates nothing of the stack's size beyond what ``apply_a`` does.
+    Returns (x, iterations); raises SolverError, prefixed by
     ``name(system, entry)``, after ``cap`` iterations.
     """
-    r = rhs - apply_a(x)
-    d = r.copy()
+    r, d, t = (np.empty(x.shape) for _ in range(3)) if work is None else work
+    np.subtract(rhs, apply_a(x), out=r)
+    np.copyto(d, r)
     rr = _dots(r, r)
     iterations = 0
     while True:
-        fl = floor(x)
-        active = np.abs(r).max(axis=0) > fl
+        fl = floor(np.abs(x, out=t).max(axis=0))
+        active = np.abs(r, out=t).max(axis=0) > fl
         if not np.count_nonzero(active):
             return x, iterations
         if iterations == cap:
@@ -233,15 +248,15 @@ def _cg(apply_a, rhs: np.ndarray, x: np.ndarray, floor, cap: int,
         frozen = np.logical_not(active)
         q = apply_a(d)
         alpha = rr * active / (_dots(d, q) + frozen)
-        x = x + alpha * d
-        r = r - alpha * q
+        x += np.multiply(alpha, d, out=t)
+        r -= np.multiply(alpha, q, out=t)
         rr, rr_old = _dots(r, r), rr
-        d = r + rr * active / (rr_old + frozen) * d
+        np.add(r, np.multiply(rr * active / (rr_old + frozen), d, out=t), out=d)
         iterations += 1
 
 
 def _solve(sc: Scenario, phi: np.ndarray, rhs: np.ndarray, system: str,
-           name=lambda column, entry: f"user {entry}"):
+           name=lambda column, entry: f"user {entry}", work=None):
     """The one guarded solve: A(phi) X = rhs on every column of an (n,) or (n, k) stack.
 
     Column k of phi holds the virtual values of system k, so A(phi) X is
@@ -251,12 +266,16 @@ def _solve(sc: Scenario, phi: np.ndarray, rhs: np.ndarray, system: str,
     backward-error floor 8 eps (||A||_inf ||x||_inf + ||rhs||_inf), within the
     a-priori cap; and the recomputed residual within ``_RESIDUAL_TOL`` times
     each column's right-hand-side scale ||rhs||_inf. A SolverError is prefixed
-    by ``name(column, entry)``. Returns (X, iterations, residual, bounds), with
-    residual = ||rhs - A X||_inf per column.
+    by ``name(column, entry)``. ``work`` is seven arrays of rhs's shape
+    (allocated if None) that hold X, the three products of A and CG's vectors,
+    so a solve on it allocates nothing of the stack's size. Returns
+    (X, iterations, residual, bounds), with residual = ||rhs - A X||_inf per
+    column; X is one of ``work``.
     """
     theta_bar = sc.assumption2.theta_max
-    bad = ~((phi >= 0) & (phi <= theta_bar))
-    if bad.any():
+    # min and max carry a NaN, which fails the test too
+    if not (phi.min() >= 0 and phi.max() <= theta_bar):
+        bad = ~((phi >= 0) & (phi <= theta_bar))
         bad = bad.reshape(len(bad), -1)
         column = int(np.argmax(bad.any(axis=0)))
         entry = int(np.argmax(bad[:, column]))
@@ -268,16 +287,19 @@ def _solve(sc: Scenario, phi: np.ndarray, rhs: np.ndarray, system: str,
     bounds = _a_priori(sc, system)
     g = sc.network.weights
     tb = sc.params.t + sc.params.b
-    scale = np.abs(rhs).max(axis=0)
+    x, q, u, w, *vectors = (np.empty(rhs.shape) for _ in range(7)) if work is None else work
+    scale = np.abs(rhs, out=u).max(axis=0)
 
     def apply_a(v):
-        return tb * v - phi * (g @ v) - g.T @ (phi * v)
+        # (tb v - phi o (G v)) - G^T (phi o v), in place
+        np.subtract(np.multiply(v, tb, out=q), np.multiply(phi, np.matmul(g, v, out=u), out=u), out=q)
+        return np.subtract(q, np.matmul(g.T, np.multiply(phi, v, out=u), out=w), out=q)
 
-    def floor(x):
-        return 8.0 * np.finfo(float).eps * (bounds.norm * np.abs(x).max(axis=0) + scale)
+    def floor(x_norm):
+        return 8.0 * np.finfo(float).eps * (bounds.norm * x_norm + scale)
 
-    x, iterations = _cg(apply_a, rhs, rhs / tb, floor, bounds.cap, name)
-    residual = np.abs(rhs - apply_a(x))
+    x, iterations = _cg(apply_a, rhs, np.divide(rhs, tb, out=x), floor, bounds.cap, name, vectors)
+    residual = np.abs(np.subtract(rhs, apply_a(x), out=u), out=u)
     worst = residual.max(axis=0)
     bad = np.ravel(~(worst <= _RESIDUAL_TOL * scale))
     if bad.any():
@@ -350,6 +372,30 @@ def solve_profiles(sc: Scenario, phis: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class SampleRows:
+    """One user's sample set of the other users' types, made a slice of rows at a time.
+
+    ``types(rows)`` is the (rows, n-1) block of types of a slice of samples,
+    the same values whether the set is made whole or in consecutive slices,
+    and ``self[rows]`` their virtual values, so the curve kernel indexes it
+    like the (samples, n-1) virtual-value array it never builds. ``weights``
+    are every sample's weights.
+    """
+
+    dist: TypeDistribution
+    weights: np.ndarray
+    types: Callable[[slice], np.ndarray]
+    shape: tuple
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.asarray(self.dist.virtual_value(self.types(rows)), dtype=float)
+
+    def whole(self):
+        """(values, weights) of the whole set, as ``others_samples`` returns them."""
+        return self.types(slice(0, self.shape[0])), self.weights
+
+
+@dataclass(frozen=True)
 class QuadratureEngine:
     """Tensor Gauss-Legendre expectation over the other users' types.
 
@@ -367,6 +413,10 @@ class QuadratureEngine:
 
     def others_samples(self, dist: TypeDistribution, n: int, i: int):
         """(values, weights) for the n-1 other coordinates; independent of i."""
+        return self.others_rows(dist, n, i).whole()
+
+    def others_rows(self, dist: TypeDistribution, n: int, i: int) -> SampleRows:
+        """The tensor rule as ``SampleRows``: row k is node k of the order**(n-1) tensor in C order."""
         if n > _MAX_QUADRATURE_USERS:
             raise EngineError(
                 f"tensor quadrature limited to n <= {_MAX_QUADRATURE_USERS} users "
@@ -381,19 +431,28 @@ class QuadratureEngine:
         x, w = np.polynomial.legendre.leggauss(self.order)
         half = 0.5 * (dist.upper - dist.lower)
         nodes = dist.lower + (x + 1.0) * half
-        weights = w * half * np.asarray(dist.pdf(nodes), dtype=float)
-        idx = np.indices((self.order,) * (n - 1)).reshape(n - 1, count).T
-        return nodes[idx], np.prod(weights[idx], axis=1)
+        node_weights = w * half * np.asarray(dist.pdf(nodes), dtype=float)
+        powers = self.order ** np.arange(n - 2, -1, -1)
+
+        def types(rows):
+            # the multi-indices of a slice of rows: digit k of the row number in base order
+            return nodes[np.arange(rows.start, rows.stop)[:, None] // powers % self.order]
+
+        # row k's weight is the product of its nodes' weights, left to right
+        weights = reduce(np.multiply.outer, [node_weights] * (n - 1), np.ones(())).ravel()
+        return SampleRows(dist, weights, types, (count, n - 1))
 
 
 @dataclass(frozen=True)
 class MonteCarloEngine:
     """Monte Carlo expectation with common random numbers.
 
-    Each call draws the same (samples, n) uniform matrix from ``seed``; user
-    i's sample set is its columns other than i through the quantile function,
-    so it is identical across grid points and shared between users. Refuse a
-    matrix of more than ``_MAX_MC_FLOATS`` floats before drawing it.
+    The sample set is the rows of one (samples, n) uniform matrix drawn from
+    ``seed``; user i's samples are its columns other than i through the
+    quantile function, so they are identical across grid points and shared
+    between users. A slice of rows is drawn alone, from the generator
+    advanced past the rows before it, so the matrix is never held whole.
+    Refuse a matrix of more than ``_MAX_MC_FLOATS`` floats before any draw.
     """
 
     samples: int = 20_000
@@ -405,16 +464,25 @@ class MonteCarloEngine:
             raise EngineError("need at least one Monte Carlo sample")
 
     def others_samples(self, dist: TypeDistribution, n: int, i: int):
+        return self.others_rows(dist, n, i).whole()
+
+    def others_rows(self, dist: TypeDistribution, n: int, i: int) -> SampleRows:
         if self.samples * n > _MAX_MC_FLOATS:
             raise EngineError(
                 f"Monte Carlo with {self.samples} samples at n={n} draws {self.samples * n} "
                 f"floats, over the budget of {_MAX_MC_FLOATS}; lower the sample count"
             )
-        uniforms = np.random.default_rng(self.seed).random((self.samples, n))
-        others = np.delete(uniforms, i, axis=1)
-        del uniforms  # not held through the quantile
-        values = dist.quantile(others)
-        return np.asarray(values, dtype=float), np.full(self.samples, 1.0 / self.samples)
+
+        def types(rows):
+            # a float takes one 64-bit draw, so rows.start rows take rows.start * n of them
+            bits = np.random.PCG64(self.seed)
+            bits.advance(rows.start * n)
+            uniforms = np.random.Generator(bits).random((rows.stop - rows.start, n))
+            others = np.delete(uniforms, i, axis=1)
+            del uniforms  # not held through the quantile
+            return np.asarray(dist.quantile(others), dtype=float)
+
+        return SampleRows(dist, np.full(self.samples, 1.0 / self.samples), types, (self.samples, n - 1))
 
 
 def make_engine(kind: str, quad_order: int, mc_samples: int, seed: int):
@@ -494,44 +562,73 @@ def _chunk_slices(m: int, chunk: int):
         yield slice(start, min(start + chunk, m))
 
 
-def _rank2_factors(sc: Scenario, i: int, phis_others: np.ndarray):
+def _map(pool, fn, items) -> None:
+    """fn on every item in order, on the pool if there is one; the earliest item's error propagates."""
+    if pool is None:
+        for item in items:
+            fn(item)
+    else:
+        list(pool.map(fn, items))
+
+
+def _rank2_factors(sc: Scenario, i: int, phis_others, pool=None):
     """Per-sample SMW factors of user i's curve: s = [g_i.y, y_i] and S (2 x 2).
 
     For every sample of the other users' virtual values, B is A with
     phi_i = 0, y = B^-1 c 1, z = B^-1 e_i and w = B^-1 g_i. B is symmetric for
     any G, so g_i.y = c 1.w and y_i = c 1.z, and only z and w are solved: by
     the guarded ``_solve`` on the (n, 2 samples) stack [z w], in chunks of
-    samples. B meets the bounds of ``_a_priori``, since phi_i = 0 only raises
-    row slack. Returns s with shape (samples, 2) and S with shape
-    (samples, 2, 2), rows (g_i.[z w], [z_i w_i]). A SolverError names the user,
-    the right-hand side and the sample.
+    samples, mapped over ``pool`` if given. ``phis_others`` is a
+    (samples, n-1) array or ``SampleRows``; a chunk reads only its own rows.
+    Each chunk runs on a workspace taken from a free list and handed back,
+    so there are at most as many workspaces as chunks running at once. B
+    meets the bounds of ``_a_priori``, since phi_i = 0 only raises row slack.
+    Returns s with shape (samples, 2) and S with shape (samples, 2, 2), rows
+    (g_i.[z w], [z_i w_i]). A SolverError names the user, the right-hand side
+    and the sample.
     """
     n = sc.n
     system = f"user {i}: base system (phi_{i} = 0)"
     p = sc.params
     g_i = sc.network.weights[i]
-    rhs = np.zeros((n, 2))
-    rhs[i, 0] = 1.0
-    rhs[:, 1] = g_i
     others = np.delete(np.arange(n), i)
     c = p.s + p.a - p.p
     n_samples = phis_others.shape[0]
     s = np.empty((n_samples, 2))
     big_s = np.empty((n_samples, 2, 2))
-    for sl in _chunk_slices(n_samples, max(1, _CHUNK_FLOATS // (2 * n))):
-        m = sl.stop - sl.start
-        phi = np.zeros((n, 2 * m))
-        phi[others, :m] = phis_others[sl].T
-        phi[:, m:] = phi[:, :m]
+    chunk = max(1, _CHUNK_FLOATS // (2 * n))
+    size = 2 * n * min(chunk, n_samples)
+    free = []
 
-        def where(column, entry):
-            return (f"{system} right-hand side {('e_i', 'g_i')[column // m]} "
-                    f"at sample {sl.start + column % m}")
+    def factor(sl):
+        # a workspace is phi, the right-hand side and _solve's seven arrays; list.pop and
+        # append are atomic, so no two running chunks hold the same one
+        try:
+            block = free.pop()
+        except IndexError:
+            block = np.empty((9, size))
+        try:
+            m = sl.stop - sl.start
+            phi, rhs, *work = (row[:2 * n * m].reshape(n, 2 * m) for row in block)
+            phi[i] = 0.0
+            phi[others, :m] = phis_others[sl].T
+            phi[:, m:] = phi[:, :m]
+            rhs[:, :m] = 0.0
+            rhs[i, :m] = 1.0
+            rhs[:, m:] = g_i[:, None]
 
-        x = _solve(sc, phi, np.repeat(rhs, m, axis=1), system, where)[0]
-        z, w = x[:, :m], x[:, m:]
-        s[sl] = c * np.stack([w.sum(axis=0), z.sum(axis=0)], axis=1)
-        big_s[sl] = np.stack([g_i @ z, g_i @ w, z[i], w[i]], axis=1).reshape(m, 2, 2)
+            def where(column, entry):
+                return (f"{system} right-hand side {('e_i', 'g_i')[column // m]} "
+                        f"at sample {sl.start + column % m}")
+
+            x = _solve(sc, phi, rhs, system, where, work)[0]
+            z, w = x[:, :m], x[:, m:]
+            s[sl] = c * np.stack([w.sum(axis=0), z.sum(axis=0)], axis=1)
+            big_s[sl] = np.stack([g_i @ z, g_i @ w, z[i], w[i]], axis=1).reshape(m, 2, 2)
+        finally:
+            free.append(block)
+
+    _map(pool, factor, _chunk_slices(n_samples, chunk))
     return s, big_s
 
 
@@ -544,12 +641,20 @@ def interim_curves(
 ) -> InterimCurves:
     """Estimate gamma_i, V_i, C_i on a uniform type grid for the given users.
 
+    ``threads`` > 1 runs one pool at one of two levels. With more than one
+    user, the pool maps users and each user runs its chunks in turn; with one
+    (fig6 asks for one user), its CG chunks, then its grid chunks, are mapped
+    over the pool, so the earliest chunk's SolverError is the one raised, as
+    in a serial run. The
+    sample set is read a chunk of rows at a time (``others_rows``), so no
+    (samples, n-1) array of types or virtual values is built.
+
     Deterministic for a fixed engine configuration regardless of ``threads``:
-    each user is one independent task whose outputs land in preallocated
-    rows, chunk sizes depend only on the problem, and every reduction runs in
-    a fixed order. Raises SolverError naming the user, the grid type and the
-    quantity when a solve breaks the M-matrix promises of Assumption 2
-    (det(I - phi S) > 0, x_i > 0, g_i.x >= 0) or misses the residual tolerance.
+    every chunk's outputs land in preallocated rows or columns, chunk sizes
+    depend only on the problem, and every reduction runs in a fixed order.
+    Raises SolverError naming the user, the grid type and the quantity when a
+    solve breaks the M-matrix promises of Assumption 2 (det(I - phi S) > 0,
+    x_i > 0, g_i.x >= 0) or misses the residual tolerance.
     """
     if grid_size < MIN_GRID:
         raise ValueError(f"need grid_size >= {MIN_GRID}")
@@ -571,13 +676,11 @@ def interim_curves(
     track_se = engine.kind == "mc"
     gamma_se = np.full((n, grid_size), np.nan) if track_se else None
 
-    def run_user(i):
-        values, weights = engine.others_samples(dist, n, i)
-        n_samples = values.shape[0]
-        phis = np.asarray(dist.virtual_value(values), dtype=float)
-        del values
-        s, big_s = _rank2_factors(sc, i, phis)
-        del phis
+    def run_user(i, pool):
+        rows = engine.others_rows(dist, n, i)
+        weights = rows.weights
+        n_samples = weights.size
+        s, big_s = _rank2_factors(sc, i, rows, pool)
         # (I - phi S) [g_i.x, x_i] = s by Cramer's rule, its phi-free parts once per sample
         s0, s1 = s.T.copy()
         del s
@@ -586,7 +689,8 @@ def interim_curves(
         tr = big_s[:, 0, 0] + big_s[:, 1, 1]
         dt = big_s[:, 0, 0] * big_s[:, 1, 1] - big_s[:, 0, 1] * big_s[:, 1, 0]
         del big_s
-        for sl in _chunk_slices(grid_size, max(1, _CHUNK_FLOATS // n_samples)):
+
+        def grid_chunk(sl):
             ph = phi_grid[sl][:, None]
             # det = 1 - phi (tr - phi dt), x_i = (s1 + phi ca) / det, g_i.x = (s0 + phi cb) / det
             det = ph * dt
@@ -624,13 +728,14 @@ def interim_curves(
                 var = (resid**2 @ weights) * n_samples / max(1, n_samples - 1)
                 gamma_se[i, sl] = np.sqrt(var / n_samples)
 
+        _map(pool, grid_chunk, _chunk_slices(grid_size, max(1, _CHUNK_FLOATS // n_samples)))
+
     # threads=1 stays in this thread, under the caller's np.errstate (pool threads lack it)
-    if threads > 1 and len(user_list) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_user, user_list))
-    else:
-        for i in user_list:
-            run_user(i)
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        if len(user_list) == 1:
+            run_user(user_list[0], pool)
+        else:
+            _map(pool, lambda i: run_user(i, None), user_list)
 
     return InterimCurves(
         grid=grid,

@@ -13,7 +13,9 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -191,10 +193,13 @@ class TestGuards:
     def test_residual_of_base_solve(self, complete5, monkeypatch):
         cg = mechanism._cg
         monkeypatch.setattr(mechanism, "_cg", lambda *args: (-cg(*args)[0], 0))
-        with pytest.raises(SolverError, match=r"^user 0: base system \(phi_0 = 0\) right-hand side "
-                                              r"e_i at sample 0: residual \|r_0\| = 2 exceeds "
-                                              r"tolerance 1e-10$"):
-            interim_curves(complete5, 9, QuadratureEngine(order=4))
+        # one user on two threads maps chunks of 8 samples over the pool; every chunk fails
+        for threads, chunk_floats, users in ((1, mechanism._CHUNK_FLOATS, None), (2, 2 * 5 * 8, [0])):
+            monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", chunk_floats)
+            with pytest.raises(SolverError, match=r"^user 0: base system \(phi_0 = 0\) right-hand side "
+                                                  r"e_i at sample 0: residual \|r_0\| = 2 exceeds "
+                                                  r"tolerance 1e-10$"):
+                interim_curves(complete5, 9, QuadratureEngine(order=4), users=users, threads=threads)
 
     def test_iteration_cap(self, complete5, monkeypatch):
         bounds = mechanism._a_priori
@@ -219,22 +224,24 @@ class TestGuards:
         pytest.param(0.9, 2 * 5 * 4, id="0.9-chunks-of-4"),
     ])
     def test_virtual_value_outside_zero_theta_bar(self, complete5, monkeypatch, value, chunk_floats):
-        virtual_value = type(complete5.dist).virtual_value
+        getitem = mechanism.SampleRows.__getitem__
 
-        def tampered(dist, theta):
-            phi = np.array(virtual_value(dist, theta), dtype=float)
-            if phi.ndim == 2:  # the other users' samples, not the type grid
-                phi[7, 2] = value
+        def tampered(rows, sl):
+            # the other users' virtual values at sample 7, in whichever chunk reads it
+            phi = getitem(rows, sl)
+            if sl.start <= 7 < sl.stop:
+                phi[7 - sl.start, 2] = value
             return phi
 
-        monkeypatch.setattr(type(complete5.dist), "virtual_value", tampered)
+        monkeypatch.setattr(mechanism.SampleRows, "__getitem__", tampered)
         monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", chunk_floats)
-        with pytest.raises(SolverError) as err:
-            interim_curves(complete5, 9, QuadratureEngine(order=4), users=[1])
-        assert str(err.value).startswith(
-            f"user 1: base system (phi_1 = 0) right-hand side e_i at sample 7: "
-            f"virtual value phi_3 = {value:g} leaves [0, theta_bar = 0.8]"
-        )
+        for threads in (1, 2):
+            with pytest.raises(SolverError) as err:
+                interim_curves(complete5, 9, QuadratureEngine(order=4), users=[1], threads=threads)
+            assert str(err.value).startswith(
+                f"user 1: base system (phi_1 = 0) right-hand side e_i at sample 7: "
+                f"virtual value phi_3 = {value:g} leaves [0, theta_bar = 0.8]"
+            ), threads
 
     # phi(0.4) = 0 on Uniform(0.4, 0.8), so det = 1 there and first fails at 0.45
     @pytest.mark.parametrize("theta,quantity,tamper", [
@@ -260,16 +267,17 @@ class TestGuards:
 
         monkeypatch.setattr(mechanism, "_rank2_factors", tampered)
         # 4**4 samples: the default budget holds the whole grid in one chunk, 256 one
-        # grid point per chunk, so a later bad theta lies in a later chunk
-        for chunk_floats in (mechanism._CHUNK_FLOATS, 4**4):
+        # grid point per chunk, so a later bad theta lies in a later chunk; two threads map
+        # the grid chunks over the pool
+        for chunk_floats, threads in ((mechanism._CHUNK_FLOATS, 1), (4**4, 1), (4**4, 2)):
             monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", chunk_floats)
             with pytest.raises(SolverError) as err:
-                interim_curves(complete5, 9, QuadratureEngine(order=4), users=[2])
+                interim_curves(complete5, 9, QuadratureEngine(order=4), users=[2], threads=threads)
             message = str(err.value)
             assert message.startswith(f"user 2 at theta {theta}: {quantity} = ")
             k, j = first_sign_break(complete5, 9, *seen[-1], quantity)
             assert f"{np.linspace(0.4, 0.8, 9)[k]:.12g}" == theta
-            assert f" at sample {j} breaks" in message, chunk_floats
+            assert f" at sample {j} breaks" in message, (chunk_floats, threads)
             assert "Assumption 2" in message
 
     def test_grid_chunks_do_not_change_curves(self, hub5, monkeypatch):
@@ -285,6 +293,61 @@ class TestGuards:
                 pairs.append((single.gamma_se, whole.gamma_se))
             for got, want in pairs:
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class TestChunkPath:
+    """A single user: its chunks run on the pool."""
+
+    @pytest.mark.parametrize("engine", [QuadratureEngine(order=6), MonteCarloEngine(samples=1500, seed=4)],
+                             ids=lambda e: e.kind)
+    def test_one_user_bit_identical_across_threads(self, hub5, monkeypatch, engine):
+        # chunks of 64 samples in the CG stage and one grid point each in the grid stage;
+        # frequent thread switches would expose two chunks sharing a workspace
+        monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2 * 5 * 64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [interim_curves(hub5, 17, engine, users=[0], threads=t) for t in (1, 2, 4)]
+        finally:
+            sys.setswitchinterval(interval)
+        fields = ("gamma", "v", "c") + (("gamma_se",) if engine.kind == "mc" else ())
+        for got in runs[1:]:
+            for field in fields:
+                assert np.array_equal(getattr(got, field), getattr(runs[0], field), equal_nan=True), field
+
+    def test_sample_rows_give_the_array_factors(self, hub5, monkeypatch):
+        monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2 * 5 * 64)
+        engine = MonteCarloEngine(samples=700, seed=2)
+        values, _ = engine.others_samples(hub5.dist, 5, 3)
+        want = mechanism._rank2_factors(hub5, 3, np.asarray(hub5.dist.virtual_value(values), dtype=float))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = mechanism._rank2_factors(hub5, 3, engine.others_rows(hub5.dist, 5, 3), pool)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_cg_iterations_allocate_nothing_of_the_stack_size(self):
+        sc = random_valid_scenario(np.random.default_rng(8), n=60)
+        n, m = sc.n, 500
+        phi = np.zeros((n, 2 * m))
+        phi[1:, :m] = np.asarray(sc.dist.virtual_value(
+            MonteCarloEngine(samples=m, seed=1).others_samples(sc.dist, n, 0)[0]), dtype=float).T
+        phi[:, m:] = phi[:, :m]
+        rhs = np.zeros((n, 2 * m))
+        rhs[0, :m] = 1.0
+        rhs[:, m:] = sc.network.weights[0][:, None]
+        work = [np.empty((n, 2 * m)) for _ in range(7)]
+        tracemalloc.start()
+        try:
+            x, iterations, _, _ = mechanism._solve(sc, phi, rhs, "base system", work=work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x is work[0] and iterations > 5
+        # per-column arrays and numpy's 64 KiB buffer for broadcast products; an (n, 2m)
+        # array alone would be phi.nbytes
+        assert peak < phi.nbytes / 3
+        want = np.linalg.solve(mechanism._assemble(sc, phi.T), rhs.T[..., None])[..., 0].T
+        assert np.allclose(x, want, rtol=0, atol=1e-12)
 
 
 class TestNearEdge:

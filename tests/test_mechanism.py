@@ -15,6 +15,7 @@ from netmech import (
     Scenario,
     SolverError,
     Network,
+    TruncatedNormal,
     Uniform,
     cp_expected_utility,
     demand_solve,
@@ -430,6 +431,52 @@ class TestStatelessEngines:
         assert MonteCarloEngine(samples=4).others_samples(UNIFORM, 3, 0)[0].shape == (4, 2)
         with pytest.raises(EngineError, match="13 floats, over the budget of 12"):
             MonteCarloEngine(samples=13).others_samples(UNIFORM, 1, 0)
+        with pytest.raises(EngineError, match="13 floats, over the budget of 12"):
+            MonteCarloEngine(samples=13).others_rows(UNIFORM, 1, 0)
+
+
+class TestSampleRows:
+    """A sample set made in row chunks is the whole set, bit for bit, for every user."""
+
+    DISTS = [UNIFORM, TruncatedNormal(0.4, 0.8, mu=0.3, sigma=0.3)]
+
+    @staticmethod
+    def assert_chunks_are_whole(rows, values, weights, chunk):
+        slices = list(mechanism._chunk_slices(rows.shape[0], chunk))
+        assert rows.shape == values.shape
+        assert np.array_equal(np.concatenate([rows.types(sl) for sl in slices]), values)
+        assert np.array_equal(np.concatenate([rows[sl] for sl in slices]),
+                              np.asarray(rows.dist.virtual_value(values), dtype=float))
+        assert np.array_equal(rows.weights, weights)
+
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: type(d).__name__)
+    def test_mc_rows_are_one_draw(self, dist):
+        engine = MonteCarloEngine(samples=1000, seed=11)
+        n = 6
+        uniforms = np.random.default_rng(11).random((1000, n))
+        for i in range(n):
+            values, weights = engine.others_samples(dist, n, i)
+            assert np.array_equal(values, dist.quantile(np.delete(uniforms, i, axis=1)))
+            assert np.array_equal(weights, np.full(1000, 1.0 / 1000))
+            for chunk in (1, 77, 1000):
+                self.assert_chunks_are_whole(engine.others_rows(dist, n, i), values, weights, chunk)
+
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: type(d).__name__)
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_quadrature_rows_are_the_tensor_rule(self, dist, n):
+        order = 5
+        x, w = np.polynomial.legendre.leggauss(order)
+        half = 0.5 * (dist.upper - dist.lower)
+        nodes = dist.lower + (x + 1.0) * half
+        node_weights = w * half * np.asarray(dist.pdf(nodes), dtype=float)
+        idx = np.indices((order,) * (n - 1)).reshape(n - 1, order ** (n - 1)).T
+        engine = QuadratureEngine(order=order)
+        for i in range(n):
+            values, weights = engine.others_samples(dist, n, i)
+            assert np.array_equal(values, nodes[idx])
+            assert np.array_equal(weights, np.prod(node_weights[idx], axis=1))
+            for chunk in (1, 7, order ** (n - 1)):
+                self.assert_chunks_are_whole(engine.others_rows(dist, n, i), values, weights, chunk)
 
 
 class TestRewardSchedule:

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netmech import (
@@ -141,6 +141,8 @@ class TestContinuumIncentives:
         v=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a subnormal gamma: the arithmetic rounds in absolute quanta of 4.9e-324 there
+    @example(lo=0.5, width=0.25, start=2.2250738585e-313, steps=[0.0], v=[0.0] * 12, seed=0)
     def test_non_decreasing_gamma_is_ic_and_ir_off_the_nodes(self, lo, width, start, steps, v, seed):
         grid = np.linspace(lo, lo + width, len(steps) + 1)
         gamma = start + np.cumsum([0.0] + steps)
@@ -150,7 +152,9 @@ class TestContinuumIncentives:
         types = np.unique(np.concatenate([grid, off_node]))
         u = interim_utility(curves, rewards, 0, types[:, None], types)
         truthful = np.diag(u)
-        rounding = 64 * np.finfo(float).eps * np.abs(u).max()
+        # the standard rounding model fl(a op b) = (a op b)(1 + d) + e: |d| <= eps, and the
+        # absolute e, at most the smallest subnormal, is all there is when u is subnormal
+        rounding = 64 * (np.finfo(float).eps * np.abs(u).max() + np.finfo(float).smallest_subnormal)
         assert np.max(u - truthful[:, None]) <= rounding
         assert np.min(truthful) >= -rounding
 
