@@ -40,7 +40,9 @@ from .verification import interim_utility, untruthful_impact
 CASE_STUDY_PARAMS = MarketParams(a=0.5, b=6.0, s=1.0, t=1.0, p=0.1)
 DEFAULT_DIST = Uniform(0.4, 0.8)
 TABLE2_SIZES = (10, 20, 50, 100, 200, 400, 600, 800)
+FIG6_SIZES = (10, 20, 50)
 FIG6_GRID = 9
+FIG3_TRUTHS = (0.45, 0.55, 0.65, 0.75)
 TABLE1_TRUTH = 0.6
 EXPERIMENT_NAMES = ("fig3", "fig4", "table1", "table2", "fig6")
 # the smallest spec grids an experiment runs with: interim_curves needs MIN_GRID points,
@@ -62,8 +64,6 @@ class ExperimentSpec:
     grid: int = 21
     report_grid: int = 201
     threads: int = 1
-    fig6_sizes: tuple = (10, 20, 50)
-    fig3_truths: tuple = (0.45, 0.55, 0.65, 0.75)
 
     def make_engine(self):
         return make_engine(self.engine, self.quad_order, self.mc_samples, self.seed)
@@ -126,7 +126,7 @@ def run_fig3(spec: ExperimentSpec, rewards=None) -> ExperimentResult:
         rewards = reward_schedule(curves)
     reports = curves.grid
     step = reports[1] - reports[0]
-    truths = np.asarray(spec.fig3_truths, dtype=float)
+    truths = np.asarray(FIG3_TRUTHS, dtype=float)
     swept = interim_utility(curves, rewards, user, truths[:, None], reports)
     truthful = interim_utility(curves, rewards, user, truths, truths)
     rows = []
@@ -301,7 +301,7 @@ def run_fig6(spec: ExperimentSpec) -> ExperimentResult:
     Monte Carlo engine (the sizes outgrow tensor quadrature); the pointwise
     increase across sizes is asserted within three standard errors.
     """
-    sizes = tuple(spec.fig6_sizes)
+    sizes = FIG6_SIZES
     params, upper = spec.params, spec.dist.upper
     weight = min(scaled_random_half_network(n, spec.seed + n, params, upper)[1] for n in sizes)
     engine = make_engine("mc", spec.quad_order, spec.mc_samples, spec.seed)

@@ -37,8 +37,7 @@ reseeds the generator, on each call, and hands out the sample set a slice of
 rows at a time: quadrature computes the rows' tensor multi-indices, and Monte
 Carlo advances the generator past the earlier rows, so any slicing gives the
 rows of the one (samples, n) uniform draw. Users share their common columns,
-and threads share an engine without a lock. ``others_samples`` is the whole
-set at once.
+and threads share an engine without a lock.
 
 Along the grid only user i's virtual value moves, and it enters A through a
 symmetric rank-2 term: with g_i = G[i, :],
@@ -64,13 +63,16 @@ dt = det S:
 a few passes per (grid point, sample) element, each sign guard one
 min-reduction. gamma is E[x_i g_i.x]; V and C are quadratics in x_i, so both
 come from E[x_i] and E[x_i^2], one product with the weights each. Memory is
-bounded by the float budget ``_CHUNK_FLOATS``: the CG stack runs in chunks of
-samples, and the grid stage in chunks of grid points, so each array of a
-chunk holds about that many floats whatever the sample count (at least one
-system). A CG chunk draws only its own rows of the sample set, and solves
-in place on a workspace that the next chunk reuses, so its solve allocates
-nothing of the stack's size; what grows with the sample count is the
-per-sample factors. With one user, its chunks are the parallel tasks.
+chunked under the float budget ``_CHUNK_FLOATS``. The CG stack runs in chunks
+of samples, each array about that many floats (at least one system). A CG
+chunk draws only its own rows of the sample set, and solves in place on a
+workspace that the next chunk reuses, so its solve allocates nothing of the
+stack's size. The grid stage runs in chunks of at least one grid point, so
+each of its arrays holds at most max(``_CHUNK_FLOATS``, samples) floats: past
+2^16 samples, one float per sample. What grows with the sample count is
+therefore the per-sample factors, coefficients and weights (about a dozen
+floats per sample at the peak) and the grid stage's arrays (up to five per
+running chunk). With one user, its chunks are the parallel tasks.
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -131,11 +133,11 @@ MIN_GRID = 9
 _MAX_QUADRATURE_USERS = 7
 _MAX_QUADRATURE_NODES = 2**20
 # floats in the (samples, n) uniform matrix of a Monte Carlo sample set (128 MiB), refused
-# before any draw; the curve kernel draws it in row chunks, others_samples whole
+# before any draw; the curve kernel draws it in row chunks
 _MAX_MC_FLOATS = 2**24
 # floats per array in one chunk of the curve kernel (512 KiB, cache-sized): the
 # (n, 2 samples) CG stack of a chunk of samples, or the (grid points, samples)
-# arrays of a grid chunk
+# arrays of a grid chunk, which has at least one grid point: past 2**16 samples, one row
 _CHUNK_FLOATS = 2**16
 
 
@@ -390,10 +392,6 @@ class SampleRows:
     def __getitem__(self, rows: slice) -> np.ndarray:
         return np.asarray(self.dist.virtual_value(self.types(rows)), dtype=float)
 
-    def whole(self):
-        """(values, weights) of the whole set, as ``others_samples`` returns them."""
-        return self.types(slice(0, self.shape[0])), self.weights
-
 
 @dataclass(frozen=True)
 class QuadratureEngine:
@@ -411,12 +409,9 @@ class QuadratureEngine:
         if self.order < 1:
             raise EngineError("quadrature order must be >= 1")
 
-    def others_samples(self, dist: TypeDistribution, n: int, i: int):
-        """(values, weights) for the n-1 other coordinates; independent of i."""
-        return self.others_rows(dist, n, i).whole()
-
     def others_rows(self, dist: TypeDistribution, n: int, i: int) -> SampleRows:
-        """The tensor rule as ``SampleRows``: row k is node k of the order**(n-1) tensor in C order."""
+        """The tensor rule as ``SampleRows``, independent of i: row k is node k of the
+        order**(n-1) tensor in C order."""
         if n > _MAX_QUADRATURE_USERS:
             raise EngineError(
                 f"tensor quadrature limited to n <= {_MAX_QUADRATURE_USERS} users "
@@ -462,9 +457,6 @@ class MonteCarloEngine:
     def __post_init__(self):
         if self.samples < 1:
             raise EngineError("need at least one Monte Carlo sample")
-
-    def others_samples(self, dist: TypeDistribution, n: int, i: int):
-        return self.others_rows(dist, n, i).whole()
 
     def others_rows(self, dist: TypeDistribution, n: int, i: int) -> SampleRows:
         if self.samples * n > _MAX_MC_FLOATS:
@@ -514,7 +506,6 @@ class InterimCurves:
     v: np.ndarray
     c: np.ndarray
     users: tuple
-    method: str
     gamma_se: np.ndarray | None = None
 
 
@@ -541,7 +532,6 @@ class RewardSchedule:
     grid: np.ndarray
     rewards: np.ndarray
     cell_term: np.ndarray
-    users: tuple
 
     def reward(self, i: int, theta):
         """r_i at the reports theta (any shape); a float for scalar input."""
@@ -743,7 +733,6 @@ def interim_curves(
         v=v,
         c=c,
         users=tuple(user_list),
-        method=engine.kind,
         gamma_se=gamma_se,
     )
 
@@ -786,7 +775,7 @@ def reward_schedule(curves: InterimCurves) -> RewardSchedule:
             stacklevel=2,
         )
     cell_term = 0.5 * np.diff(grid) * np.diff(curves.gamma, axis=1)
-    return RewardSchedule(grid=grid, rewards=rewards, cell_term=cell_term, users=curves.users)
+    return RewardSchedule(grid=grid, rewards=rewards, cell_term=cell_term)
 
 
 def cp_expected_utility(sc: Scenario, curves: InterimCurves, rewards: RewardSchedule) -> float:

@@ -17,7 +17,7 @@ one call per user. The checks:
     and exactly zero at the lowest type (the binding participation constraint);
   * monotonicity: gamma_i is non-decreasing along the grid.
 
-All three return a ``VerificationReport`` carrying a worst-case witness: the
+All three return a ``VerificationReport`` carrying one worst-case witness: the
 first entry in (user, grid index) order within rounding of the extremum, so
 users that tie up to the last bits (symmetric users of a symmetric network)
 always name the lowest one. The reported value is the exact extremum. A failed
@@ -60,7 +60,7 @@ class VerificationReport:
     ir_min: float | None = None
     ir_binding_gap: float | None = None
     gamma_min_slope: float | None = None
-    worst_cases: tuple = ()
+    witness: WorstCase | None = None
     tolerances: dict = field(default_factory=dict)
 
     def _verdicts(self) -> dict:
@@ -98,11 +98,11 @@ class VerificationReport:
                 f"monotonicity {status['mono']}: min gamma slope "
                 f"{self.gamma_min_slope:.3e} (tol {self.tolerances['mono']:.1e})"
             )
-        for w in self.worst_cases:
-            lines.append(
-                f"  worst case user {w.user}: theta {w.theta_true:.6g} -> "
-                f"report {w.theta_hat:.6g}, value {w.value:.3e}"
-            )
+        w = self.witness
+        lines.append(
+            f"  worst case user {w.user}: theta {w.theta_true:.6g} -> "
+            f"report {w.theta_hat:.6g}, value {w.value:.3e}"
+        )
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return lines
 
@@ -141,7 +141,7 @@ def _witness(values: np.ndarray, extremum: float, scale: float) -> tuple:
 
 
 def _ic_tolerance(curves: InterimCurves) -> float:
-    if curves.method == "quadrature":
+    if curves.gamma_se is None:
         return TOL_IC_QUADRATURE
     # Monte Carlo: three standard errors of the interim-utility difference.
     # Common random numbers correlate the errors at the two reports; bounding
@@ -179,7 +179,7 @@ def verify_ic(
     return VerificationReport(
         ic_max_gain=gain,
         ic_argmax_within_step=argmax_ok,
-        worst_cases=(WorstCase(users[row], float(truths[t]), float(reports[best[row, t]]), gain),),
+        witness=WorstCase(users[row], float(truths[t]), float(reports[best[row, t]]), gain),
         tolerances={"ic": _ic_tolerance(curves)},
     )
 
@@ -199,7 +199,7 @@ def verify_ir(
         ir_min=ir_min,
         # truths[0] is the lowest type exactly, where participation binds
         ir_binding_gap=float(np.max(np.abs(values[:, 0]))),
-        worst_cases=(WorstCase(curves.users[row], float(truths[k]), float(truths[k]), ir_min),),
+        witness=WorstCase(curves.users[row], float(truths[k]), float(truths[k]), ir_min),
         tolerances={"ir": TOL_IR},
     )
 
@@ -212,9 +212,7 @@ def verify_monotonicity(curves: InterimCurves) -> VerificationReport:
     row, col = _witness(diffs, slope, np.max(np.abs(gamma)))
     return VerificationReport(
         gamma_min_slope=slope,
-        worst_cases=(
-            WorstCase(curves.users[row], float(curves.grid[col]), float(curves.grid[col + 1]), slope),
-        ),
+        witness=WorstCase(curves.users[row], float(curves.grid[col]), float(curves.grid[col + 1]), slope),
         tolerances={"mono": TOL_MONO},
     )
 
@@ -237,7 +235,6 @@ def report_csv_rows(reports) -> list[tuple]:
     """Flatten reports into (property, value, tolerance, passed, witness...) rows."""
     rows = []
     for rep in reports:
-        witness = rep.worst_cases[0] if rep.worst_cases else WorstCase(-1, np.nan, np.nan, np.nan)
         for prop, value, tol_key in (
             ("ic_max_gain", rep.ic_max_gain, "ic"),
             ("ir_min", rep.ir_min, "ir"),
@@ -252,9 +249,9 @@ def report_csv_rows(reports) -> list[tuple]:
                     float(value),
                     float(rep.tolerances[tol_key]),
                     "PASS" if rep.passed else "FAIL",
-                    witness.user,
-                    witness.theta_true,
-                    witness.theta_hat,
+                    rep.witness.user,
+                    rep.witness.theta_true,
+                    rep.witness.theta_hat,
                 )
             )
     return rows

@@ -22,6 +22,12 @@ def zero_network(n: int) -> Network:
     return Network(np.zeros((n, n)))
 
 
+def whole_samples(engine, dist, n: int, i: int):
+    """(types, weights) of user i's whole sample set, read as one slice of ``others_rows``."""
+    rows = engine.others_rows(dist, n, i)
+    return rows.types(slice(0, rows.shape[0])), rows.weights
+
+
 def random_valid_scenario(rng: np.random.Generator, n: int | None = None,
                           families=("uniform", "truncated_exponential", "truncated_normal")) -> Scenario:
     """Random scenario passing both validators, deterministic in rng state."""

@@ -36,7 +36,7 @@ from netmech import (
 )
 from netmech import mechanism
 from netmech.mechanism import solve_profiles
-from conftest import random_valid_scenario
+from conftest import random_valid_scenario, whole_samples
 from test_mechanism import boundary_scenario
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -48,7 +48,7 @@ def oracle_curves(sc, grid_size, engine, users):
     grid = np.linspace(dist.lower, dist.upper, grid_size)
     out = {key: np.full((n, grid_size), np.nan) for key in ("gamma", "v", "c", "se")}
     for i in users:
-        values, weights = engine.others_samples(dist, n, i)
+        values, weights = whole_samples(engine, dist, n, i)
         phis = np.empty((grid_size, values.shape[0], n))
         phis[:, :, np.delete(np.arange(n), i)] = np.asarray(dist.virtual_value(values))[None]
         phis[:, :, i] = np.asarray(dist.virtual_value(grid))[:, None]
@@ -107,7 +107,7 @@ def first_sign_break(sc, grid_size, s, big_s, quantity):
 
 def assert_factors_match_lu(sc, engine, users=None):
     for i in range(sc.n) if users is None else users:
-        values, _ = engine.others_samples(sc.dist, sc.n, i)
+        values, _ = whole_samples(engine, sc.dist, sc.n, i)
         phis = np.asarray(sc.dist.virtual_value(values), dtype=float)
         got = mechanism._rank2_factors(sc, i, phis)
         want = lu_factors(sc, i, phis)
@@ -181,7 +181,7 @@ class TestFactorsAgainstLU:
             assert_factors_match_lu(zero5, QuadratureEngine(order=4))
 
     def test_chunks_do_not_change_factors(self, hub5, monkeypatch):
-        values, _ = MonteCarloEngine(samples=700, seed=2).others_samples(hub5.dist, 5, 0)
+        values, _ = whole_samples(MonteCarloEngine(samples=700, seed=2), hub5.dist, 5, 0)
         phis = np.asarray(hub5.dist.virtual_value(values), dtype=float)
         whole = mechanism._rank2_factors(hub5, 0, phis)
         monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2 * 5 * 64)
@@ -284,7 +284,7 @@ class TestGuards:
         """The grid stage never mixes grid points: one per chunk gives the default curves."""
         for engine in (QuadratureEngine(order=6), MonteCarloEngine(samples=1500, seed=4)):
             whole = interim_curves(hub5, 17, engine)
-            samples = len(engine.others_samples(hub5.dist, 5, 0)[1])
+            samples = len(whole_samples(engine, hub5.dist, 5, 0)[1])
             monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", samples)
             single = interim_curves(hub5, 17, engine)
             monkeypatch.undo()
@@ -318,7 +318,7 @@ class TestChunkPath:
     def test_sample_rows_give_the_array_factors(self, hub5, monkeypatch):
         monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2 * 5 * 64)
         engine = MonteCarloEngine(samples=700, seed=2)
-        values, _ = engine.others_samples(hub5.dist, 5, 3)
+        values, _ = whole_samples(engine, hub5.dist, 5, 3)
         want = mechanism._rank2_factors(hub5, 3, np.asarray(hub5.dist.virtual_value(values), dtype=float))
         with ThreadPoolExecutor(max_workers=2) as pool:
             got = mechanism._rank2_factors(hub5, 3, engine.others_rows(hub5.dist, 5, 3), pool)
@@ -330,7 +330,7 @@ class TestChunkPath:
         n, m = sc.n, 500
         phi = np.zeros((n, 2 * m))
         phi[1:, :m] = np.asarray(sc.dist.virtual_value(
-            MonteCarloEngine(samples=m, seed=1).others_samples(sc.dist, n, 0)[0]), dtype=float).T
+            whole_samples(MonteCarloEngine(samples=m, seed=1), sc.dist, n, 0)[0]), dtype=float).T
         phi[:, m:] = phi[:, :m]
         rhs = np.zeros((n, 2 * m))
         rhs[0, :m] = 1.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from netmech import NegativeRewardWarning, QuadratureEngine, RewardSchedule, interim_curves, reward_schedule
+from netmech import experiments
 from netmech.experiments import (
     ExperimentSpec,
     make_network,
@@ -85,8 +86,9 @@ class TestMakeNetwork:
 
 
 class TestFig3:
-    def test_truthful_report_is_row_max(self, spec):
-        result = run_fig3(fast(spec, fig3_truths=(0.45, 0.75)))
+    def test_truthful_report_is_row_max(self, spec, monkeypatch):
+        monkeypatch.setattr(experiments, "FIG3_TRUTHS", (0.45, 0.75))
+        result = run_fig3(fast(spec))
         assert result.passed
         rows = np.loadtxt(result.csv_paths[0], delimiter=",", skiprows=1)
         for theta in (0.45, 0.75):
@@ -96,7 +98,7 @@ class TestFig3:
             boundary = curve[curve[:, 1] == 0.4][0, 2]
             assert boundary <= curve[:, 2].max() + 1e-12
 
-    def test_corrupted_rewards_move_argmax(self, spec, complete5):
+    def test_corrupted_rewards_move_argmax(self, spec, complete5, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NegativeRewardWarning)
             curves = interim_curves(complete5, 81, QuadratureEngine(order=8))
@@ -105,9 +107,9 @@ class TestFig3:
             grid=rewards.grid,
             rewards=rewards.rewards + 0.5 * rewards.grid[None, :],
             cell_term=rewards.cell_term,
-            users=rewards.users,
         )
-        result = run_fig3(fast(spec, fig3_truths=(0.45,)), rewards=corrupted)
+        monkeypatch.setattr(experiments, "FIG3_TRUTHS", (0.45,))
+        result = run_fig3(fast(spec), rewards=corrupted)
         assert not result.passed
 
 
@@ -164,15 +166,17 @@ class TestTable2:
 
 
 class TestFig6:
-    def test_reduced_sizes_increase(self, spec):
-        result = run_fig6(fast(spec, fig6_sizes=(8, 16)))
+    def test_reduced_sizes_increase(self, spec, monkeypatch):
+        monkeypatch.setattr(experiments, "FIG6_SIZES", (8, 16))
+        result = run_fig6(fast(spec))
         assert result.passed
         rows = np.loadtxt(result.csv_paths[0], delimiter=",", skiprows=1)
         assert np.all(rows[:, 2] >= 0)
 
-    def test_doubling_samples_within_three_se(self, spec):
-        small = fast(spec, fig6_sizes=(8,), mc_samples=2000)
-        big = fast(spec, fig6_sizes=(8,), mc_samples=4000)
+    def test_doubling_samples_within_three_se(self, spec, monkeypatch):
+        monkeypatch.setattr(experiments, "FIG6_SIZES", (8,))
+        small = fast(spec, mc_samples=2000)
+        big = fast(spec, mc_samples=4000)
         # recompute the curves directly to compare the estimates
         from netmech import MonteCarloEngine, Scenario, truthful_interim_utility
         from netmech.experiments import scaled_random_half_network

@@ -85,6 +85,16 @@ def test_truncated_normal_loads_scipy_special_on_first_use():
     assert "scipy.special" in scipy_modules_after(script)
 
 
+def test_benchmark_tracer_finds_every_hook():
+    """perfbench's tracer looks up the layers' functions by name; deleting one breaks install()."""
+    root = SRC.parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), str(root / "perfbench")]),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", "import tracer; tracer.install()"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def module_level_imports(tree: ast.AST) -> list:
     """Top-level module names imported outside any function body."""
     found = []

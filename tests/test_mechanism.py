@@ -30,7 +30,9 @@ from netmech import (
 from netmech.market import InvalidScenarioError, scaled_random_half_network
 from netmech import mechanism
 from netmech.mechanism import demand_solution, solve_profiles
-from conftest import CASE_PARAMS, UNIFORM, complete_network, random_valid_scenario, zero_network
+from conftest import (
+    CASE_PARAMS, UNIFORM, complete_network, random_valid_scenario, whole_samples, zero_network,
+)
 from oracles import cp_expected_utility_virtual, k_matrix, k_sensitivity
 
 
@@ -383,8 +385,8 @@ class TestStatelessEngines:
     @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.kind)
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_repeated_calls_are_equal(self, engine, n):
-        first = engine.others_samples(UNIFORM, n, n - 1)
-        second = engine.others_samples(UNIFORM, n, n - 1)
+        first = whole_samples(engine, UNIFORM, n, n - 1)
+        second = whole_samples(engine, UNIFORM, n, n - 1)
         assert first[0].shape == (first[1].size, n - 1)
         assert first[1].sum() == pytest.approx(1.0)
         assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
@@ -392,8 +394,8 @@ class TestStatelessEngines:
     def test_mc_users_share_their_common_columns(self):
         engine = MonteCarloEngine(samples=200, seed=9)
         n, i, j = 6, 1, 4
-        values_i, _ = engine.others_samples(UNIFORM, n, i)
-        values_j, _ = engine.others_samples(UNIFORM, n, j)
+        values_i, _ = whole_samples(engine, UNIFORM, n, i)
+        values_j, _ = whole_samples(engine, UNIFORM, n, j)
         common = [k for k in range(n) if k not in (i, j)]
         cols_i = [k for k in range(n) if k != i]
         cols_j = [k for k in range(n) if k != j]
@@ -419,18 +421,16 @@ class TestStatelessEngines:
     def test_quadrature_node_budget(self):
         # 33**4 = 1,185,921 nodes exceed 2**20; 32**4 = 2**20 is the largest accepted
         with pytest.raises(EngineError, match="order 33 at n=5 needs 1185921 nodes"):
-            QuadratureEngine(order=33).others_samples(UNIFORM, 5, 0)
-        values, weights = QuadratureEngine(order=32).others_samples(UNIFORM, 5, 0)
+            whole_samples(QuadratureEngine(order=33), UNIFORM, 5, 0)
+        values, weights = whole_samples(QuadratureEngine(order=32), UNIFORM, 5, 0)
         assert values.shape == (2**20, 4) and weights.shape == (2**20,)
 
     def test_mc_float_budget(self, monkeypatch):
         # (2**22 + 1) x 4 floats are refused before the draw, so nothing is allocated
         with pytest.raises(EngineError, match="draws 16777220 floats, over the budget of 16777216"):
-            MonteCarloEngine(samples=2**22 + 1).others_samples(UNIFORM, 4, 0)
+            whole_samples(MonteCarloEngine(samples=2**22 + 1), UNIFORM, 4, 0)
         monkeypatch.setattr(mechanism, "_MAX_MC_FLOATS", 12)
-        assert MonteCarloEngine(samples=4).others_samples(UNIFORM, 3, 0)[0].shape == (4, 2)
-        with pytest.raises(EngineError, match="13 floats, over the budget of 12"):
-            MonteCarloEngine(samples=13).others_samples(UNIFORM, 1, 0)
+        assert whole_samples(MonteCarloEngine(samples=4), UNIFORM, 3, 0)[0].shape == (4, 2)
         with pytest.raises(EngineError, match="13 floats, over the budget of 12"):
             MonteCarloEngine(samples=13).others_rows(UNIFORM, 1, 0)
 
@@ -455,7 +455,7 @@ class TestSampleRows:
         n = 6
         uniforms = np.random.default_rng(11).random((1000, n))
         for i in range(n):
-            values, weights = engine.others_samples(dist, n, i)
+            values, weights = whole_samples(engine, dist, n, i)
             assert np.array_equal(values, dist.quantile(np.delete(uniforms, i, axis=1)))
             assert np.array_equal(weights, np.full(1000, 1.0 / 1000))
             for chunk in (1, 77, 1000):
@@ -472,7 +472,7 @@ class TestSampleRows:
         idx = np.indices((order,) * (n - 1)).reshape(n - 1, order ** (n - 1)).T
         engine = QuadratureEngine(order=order)
         for i in range(n):
-            values, weights = engine.others_samples(dist, n, i)
+            values, weights = whole_samples(engine, dist, n, i)
             assert np.array_equal(values, nodes[idx])
             assert np.array_equal(weights, np.prod(node_weights[idx], axis=1))
             for chunk in (1, 7, order ** (n - 1)):
@@ -517,7 +517,6 @@ class TestRewardSchedule:
             v=curves.v,
             c=curves.c,
             users=curves.users,
-            method=curves.method,
         )
         with pytest.raises(ValueError, match="ascending"):
             reward_schedule(broken)

@@ -26,6 +26,7 @@ from netmech import (
     verify_ir,
 )
 from netmech.csvio import fmt
+from netmech import experiments
 from netmech.experiments import ExperimentSpec, run_fig3
 from netmech.verification import TOL_IR, VerificationReport, WorstCase, _ic_tolerance
 from conftest import CASE_PARAMS, UNIFORM, complete_network, zero_network
@@ -90,7 +91,7 @@ def oracle_ic(sc, curves, rewards, true_grid, report_grid):
     return VerificationReport(
         ic_max_gain=max_gain,
         ic_argmax_within_step=argmax_ok,
-        worst_cases=(worst,),
+        witness=worst,
         tolerances={"ic": _ic_tolerance(curves)},
     )
 
@@ -111,7 +112,7 @@ def oracle_ir(sc, curves, rewards, true_grid):
     return VerificationReport(
         ir_min=ir_min,
         ir_binding_gap=float(binding_gap),
-        worst_cases=(worst,),
+        witness=worst,
         tolerances={"ir": TOL_IR},
     )
 
@@ -166,11 +167,11 @@ def test_array_utility_is_the_scalar_utility_bitwise(certified):
 
 
 def test_array_reward_is_the_scalar_reward_bitwise(certified):
-    _, _, rewards = certified
+    _, curves, rewards = certified
     rng = np.random.default_rng(6)
     lo, hi = rewards.grid[0], rewards.grid[-1]
     reports = np.concatenate([rewards.grid, rng.uniform(lo, hi, 50)]).reshape(-1, 13)
-    for i in rewards.users:
+    for i in curves.users:
         array = rewards.reward(i, reports)
         assert array.shape == reports.shape
         scalar = np.array([[rewards.reward(i, float(m)) for m in row] for row in reports])
@@ -214,10 +215,11 @@ class TestOutOfGrid:
 
 @pytest.mark.filterwarnings("ignore::netmech.NegativeRewardWarning")
 @pytest.mark.parametrize("engine", ["quadrature", "mc"])
-def test_fig3_matches_scalar_loop_on_all_user_curves(tmp_path, engine):
+def test_fig3_matches_scalar_loop_on_all_user_curves(tmp_path, engine, monkeypatch):
     """fig3 computes the plotted user only; its rows equal the old all-user sweep."""
     spec = ExperimentSpec(out_dir=str(tmp_path), seed=3, engine=engine, mc_samples=1000,
-                          report_grid=81, fig3_truths=(0.45, 0.6))
+                          report_grid=81)
+    monkeypatch.setattr(experiments, "FIG3_TRUTHS", (0.45, 0.6))
     result = run_fig3(spec)
     with open(result.csv_paths[0]) as fh:
         rows = list(csv.reader(fh))[1:]
@@ -225,5 +227,5 @@ def test_fig3_matches_scalar_loop_on_all_user_curves(tmp_path, engine):
     curves = interim_curves(sc, spec.report_grid, spec.make_engine())
     rewards = reward_schedule(curves)
     want = [[fmt(t), fmt(float(m)), fmt(scalar_utility(curves, rewards, 4, t, float(m)))]
-            for t in spec.fig3_truths for m in curves.grid]
+            for t in experiments.FIG3_TRUTHS for m in curves.grid]
     assert rows == want

@@ -48,7 +48,6 @@ def zero5_certified():
 def shift_rewards(rewards: RewardSchedule, delta) -> RewardSchedule:
     return RewardSchedule(
         grid=rewards.grid, rewards=rewards.rewards + delta, cell_term=rewards.cell_term,
-        users=rewards.users,
     )
 
 
@@ -222,11 +221,10 @@ class TestVerifyMonotonicity:
             v=curves.v,
             c=curves.c,
             users=curves.users,
-            method=curves.method,
         )
         report = verify_monotonicity(broken)
         assert not report.passed
-        witness = report.worst_cases[0]
+        witness = report.witness
         assert witness.user == 3
         assert witness.theta_true == pytest.approx(curves.grid[9])
 
@@ -237,7 +235,7 @@ class TestVerifyMonotonicity:
         gamma[1, 5:] = dip_1
         gamma[3, 1:] = dip_3
         return InterimCurves(grid=curves.grid, gamma=gamma, v=curves.v, c=curves.c,
-                             users=curves.users, method=curves.method)
+                             users=curves.users)
 
     def test_rounding_tie_names_the_lowest_user(self, zero5_certified):
         """User 3's minimum slope is 1 ulp below user 1's: the witness is user 1,
@@ -246,14 +244,14 @@ class TestVerifyMonotonicity:
         lowest = np.nextafter(-0.25, -1.0)
         report = verify_monotonicity(self.two_dips(curves, -0.25, lowest))
         assert report.gamma_min_slope == lowest
-        witness = report.worst_cases[0]
+        witness = report.witness
         assert (witness.user, witness.theta_true, witness.theta_hat, witness.value) == (
             1, curves.grid[4], curves.grid[5], lowest)
 
     def test_gap_beyond_rounding_names_the_minimum(self, zero5_certified):
         _, curves, _ = zero5_certified
         report = verify_monotonicity(self.two_dips(curves, -0.25, -0.25 - 1e-12))
-        witness = report.worst_cases[0]
+        witness = report.witness
         assert (witness.user, witness.theta_true) == (3, curves.grid[0])
 
     def test_nan_curve_fails_and_is_named(self, zero5_certified):
@@ -262,7 +260,7 @@ class TestVerifyMonotonicity:
         broken.gamma[2, 6] = np.nan
         report = verify_monotonicity(broken)
         assert not report.passed
-        assert (report.worst_cases[0].user, report.worst_cases[0].theta_true) == (2, curves.grid[5])
+        assert (report.witness.user, report.witness.theta_true) == (2, curves.grid[5])
 
 
 class TestPropositionChains:
@@ -291,7 +289,7 @@ class TestDetectorCompleteness:
         gamma[0, 5] = gamma[0, 6] + 10 * 1e-8
         dipped = InterimCurves(
             grid=curves.grid, gamma=gamma, v=curves.v, c=curves.c,
-            users=curves.users, method=curves.method,
+            users=curves.users,
         )
         assert not verify_monotonicity(dipped).passed
 
@@ -304,7 +302,7 @@ class TestDetectorCompleteness:
         bump = 10 * tol + penalty
         corrupted = rewards.rewards.copy()
         corrupted[:, 41] += bump  # off the 21-point true grid
-        report = verify_ic(sc, curves, RewardSchedule(rewards.grid, corrupted, rewards.cell_term, rewards.users), 21, 101)
+        report = verify_ic(sc, curves, RewardSchedule(rewards.grid, corrupted, rewards.cell_term), 21, 101)
         assert report.ic_max_gain > tol
         assert not report.passed
 
