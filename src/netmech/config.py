@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import distribution_from_config
-from .market import MarketParams, Network, Scenario, make_network
+from .market import MarketParams, Network, Scenario, check_dense_size, make_network
 
 
 class ConfigError(ValueError):
@@ -64,6 +64,10 @@ def network_from_config(cfg: dict) -> Network:
     n = _value(cfg, "n", int, "an integer")
     if n < 1:
         raise ConfigError(f"key 'n' must be at least 1, got {n}")
+    try:
+        check_dense_size(n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if kind == "edges":
         if not isinstance(cfg.get("edges"), list):
             raise ConfigError("network kind 'edges' needs an 'edges' list")

@@ -93,10 +93,6 @@ class TypeDistribution:
     def quantile(self, u):
         raise NotImplementedError
 
-    def _slope(self, theta: np.ndarray):
-        """d(virtual value)/d(theta) on a float array inside the support."""
-        raise NotImplementedError
-
     # -- derived objects -------------------------------------------------
 
     def hazard(self, theta):
@@ -108,11 +104,6 @@ class TypeDistribution:
         """theta - survival/pdf; equals upper at the upper endpoint (limit)."""
         theta = self._check_support(theta)
         return theta - self.survival(theta) / self.pdf(theta)
-
-    def virtual_value_slope(self, theta):
-        """d(virtual value)/d(theta); a float for scalar input."""
-        out = self._slope(np.asarray(self._check_support(theta), dtype=float))
-        return float(out) if out.ndim == 0 else out
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n iid draws by inverse-cdf sampling; deterministic given seed."""
@@ -153,9 +144,6 @@ class Uniform(TypeDistribution):
     def virtual_value(self, theta):
         self._check_support(theta)
         return 2.0 * np.asarray(theta, dtype=float) - self.upper
-
-    def _slope(self, theta):
-        return np.full_like(theta, 2.0)
 
 
 def _ndtr(z):
@@ -209,9 +197,6 @@ class TruncatedNormal(TypeDistribution):
         base = _ndtr(self._z(self.lower)) + np.asarray(u, dtype=float) * self._mass
         return self.mu + self.sigma * _ndtri(base)
 
-    def _slope(self, theta):
-        return 2.0 - self.survival(theta) * self._z(theta) / (self.sigma * self.pdf(theta))
-
 
 @dataclass(frozen=True)
 class TruncatedExponential(TypeDistribution):
@@ -251,9 +236,6 @@ class TruncatedExponential(TypeDistribution):
         t = np.asarray(theta, dtype=float)
         # survival/pdf collapses to (1 - exp(-rate*(upper-theta))) / rate
         return t + np.expm1(-self.rate * (self.upper - t)) / self.rate
-
-    def _slope(self, theta):
-        return 1.0 + np.exp(-self.rate * (self.upper - theta))
 
 
 def validate_regularity(dist: TypeDistribution, grid_points: int = 512) -> RegularityReport:

@@ -31,6 +31,10 @@ from .distributions import (
 )
 
 
+# floats in a dense n x n weight matrix (128 MiB), refused before the matrix is built
+_MAX_NETWORK_FLOATS = 2**24
+
+
 class InvalidScenarioError(ValueError):
     """The scenario fails a feasibility or regularity requirement."""
 
@@ -57,6 +61,40 @@ class Network:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+
+def check_dense_size(n: int) -> None:
+    """ValueError naming n, its n^2 floats and the budget if a dense network of n users is too large."""
+    if n * n > _MAX_NETWORK_FLOATS:
+        raise ValueError(
+            f"a dense network of n={n} users holds {n * n} weights, "
+            f"over the budget of {_MAX_NETWORK_FLOATS} floats"
+        )
+
+
+def twin_classes(network: Network) -> tuple:
+    """The network's classes of twins, each ascending, in the order of their first users.
+
+    Users j and k are twins when swapping them leaves G unchanged: G[j, l] =
+    G[k, l] and G[l, j] = G[l, k] for every l outside {j, k}, and G[j, k] =
+    G[k, j] (structural equivalence). Twinship is an equivalence relation,
+    so each user is compared with the first user of every class so far:
+    O(n^2) comparisons of rows and columns, no search over permutations.
+    """
+    g = network.weights
+    classes: list[list[int]] = []
+    for j in range(network.n):
+        for members in classes:
+            k = members[0]
+            # row j with entries j and k exchanged is row k exactly when j and k are twins
+            swap = np.arange(network.n)
+            swap[[j, k]] = k, j
+            if np.array_equal(g[j, swap], g[k]) and np.array_equal(g[swap, j], g[:, k]):
+                members.append(j)
+                break
+        else:
+            classes.append([j])
+    return tuple(tuple(members) for members in classes)
 
 
 @dataclass(frozen=True)
@@ -192,6 +230,7 @@ def make_network(kind: str, n: int, seed: int | None = None) -> Network:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    check_dense_size(n)
     if kind == "complete":
         w = np.ones((n, n)) - np.eye(n)
     elif kind == "star":

@@ -32,12 +32,27 @@ estimated either by tensor Gauss-Legendre quadrature (tight, small n) or by
 Monte Carlo with common random numbers: one sample set of the other users'
 types is reused across the whole type grid so the grid structure of the
 curves is not drowned by independent noise. Both engines are plain values:
-``others_rows(dist, n, i)`` is a pure function that rebuilds the rule, or
-reseeds the generator, on each call, and hands out the sample set a slice of
-rows at a time: quadrature computes the rows' tensor multi-indices, and Monte
+``others_rows(dist, n, i, classes)`` is a pure function that rebuilds the
+rule, or reseeds the generator, on each call, and hands out the sample set a
+slice of rows at a time: quadrature computes the rows' node indices, and Monte
 Carlo advances the generator past the earlier rows, so any slicing gives the
 rows of the one (samples, n) uniform draw. Users share their common columns,
 and threads share an engine without a lock.
+
+Users j and k are twins when swapping them leaves G unchanged
+(``market.twin_classes``). The types are i.i.d. and the Gauss-Legendre rule
+is symmetric in its coordinates, so the quadrature engine is
+``exchangeable``, and ``interim_curves`` uses the classes at two levels.
+Only the first requested user of each class is computed, and its rows are
+copied to the class's other requested users. And user i's rule runs over
+the classes of the other users: k others of one class take the
+C(order+k-1, k) multisets of k nodes, weighted by the multinomial
+k! / prod m!, not the order**k tuples, so the rule has
+prod_c C(order+k_c-1, k_c) rows. At order 8, hub5 needs 1296 rows for its
+hub and 2304 for each other user, against 4096; complete5 needs 330. On a
+twin-free network every class is one user, and the rule is the tensor, bit
+for bit. Monte Carlo gives each user other columns of its matrix, so its
+sample sets are not symmetric and it uses neither reduction.
 
 Along the grid only user i's virtual value moves, and it enters A through a
 symmetric rank-2 term: with g_i = G[i, :],
@@ -97,18 +112,20 @@ R_i(theta_hat) = r_i(theta_hat_i).
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
 from .csvio import write_csv
 from .distributions import SupportError, TypeDistribution
-from .market import Scenario
+from .market import Scenario, twin_classes
 
 
 class SolverError(RuntimeError):
@@ -395,23 +412,35 @@ class SampleRows:
 
 @dataclass(frozen=True)
 class QuadratureEngine:
-    """Tensor Gauss-Legendre expectation over the other users' types.
+    """Gauss-Legendre expectation over the other users' types, reduced by their twin classes.
 
-    The node count grows as order**(n-1); refuse networks beyond
-    ``_MAX_QUADRATURE_USERS`` users or ``_MAX_QUADRATURE_NODES`` nodes and
-    point to the Monte Carlo engine instead.
+    The tensor rule has order**(n-1) nodes; refuse networks beyond
+    ``_MAX_QUADRATURE_USERS`` users or ``_MAX_QUADRATURE_NODES`` such nodes and
+    point to the Monte Carlo engine instead. The types are i.i.d. and the rule
+    is symmetric in its coordinates, so it is ``exchangeable``: nodes that
+    differ by a permutation within a class of twins give equal integrands,
+    and twin users get equal curves.
     """
 
     order: int = 8
     kind = "quadrature"
+    exchangeable = True
 
     def __post_init__(self):
         if self.order < 1:
             raise EngineError("quadrature order must be >= 1")
 
-    def others_rows(self, dist: TypeDistribution, n: int, i: int) -> SampleRows:
-        """The tensor rule as ``SampleRows``, independent of i: row k is node k of the
-        order**(n-1) tensor in C order."""
+    def others_rows(self, dist: TypeDistribution, n: int, i: int, classes) -> SampleRows:
+        """User i's rule as ``SampleRows`` over ``classes``, a partition of the users into
+        classes of twins (``twin_classes``).
+
+        The k other users of a class take the C(order+k-1, k) multisets of k
+        nodes, in lexicographic order, each weighted by the product of its
+        node weights, left to right, times the multinomial k! / prod m!. Row
+        numbers are mixed-radix over these classes, in the order of
+        ``classes``, the last the fastest. With every class a single user, in
+        user order, this is the order**(n-1) tensor in C order, row k's
+        weight the product of its nodes' weights, left to right."""
         if n > _MAX_QUADRATURE_USERS:
             raise EngineError(
                 f"tensor quadrature limited to n <= {_MAX_QUADRATURE_USERS} users "
@@ -427,15 +456,36 @@ class QuadratureEngine:
         half = 0.5 * (dist.upper - dist.lower)
         nodes = dist.lower + (x + 1.0) * half
         node_weights = w * half * np.asarray(dist.pdf(nodes), dtype=float)
-        powers = self.order ** np.arange(n - 2, -1, -1)
+        # per class of the others: its columns (user u's is u, or u - 1 past i), its
+        # multisets and their weights
+        parts, class_weights = [], []
+        for members in classes:
+            columns = [u - (u > i) for u in members if u != i]
+            if not columns:
+                continue
+            k = len(columns)
+            flat = chain.from_iterable(combinations_with_replacement(range(self.order), k))
+            multisets = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+            # run[:, j] counts the equal nodes up to j of a sorted multiset, so prod(run) = prod m!
+            run = np.ones(multisets.shape)
+            for j in range(1, k):
+                run[:, j] += (multisets[:, j] == multisets[:, j - 1]) * run[:, j - 1]
+            parts.append((columns, multisets))
+            class_weights.append(np.prod(node_weights[multisets], axis=1)
+                                 * (math.factorial(k) / np.prod(run, axis=1)))
+        radices = [len(multisets) for _, multisets in parts]
+        strides = np.cumprod([1] + radices[:0:-1])[::-1]
 
         def types(rows):
-            # the multi-indices of a slice of rows: digit k of the row number in base order
-            return nodes[np.arange(rows.start, rows.stop)[:, None] // powers % self.order]
+            # digit k of the row number, in the mixed radix, picks class k's multiset
+            r = np.arange(rows.start, rows.stop)
+            out = np.empty((r.size, n - 1))
+            for (columns, multisets), stride, radix in zip(parts, strides, radices):
+                out[:, columns] = nodes[multisets[r // stride % radix]]
+            return out
 
-        # row k's weight is the product of its nodes' weights, left to right
-        weights = reduce(np.multiply.outer, [node_weights] * (n - 1), np.ones(())).ravel()
-        return SampleRows(dist, weights, types, (count, n - 1))
+        weights = reduce(np.multiply.outer, class_weights, np.ones(())).ravel()
+        return SampleRows(dist, weights, types, (weights.size, n - 1))
 
 
 @dataclass(frozen=True)
@@ -448,17 +498,20 @@ class MonteCarloEngine:
     between users. A slice of rows is drawn alone, from the generator
     advanced past the rows before it, so the matrix is never held whole.
     Refuse a matrix of more than ``_MAX_MC_FLOATS`` floats before any draw.
+    Twins see different columns, so the sample sets are not ``exchangeable``
+    and ``classes`` is ignored.
     """
 
     samples: int = 20_000
     seed: int = 0
     kind = "mc"
+    exchangeable = False
 
     def __post_init__(self):
         if self.samples < 1:
             raise EngineError("need at least one Monte Carlo sample")
 
-    def others_rows(self, dist: TypeDistribution, n: int, i: int) -> SampleRows:
+    def others_rows(self, dist: TypeDistribution, n: int, i: int, classes) -> SampleRows:
         if self.samples * n > _MAX_MC_FLOATS:
             raise EngineError(
                 f"Monte Carlo with {self.samples} samples at n={n} draws {self.samples * n} "
@@ -639,6 +692,10 @@ def interim_curves(
     sample set is read a chunk of rows at a time (``others_rows``), so no
     (samples, n-1) array of types or virtual values is built.
 
+    With an ``exchangeable`` engine, the first requested user of each class
+    of ``twin_classes`` is computed and its rows are copied to the class's
+    other requested users; ``threads`` then applies to the computed users.
+
     Deterministic for a fixed engine configuration regardless of ``threads``:
     every chunk's outputs land in preallocated rows or columns, chunk sizes
     depend only on the problem, and every reduction runs in a fixed order.
@@ -665,9 +722,18 @@ def interim_curves(
     c = np.full((n, grid_size), np.nan)
     track_se = engine.kind == "mc"
     gamma_se = np.full((n, grid_size), np.nan) if track_se else None
+    # an exchangeable rule gives twins equal curves: the first requested user of each
+    # class runs, and its rows are copied to the class's other requested users
+    classes = twin_classes(sc.network) if engine.exchangeable else tuple((u,) for u in range(n))
+    copies = {}
+    for members in classes:
+        requested = [u for u in members if u in user_list]
+        if requested:
+            copies[requested[0]] = requested[1:]
+    runs = sorted(copies)
 
     def run_user(i, pool):
-        rows = engine.others_rows(dist, n, i)
+        rows = engine.others_rows(dist, n, i, classes)
         weights = rows.weights
         n_samples = weights.size
         s, big_s = _rank2_factors(sc, i, rows, pool)
@@ -722,10 +788,13 @@ def interim_curves(
 
     # threads=1 stays in this thread, under the caller's np.errstate (pool threads lack it)
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        if len(user_list) == 1:
-            run_user(user_list[0], pool)
+        if len(runs) == 1:
+            run_user(runs[0], pool)
         else:
-            _map(pool, lambda i: run_user(i, None), user_list)
+            _map(pool, lambda i: run_user(i, None), runs)
+    for i, twins in copies.items():
+        for out in (gamma, v, c) + ((gamma_se,) if track_se else ()):
+            out[twins] = out[i]
 
     return InterimCurves(
         grid=grid,

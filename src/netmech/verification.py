@@ -19,9 +19,11 @@ one call per user. The checks:
 
 All three return a ``VerificationReport`` carrying one worst-case witness: the
 first entry in (user, grid index) order within rounding of the extremum, so
-users that tie up to the last bits (symmetric users of a symmetric network)
-always name the lowest one. The reported value is the exact extremum. A failed
-check is report content, never an exception.
+users that tie always name the lowest one. On quadrature curves twins
+(``market.twin_classes``) tie exactly, since one twin's rows are copied to
+the others, and users related by another symmetry of the network tie up to
+the last bits. The reported value is the exact extremum. A failed check is
+report content, never an exception.
 """
 
 from __future__ import annotations

@@ -22,9 +22,23 @@ def zero_network(n: int) -> Network:
     return Network(np.zeros((n, n)))
 
 
+def path_network(n: int) -> Network:
+    """The path 0 - 1 - ... - n-1: for n >= 4 no two users are twins."""
+    w = np.zeros((n, n))
+    for a in range(n - 1):
+        w[a, a + 1] = w[a + 1, a] = 1.0
+    return Network(w)
+
+
+def alone(n: int) -> tuple:
+    """The classes of a twin-free network of n users: every user alone."""
+    return tuple((u,) for u in range(n))
+
+
 def whole_samples(engine, dist, n: int, i: int):
-    """(types, weights) of user i's whole sample set, read as one slice of ``others_rows``."""
-    rows = engine.others_rows(dist, n, i)
+    """(types, weights) of user i's whole sample set with no twins, read as one slice of
+    ``others_rows``."""
+    rows = engine.others_rows(dist, n, i, alone(n))
     return rows.types(slice(0, rows.shape[0])), rows.weights
 
 
@@ -82,6 +96,11 @@ def complete5(case_params, uniform_dist) -> Scenario:
 @pytest.fixture
 def zero5(case_params, uniform_dist) -> Scenario:
     return Scenario(zero_network(5), case_params, uniform_dist)
+
+
+@pytest.fixture
+def path5(case_params, uniform_dist) -> Scenario:
+    return Scenario(path_network(5), case_params, uniform_dist)
 
 
 @pytest.fixture

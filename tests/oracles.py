@@ -10,7 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from netmech import InterimCurves, Scenario, system_matrix
+from netmech import (
+    InterimCurves,
+    Scenario,
+    TruncatedExponential,
+    TruncatedNormal,
+    Uniform,
+    mechanism,
+    system_matrix,
+)
 
 
 def virtual_surplus(sc: Scenario, theta, x: np.ndarray) -> np.ndarray:
@@ -82,6 +90,21 @@ def _ascent_maximize(sc: Scenario, theta, tol: float = 1e-11, max_iter: int = 20
     return x
 
 
+def virtual_value_slope(dist, theta):
+    """d(virtual value)/d(theta) of a type law at theta inside its support; a float for scalar input."""
+    t = np.asarray(theta, dtype=float)
+    if isinstance(dist, Uniform):
+        out = np.full_like(t, 2.0)
+    elif isinstance(dist, TruncatedNormal):
+        z = (t - dist.mu) / dist.sigma
+        out = 2.0 - dist.survival(t) * z / (dist.sigma * dist.pdf(t))
+    elif isinstance(dist, TruncatedExponential):
+        out = 1.0 + np.exp(-dist.rate * (dist.upper - t))
+    else:
+        raise TypeError(f"no virtual-value slope for {type(dist).__name__}")
+    return float(out) if out.ndim == 0 else out
+
+
 def k_matrix(sc: Scenario, theta) -> np.ndarray:
     """Explicit inverse of the system matrix."""
     return np.linalg.inv(system_matrix(sc, theta))
@@ -98,7 +121,7 @@ def k_sensitivity(sc: Scenario, theta, i: int) -> np.ndarray:
     if not 0 <= i < sc.n:
         raise IndexError(f"user index {i} out of range for n={sc.n}")
     k = k_matrix(sc, th)
-    slope = float(sc.dist.virtual_value_slope(th[i]))
+    slope = float(virtual_value_slope(sc.dist, th[i]))
     g = sc.network.weights
     b = np.zeros((sc.n, sc.n))
     b[i, :] += slope * g[i, :]
@@ -130,3 +153,34 @@ def user_utility(sc: Scenario, x, rewards, true_theta, i: int) -> float:
     internal = p.a * x[i] - 0.5 * p.b * x[i] ** 2
     network = theta[i] * x[i] * float(sc.network.weights[i] @ x)
     return float(internal + network - p.p * x[i] + rewards[i])
+
+
+def tensor_rule(dist, n: int, order: int):
+    """(types, weights) of the full order**(n-1) Gauss-Legendre tensor over n-1 users, in C
+    order, each weight the product of its nodes' weights, left to right."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * (dist.upper - dist.lower)
+    nodes = dist.lower + (x + 1.0) * half
+    node_weights = w * half * np.asarray(dist.pdf(nodes), dtype=float)
+    idx = np.indices((order,) * (n - 1)).reshape(n - 1, order ** (n - 1)).T
+    return nodes[idx], np.prod(node_weights[idx], axis=1)
+
+
+def tensor_curves(sc: Scenario, grid_size: int, order: int, users) -> dict:
+    """gamma, V and C of ``users`` on the full tensor rule: the kernel's factors of every
+    node (``_rank2_factors`` on an array) and one LAPACK 2x2 solve per (grid point, node)."""
+    n, dist, p = sc.n, sc.dist, sc.params
+    types, weights = tensor_rule(dist, n, order)
+    phis = np.asarray(dist.virtual_value(types), dtype=float)
+    grid = np.linspace(dist.lower, dist.upper, grid_size)
+    phi = np.asarray(dist.virtual_value(grid), dtype=float)[:, None, None, None]
+    out = {key: np.full((n, grid_size), np.nan) for key in ("gamma", "v", "c")}
+    for i in users:
+        s, big_s = mechanism._rank2_factors(sc, i, phis)
+        m = np.eye(2) - phi * big_s
+        x = np.linalg.solve(m, np.broadcast_to(s[..., None], m.shape[:-1] + (1,)))[..., 0]
+        gx, xi = x[..., 0], x[..., 1]
+        out["gamma"][i] = (xi * gx) @ weights
+        out["v"][i] = ((p.a - p.p) * xi - 0.5 * p.b * xi**2) @ weights
+        out["c"][i] = (p.s * xi - 0.5 * p.t * xi**2) @ weights
+    return out

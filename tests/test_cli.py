@@ -1,5 +1,6 @@
 import argparse
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,25 @@ class TestValidateVerb:
         assert main(["validate", "--config", COMPLETE5]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    @pytest.mark.parametrize("network", [{"kind": "complete", "n": 30000},
+                                         {"kind": "edges", "n": 30000, "edges": [[0, 1]]}],
+                             ids=["complete", "edges"])
+    def test_dense_network_over_budget_exits_two_before_allocating(self, tmp_path, capsys, network):
+        cfg = json.loads(Path(COMPLETE5).read_text())
+        cfg["network"] = network
+        path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = main(["validate", "--config", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert ("a dense network of n=30000 users holds 900000000 weights, over the budget of "
+                "16777216 floats") in capsys.readouterr().err
+        # the 30000 x 30000 weights would take 6.7 GiB, one row of them 234 KiB
+        assert peak < 2**20
 
     def test_infeasible_config_names_inequality(self, capsys):
         code = main(["validate", "--config", BAD_THETA_BAR])

@@ -35,8 +35,10 @@ from netmech import (
     verify_all,
 )
 from netmech import mechanism
-from netmech.mechanism import solve_profiles
-from conftest import random_valid_scenario, whole_samples
+from netmech.market import make_network, twin_classes
+from netmech.mechanism import SampleRows, solve_profiles
+from conftest import alone, random_valid_scenario, whole_samples
+from oracles import tensor_curves, tensor_rule
 from test_mechanism import boundary_scenario
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -257,7 +259,7 @@ class TestGuards:
                      lambda s, big_s: (s, with_rows(big_s, {11: 1 / 0.65, 37: 1 / 0.45, 200: 1 / 0.45})),
                      id="first-bad-after-sample-0"),
     ])
-    def test_m_matrix_signs(self, complete5, monkeypatch, theta, quantity, tamper):
+    def test_m_matrix_signs(self, path5, monkeypatch, theta, quantity, tamper):
         factors = mechanism._rank2_factors
         seen = []
 
@@ -266,16 +268,17 @@ class TestGuards:
             return seen[-1]
 
         monkeypatch.setattr(mechanism, "_rank2_factors", tampered)
-        # 4**4 samples: the default budget holds the whole grid in one chunk, 256 one
-        # grid point per chunk, so a later bad theta lies in a later chunk; two threads map
-        # the grid chunks over the pool
+        # the path has no twins, so user 2's rule is the whole tensor of 4**4 samples: the
+        # default budget holds the whole grid in one chunk, 256 one grid point per chunk, so
+        # a later bad theta lies in a later chunk; two threads map the grid chunks over the pool
         for chunk_floats, threads in ((mechanism._CHUNK_FLOATS, 1), (4**4, 1), (4**4, 2)):
             monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", chunk_floats)
             with pytest.raises(SolverError) as err:
-                interim_curves(complete5, 9, QuadratureEngine(order=4), users=[2], threads=threads)
+                interim_curves(path5, 9, QuadratureEngine(order=4), users=[2], threads=threads)
             message = str(err.value)
             assert message.startswith(f"user 2 at theta {theta}: {quantity} = ")
-            k, j = first_sign_break(complete5, 9, *seen[-1], quantity)
+            assert len(seen[-1][0]) == 4**4
+            k, j = first_sign_break(path5, 9, *seen[-1], quantity)
             assert f"{np.linspace(0.4, 0.8, 9)[k]:.12g}" == theta
             assert f" at sample {j} breaks" in message, (chunk_floats, threads)
             assert "Assumption 2" in message
@@ -293,6 +296,91 @@ class TestGuards:
                 pairs.append((single.gamma_se, whole.gamma_se))
             for got, want in pairs:
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@dataclasses.dataclass(frozen=True)
+class TensorRule:
+    """An engine that serves the full tensor rule built by the test: no twin reduction."""
+
+    order: int
+    kind = "tensor"
+    exchangeable = False
+
+    def others_rows(self, dist, n, i, classes):
+        types, weights = tensor_rule(dist, n, self.order)
+        return SampleRows(dist, weights, lambda rows: types[rows], types.shape)
+
+
+class TestTwinReduction:
+    """The rule over twin classes against the full tensor rule, built without engine code."""
+
+    @pytest.fixture(params=["hub5", "complete5", "star5", "path5"])
+    def network_case(self, request, case_params, uniform_dist):
+        if request.param == "star5":
+            return Scenario(make_network("star", 5), case_params, uniform_dist)
+        return request.getfixturevalue(request.param)
+
+    def test_curves_match_the_full_tensor(self, network_case):
+        curves = interim_curves(network_case, 17, QuadratureEngine(order=6))
+        want = tensor_curves(network_case, 17, 6, range(5))
+        for key, got in (("gamma", curves.gamma), ("v", curves.v), ("c", curves.c)):
+            assert np.max(np.abs(got - want[key])) <= 1e-12 * np.max(np.abs(want[key])), key
+
+    def test_twin_free_network_is_the_full_tensor_bit_for_bit(self, path5):
+        classes = twin_classes(path5.network)
+        assert classes == alone(5)
+        types, weights = tensor_rule(path5.dist, 5, 6)
+        for i in range(5):
+            rows = QuadratureEngine(order=6).others_rows(path5.dist, 5, i, classes)
+            assert np.array_equal(rows.types(slice(0, rows.shape[0])), types), i
+            assert np.array_equal(rows.weights, weights), i
+        for threads in (1, 2):
+            got = interim_curves(path5, 17, QuadratureEngine(order=6), threads=threads)
+            want = interim_curves(path5, 17, TensorRule(order=6), threads=threads)
+            for field in ("gamma", "v", "c"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (field, threads)
+
+    @pytest.mark.parametrize("users,runs", [(None, [0, 1, 2]), ([3, 4], [3, 4]), ([1, 4], [1])])
+    def test_first_requested_twin_runs_and_the_rest_are_copies(self, hub5, monkeypatch, users, runs):
+        factors = mechanism._rank2_factors
+        seen = []
+
+        def recorded(sc, i, *rest):
+            seen.append(i)
+            return factors(sc, i, *rest)
+
+        monkeypatch.setattr(mechanism, "_rank2_factors", recorded)
+        curves = interim_curves(hub5, 17, QuadratureEngine(order=6), users=users)
+        assert sorted(seen) == runs
+        for a, b in ((1, 4), (2, 3)):
+            if a in curves.users and b in curves.users:
+                for field in ("gamma", "v", "c"):
+                    assert np.array_equal(getattr(curves, field)[a], getattr(curves, field)[b])
+        seen.clear()
+        interim_curves(hub5, 17, MonteCarloEngine(samples=50, seed=1), users=users)
+        assert sorted(seen) == sorted(curves.users)
+
+    def test_rule_sizes_and_no_full_tensor(self, hub5, complete5):
+        engine = QuadratureEngine(order=8)
+        hub = twin_classes(hub5.network)
+        # user 0: two pairs, C(9, 2)**2; users 1 to 4: one pair and two single users, 36 * 8 * 8
+        assert [engine.others_rows(hub5.dist, 5, i, hub).shape[0] for i in range(5)] == [1296] + [2304] * 4
+        for order in (8, 32):
+            # C(order + 3, 4) multisets of four exchangeable users: 330 and 52360
+            tracemalloc.start()
+            try:
+                rows = QuadratureEngine(order=order).others_rows(
+                    complete5.dist, 5, 0, twin_classes(complete5.network))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rows.shape == (math.comb(order + 3, 4), 4)
+            assert rows.weights.sum() == pytest.approx(1.0, rel=1e-13)
+        # the 2**20 weights of the full tensor alone would take 8 MiB
+        assert peak < 8 * 2**20
+        # the node cap still counts the full tensor: 33**4 > 2**20 nodes
+        with pytest.raises(mechanism.EngineError, match="order 33 at n=5 needs 1185921 nodes"):
+            QuadratureEngine(order=33).others_rows(complete5.dist, 5, 0, twin_classes(complete5.network))
 
 
 class TestChunkPath:
@@ -321,7 +409,7 @@ class TestChunkPath:
         values, _ = whole_samples(engine, hub5.dist, 5, 3)
         want = mechanism._rank2_factors(hub5, 3, np.asarray(hub5.dist.virtual_value(values), dtype=float))
         with ThreadPoolExecutor(max_workers=2) as pool:
-            got = mechanism._rank2_factors(hub5, 3, engine.others_rows(hub5.dist, 5, 3), pool)
+            got = mechanism._rank2_factors(hub5, 3, engine.others_rows(hub5.dist, 5, 3, alone(5)), pool)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 

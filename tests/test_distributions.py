@@ -23,6 +23,7 @@ from netmech import (
     interim_curves,
     validate_regularity,
 )
+from oracles import virtual_value_slope
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -75,7 +76,7 @@ class TestVirtualValue:
         grid = np.linspace(dist.lower + 0.01, dist.upper - 0.01, 21)
         h = 1e-6 * (dist.upper - dist.lower)
         fd = (dist.virtual_value(grid + h) - dist.virtual_value(grid - h)) / (2 * h)
-        assert np.allclose(dist.virtual_value_slope(grid), fd, rtol=1e-5, atol=1e-7)
+        assert np.allclose(virtual_value_slope(dist, grid), fd, rtol=1e-5, atol=1e-7)
 
 
 class TestRegularity:

@@ -221,3 +221,22 @@ def test_bruteforce_oracle_shares_no_code_with_the_solve():
     assert {"system_matrix", "_solve", "SolverError", "_COND_LIMIT"} <= defined
     for fn in reachable("bruteforce_oracle", oracles):
         assert not references(oracles[fn]) & defined, fn
+
+
+def test_twin_classes_defined_once_in_market():
+    """Network symmetry is computed in one place; the engines and the kernel take its classes."""
+    homes = [path.stem for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name == "twin_classes"]
+    assert homes == ["market"]
+
+
+@pytest.mark.parametrize("kernel", ["_rank2_factors", "interim_curves"])
+def test_curve_kernel_never_names_quadrature(kernel):
+    """The twin reduction follows the engine's ``exchangeable`` capability, not its kind."""
+    for fn in reachable(kernel):
+        node = FUNCTIONS[fn]
+        assert "QuadratureEngine" not in references(node), fn
+        strings = {c.value for c in ast.walk(node) if isinstance(c, ast.Constant)}
+        assert "quadrature" not in strings, fn
+    assert "exchangeable" in references(FUNCTIONS["interim_curves"])

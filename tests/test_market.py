@@ -14,7 +14,9 @@ from netmech import (
     cp_ex_post_utility,
     validate_assumption2,
 )
-from conftest import CASE_PARAMS, UNIFORM, complete_network, zero_network
+from netmech import market
+from netmech.market import make_network, twin_classes
+from conftest import CASE_PARAMS, UNIFORM, alone, complete_network, path_network, zero_network
 from oracles import user_utility
 
 
@@ -184,3 +186,58 @@ class TestQuadraticStructure:
             assert cp_ex_post_utility(sc_perm, x[perm], rewards[perm]) == pytest.approx(
                 cp_ex_post_utility(sc, x, rewards), abs=1e-14
             )
+
+
+class TestTwinClasses:
+    def test_benchmark_graphs(self, hub5, complete5):
+        assert twin_classes(hub5.network) == ((0,), (1, 4), (2, 3))
+        assert twin_classes(complete5.network) == ((0, 1, 2, 3, 4),)
+        assert twin_classes(make_network("star", 5)) == ((0,), (1, 2, 3, 4))
+        assert twin_classes(zero_network(3)) == ((0, 1, 2),)
+        assert twin_classes(path_network(5)) == alone(5)
+
+    def test_direction_and_weight_break_twinship(self):
+        w = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        assert twin_classes(Network(w.copy())) == ((0, 1, 2),)
+        w[0, 1] = 0.5  # g_01 != g_10: 0 and 1 are no longer twins, nor is 2 with either
+        assert twin_classes(Network(w.copy())) == ((0,), (1,), (2,))
+        w[1, 0] = 0.5
+        assert twin_classes(Network(w)) == ((0, 1), (2,))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), symmetric=st.booleans())
+    def test_classes_are_the_swaps_that_leave_g_unchanged(self, data, n, symmetric):
+        values = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n * n, max_size=n * n))
+        w = np.array(values).reshape(n, n)
+        if symmetric:
+            w = np.triu(w) + np.triu(w).T
+        np.fill_diagonal(w, 0.0)
+        classes = twin_classes(Network(w))
+        assert sorted(u for members in classes for u in members) == list(range(n))
+        assert all(list(members) == sorted(members) for members in classes)
+        assert [members[0] for members in classes] == sorted(members[0] for members in classes)
+        label = {u: k for k, members in enumerate(classes) for u in members}
+        for j in range(n):
+            for k in range(j + 1, n):
+                perm = np.arange(n)
+                perm[[j, k]] = k, j
+                assert np.array_equal(w[np.ix_(perm, perm)], w) == (label[j] == label[k]), (j, k)
+
+
+class TestDenseBudget:
+    def test_refused_before_allocation(self):
+        # 30000**2 floats would be 6.7 GiB
+        with pytest.raises(ValueError, match=r"n=30000 users holds 900000000 weights, "
+                                             r"over the budget of 16777216 floats"):
+            make_network("complete", 30000)
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(market, "_MAX_NETWORK_FLOATS", 25)
+        assert make_network("star", 5).n == 5
+        with pytest.raises(ValueError, match="n=6 users holds 36 weights, over the budget of 25"):
+            make_network("star", 6)
+
+    def test_budget_admits_the_largest_size_in_use(self):
+        # table2 and the solve-n800 benchmark build dense networks of 800 users
+        market.check_dense_size(800)
+        assert 4096**2 <= market._MAX_NETWORK_FLOATS

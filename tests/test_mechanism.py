@@ -31,9 +31,9 @@ from netmech.market import InvalidScenarioError, scaled_random_half_network
 from netmech import mechanism
 from netmech.mechanism import demand_solution, solve_profiles
 from conftest import (
-    CASE_PARAMS, UNIFORM, complete_network, random_valid_scenario, whole_samples, zero_network,
+    CASE_PARAMS, UNIFORM, alone, complete_network, random_valid_scenario, whole_samples, zero_network,
 )
-from oracles import cp_expected_utility_virtual, k_matrix, k_sensitivity
+from oracles import cp_expected_utility_virtual, k_matrix, k_sensitivity, tensor_rule
 
 
 def hub_network(n: int) -> Network:
@@ -432,7 +432,7 @@ class TestStatelessEngines:
         monkeypatch.setattr(mechanism, "_MAX_MC_FLOATS", 12)
         assert whole_samples(MonteCarloEngine(samples=4), UNIFORM, 3, 0)[0].shape == (4, 2)
         with pytest.raises(EngineError, match="13 floats, over the budget of 12"):
-            MonteCarloEngine(samples=13).others_rows(UNIFORM, 1, 0)
+            MonteCarloEngine(samples=13).others_rows(UNIFORM, 1, 0, alone(1))
 
 
 class TestSampleRows:
@@ -459,24 +459,20 @@ class TestSampleRows:
             assert np.array_equal(values, dist.quantile(np.delete(uniforms, i, axis=1)))
             assert np.array_equal(weights, np.full(1000, 1.0 / 1000))
             for chunk in (1, 77, 1000):
-                self.assert_chunks_are_whole(engine.others_rows(dist, n, i), values, weights, chunk)
+                self.assert_chunks_are_whole(engine.others_rows(dist, n, i, alone(n)), values, weights, chunk)
 
     @pytest.mark.parametrize("dist", DISTS, ids=lambda d: type(d).__name__)
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_quadrature_rows_are_the_tensor_rule(self, dist, n):
         order = 5
-        x, w = np.polynomial.legendre.leggauss(order)
-        half = 0.5 * (dist.upper - dist.lower)
-        nodes = dist.lower + (x + 1.0) * half
-        node_weights = w * half * np.asarray(dist.pdf(nodes), dtype=float)
-        idx = np.indices((order,) * (n - 1)).reshape(n - 1, order ** (n - 1)).T
+        tensor, tensor_weights = tensor_rule(dist, n, order)
         engine = QuadratureEngine(order=order)
         for i in range(n):
             values, weights = whole_samples(engine, dist, n, i)
-            assert np.array_equal(values, nodes[idx])
-            assert np.array_equal(weights, np.prod(node_weights[idx], axis=1))
+            assert np.array_equal(values, tensor)
+            assert np.array_equal(weights, tensor_weights)
             for chunk in (1, 7, order ** (n - 1)):
-                self.assert_chunks_are_whole(engine.others_rows(dist, n, i), values, weights, chunk)
+                self.assert_chunks_are_whole(engine.others_rows(dist, n, i, alone(n)), values, weights, chunk)
 
 
 class TestRewardSchedule:

@@ -216,7 +216,9 @@ class TestOutOfGrid:
 @pytest.mark.filterwarnings("ignore::netmech.NegativeRewardWarning")
 @pytest.mark.parametrize("engine", ["quadrature", "mc"])
 def test_fig3_matches_scalar_loop_on_all_user_curves(tmp_path, engine, monkeypatch):
-    """fig3 computes the plotted user only; its rows equal the old all-user sweep."""
+    """fig3 computes the plotted user only; its rows equal the scalar loop on that user's
+    curves, which are the all-user sweep's: bit for bit with Monte Carlo, and to 1e-12 with
+    quadrature, whose all-user sweep runs user 4's twin user 0 and copies its rows."""
     spec = ExperimentSpec(out_dir=str(tmp_path), seed=3, engine=engine, mc_samples=1000,
                           report_grid=81)
     monkeypatch.setattr(experiments, "FIG3_TRUTHS", (0.45, 0.6))
@@ -224,7 +226,12 @@ def test_fig3_matches_scalar_loop_on_all_user_curves(tmp_path, engine, monkeypat
     with open(result.csv_paths[0]) as fh:
         rows = list(csv.reader(fh))[1:]
     sc = Scenario(complete_network(5), spec.params, spec.dist)
-    curves = interim_curves(sc, spec.report_grid, spec.make_engine())
+    everyone = interim_curves(sc, spec.report_grid, spec.make_engine())
+    curves = interim_curves(sc, spec.report_grid, spec.make_engine(), users=[4])
+    for field in ("gamma", "v", "c"):
+        got, own = getattr(everyone, field)[4], getattr(curves, field)[4]
+        scale = 1e-12 * np.max(np.abs(own)) if engine == "quadrature" else 0.0
+        assert np.max(np.abs(got - own)) <= scale, field
     rewards = reward_schedule(curves)
     want = [[fmt(t), fmt(float(m)), fmt(scalar_utility(curves, rewards, 4, t, float(m)))]
             for t in experiments.FIG3_TRUTHS for m in curves.grid]
