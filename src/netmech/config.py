@@ -89,8 +89,9 @@ def network_from_config(cfg: dict) -> Network:
             w = make_network(kind, n, seed=seed).weights
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    w = w * weight  # the unscaled array is dropped before Network copies this one
     try:
-        return Network(w * weight)
+        return Network(w)
     except ValueError as exc:
         raise ConfigError(f"bad network block: {exc}") from exc
 

@@ -298,8 +298,10 @@ def run_table2(spec: ExperimentSpec, sizes=TABLE2_SIZES) -> ExperimentResult:
 def run_fig6(spec: ExperimentSpec) -> ExperimentResult:
     """Truthful interim utility of a representative user vs network size.
 
-    Monte Carlo engine (the sizes outgrow tensor quadrature); the pointwise
-    increase across sizes is asserted within three standard errors.
+    Monte Carlo engine: random-half networks have no twins, so a quadrature
+    rule would be the full order**(n-1) tensor, far over its node budget at
+    these sizes. The pointwise increase across sizes is asserted within three
+    standard errors.
     """
     sizes = FIG6_SIZES
     params, upper = spec.params, spec.dist.upper

@@ -46,7 +46,8 @@ class Network:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
+        # an owned copy: freezing it leaves the caller's array writable
+        w = np.array(self.weights, dtype=float, order="C")
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weights must be a square matrix, got shape {w.shape}")
         if w.shape[0] < 1:
@@ -205,12 +206,15 @@ class Scenario:
         return arr
 
 
+def dominance_coupling(weights: np.ndarray) -> np.ndarray:
+    """sum_j (g_ij + g_ji) per user i, the coupling that Assumption 2 bounds (the diagonal is zero)."""
+    return weights.sum(axis=1) + weights.sum(axis=0)
+
+
 def validate_assumption2(sc: Scenario) -> Assumption2Report:
     """Feasibility check: per-row coupling bound and s+a > p."""
-    g = sc.network.weights
-    coupling = g.sum(axis=1) + g.sum(axis=0)  # sum_j (g_ij + g_ji), diagonal is zero
     tb = sc.params.t + sc.params.b
-    row_slack = tb - sc.dist.upper * coupling
+    row_slack = tb - sc.dist.upper * dominance_coupling(sc.network.weights)
     row_slack.setflags(write=False)
     return Assumption2Report(
         row_slack=row_slack,
@@ -265,11 +269,13 @@ def scaled_random_half_network(n: int, seed: int, params: MarketParams, theta_ma
 
     The default weight leaves a factor-2 margin on the worst dominance row.
     """
-    base = make_network("random_k", n, seed)
+    w = make_network("random_k", n, seed).weights
     if edge_weight is None:
-        coupling = float((base.weights.sum(axis=1) + base.weights.sum(axis=0)).max())
+        coupling = float(dominance_coupling(w).max())
         edge_weight = 0.5 * (params.t + params.b) / (theta_max * coupling) if coupling else 1.0
-    return Network(base.weights * edge_weight), edge_weight
+    # rebinding w drops the unit-weight base before Network copies the scaled array
+    w = w * edge_weight
+    return Network(w), edge_weight
 
 
 def cp_ex_post_utility(sc: Scenario, x, rewards) -> float:

@@ -28,10 +28,11 @@ of one user's own reported type v:
     V_i(v)     = E[ (a-p) x_i - (b/2) x_i^2 ]
     C_i(v)     = E[ s x_i - (t/2) x_i^2 ]
 
-estimated either by tensor Gauss-Legendre quadrature (tight, small n) or by
-Monte Carlo with common random numbers: one sample set of the other users'
-types is reused across the whole type grid so the grid structure of the
-curves is not drowned by independent noise. Both engines are plain values:
+estimated either by Gauss-Legendre quadrature over the other users' twin
+classes (tight, while the rule fits its budgets) or by Monte Carlo with common
+random numbers: one sample set of the other users' types is reused across the
+whole type grid so the grid structure of the curves is not drowned by
+independent noise. Both engines are plain values:
 ``others_rows(dist, n, i, classes)`` is a pure function that rebuilds the
 rule, or reseeds the generator, on each call, and hands out the sample set a
 slice of rows at a time: quadrature computes the rows' node indices, and Monte
@@ -146,11 +147,12 @@ _COND_LIMIT = 1e12
 _RESIDUAL_TOL = 1e-10
 # the smallest type grid of the interim curves and the IC sweeps
 MIN_GRID = 9
-# tensor quadrature needs order**(n-1) nodes per user; beyond these, use Monte Carlo
-_MAX_QUADRATURE_USERS = 7
+# rows of one user's quadrature rule, prod_c C(order+k_c-1, k_c) over the classes of the
+# other users (order**(n-1) on a twin-free network); beyond these, use Monte Carlo
 _MAX_QUADRATURE_NODES = 2**20
-# floats in the (samples, n) uniform matrix of a Monte Carlo sample set (128 MiB), refused
-# before any draw; the curve kernel draws it in row chunks
+# floats of one user's sample set (128 MiB), refused before any draw or multiset: the
+# samples * n uniforms a Monte Carlo set draws, or the (rows, n-1) types of a quadrature
+# rule; the curve kernel reads either in row chunks, so neither is held whole
 _MAX_MC_FLOATS = 2**24
 # floats per array in one chunk of the curve kernel (512 KiB, cache-sized): the
 # (n, 2 samples) CG stack of a chunk of samples, or the (grid points, samples)
@@ -414,12 +416,13 @@ class SampleRows:
 class QuadratureEngine:
     """Gauss-Legendre expectation over the other users' types, reduced by their twin classes.
 
-    The tensor rule has order**(n-1) nodes; refuse networks beyond
-    ``_MAX_QUADRATURE_USERS`` users or ``_MAX_QUADRATURE_NODES`` such nodes and
-    point to the Monte Carlo engine instead. The types are i.i.d. and the rule
-    is symmetric in its coordinates, so it is ``exchangeable``: nodes that
-    differ by a permutation within a class of twins give equal integrands,
-    and twin users get equal curves.
+    User i's rule has prod_c C(order+k_c-1, k_c) rows over the classes of the
+    other users; refuse more than ``_MAX_QUADRATURE_NODES`` rows, or a
+    (rows, n-1) set of types over ``_MAX_MC_FLOATS`` floats, before any
+    multiset is built, and point to the Monte Carlo engine instead. The types
+    are i.i.d. and the rule is symmetric in its coordinates, so it is
+    ``exchangeable``: nodes that differ by a permutation within a class of
+    twins give equal integrands, and twin users get equal curves.
     """
 
     order: int = 8
@@ -441,47 +444,43 @@ class QuadratureEngine:
         ``classes``, the last the fastest. With every class a single user, in
         user order, this is the order**(n-1) tensor in C order, row k's
         weight the product of its nodes' weights, left to right."""
-        if n > _MAX_QUADRATURE_USERS:
+        # per class of the others: its columns (user u's is u, or u - 1 past i) and its
+        # number of multisets, counted before any is built
+        columns = [[u - (u > i) for u in members if u != i] for members in classes]
+        columns = [c for c in columns if c]
+        radices = [math.comb(self.order + len(c) - 1, len(c)) for c in columns]
+        count = math.prod(radices)
+        floats = count * (n - 1)
+        if count > _MAX_QUADRATURE_NODES or floats > _MAX_MC_FLOATS:
             raise EngineError(
-                f"tensor quadrature limited to n <= {_MAX_QUADRATURE_USERS} users "
-                f"(got n={n}); use MonteCarloEngine"
-            )
-        count = self.order ** (n - 1)
-        if count > _MAX_QUADRATURE_NODES:
-            raise EngineError(
-                f"tensor quadrature of order {self.order} at n={n} needs {count} nodes, "
-                f"over the budget of {_MAX_QUADRATURE_NODES}; lower the order or use MonteCarloEngine"
+                f"quadrature of order {self.order} at n={n} needs {count} nodes "
+                f"(budget {_MAX_QUADRATURE_NODES}) and {floats} floats of types "
+                f"(budget {_MAX_MC_FLOATS}); lower the order or use MonteCarloEngine"
             )
         x, w = np.polynomial.legendre.leggauss(self.order)
         half = 0.5 * (dist.upper - dist.lower)
         nodes = dist.lower + (x + 1.0) * half
         node_weights = w * half * np.asarray(dist.pdf(nodes), dtype=float)
-        # per class of the others: its columns (user u's is u, or u - 1 past i), its
-        # multisets and their weights
         parts, class_weights = [], []
-        for members in classes:
-            columns = [u - (u > i) for u in members if u != i]
-            if not columns:
-                continue
-            k = len(columns)
+        for cols in columns:
+            k = len(cols)
             flat = chain.from_iterable(combinations_with_replacement(range(self.order), k))
             multisets = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
             # run[:, j] counts the equal nodes up to j of a sorted multiset, so prod(run) = prod m!
             run = np.ones(multisets.shape)
             for j in range(1, k):
                 run[:, j] += (multisets[:, j] == multisets[:, j - 1]) * run[:, j - 1]
-            parts.append((columns, multisets))
+            parts.append(multisets)
             class_weights.append(np.prod(node_weights[multisets], axis=1)
                                  * (math.factorial(k) / np.prod(run, axis=1)))
-        radices = [len(multisets) for _, multisets in parts]
         strides = np.cumprod([1] + radices[:0:-1])[::-1]
 
         def types(rows):
             # digit k of the row number, in the mixed radix, picks class k's multiset
             r = np.arange(rows.start, rows.stop)
             out = np.empty((r.size, n - 1))
-            for (columns, multisets), stride, radix in zip(parts, strides, radices):
-                out[:, columns] = nodes[multisets[r // stride % radix]]
+            for cols, multisets, stride, radix in zip(columns, parts, strides, radices):
+                out[:, cols] = nodes[multisets[r // stride % radix]]
             return out
 
         weights = reduce(np.multiply.outer, class_weights, np.ones(())).ravel()
@@ -497,9 +496,9 @@ class MonteCarloEngine:
     quantile function, so they are identical across grid points and shared
     between users. A slice of rows is drawn alone, from the generator
     advanced past the rows before it, so the matrix is never held whole.
-    Refuse a matrix of more than ``_MAX_MC_FLOATS`` floats before any draw.
-    Twins see different columns, so the sample sets are not ``exchangeable``
-    and ``classes`` is ignored.
+    Refuse a set that draws more than ``_MAX_MC_FLOATS`` floats, before any
+    draw. Twins see different columns, so the sample sets are not
+    ``exchangeable`` and ``classes`` is ignored.
     """
 
     samples: int = 20_000
@@ -860,17 +859,9 @@ def cp_expected_utility(sc: Scenario, curves: InterimCurves, rewards: RewardSche
 
 def export_interim_csv(curves: InterimCurves, rewards: RewardSchedule, path) -> None:
     """Write user, theta, gamma, V, C, r rows (12 significant digits)."""
-    rows = []
-    for i in curves.users:
-        for k, theta in enumerate(curves.grid):
-            rows.append(
-                (
-                    i,
-                    float(theta),
-                    float(curves.gamma[i, k]),
-                    float(curves.v[i, k]),
-                    float(curves.c[i, k]),
-                    float(rewards.rewards[i, k]),
-                )
-            )
+    grid = curves.grid.tolist()
+    columns = (curves.gamma, curves.v, curves.c, rewards.rewards)
+    rows = chain.from_iterable(
+        zip([i] * len(grid), grid, *(a[i].tolist() for a in columns)) for i in curves.users
+    )
     write_csv(path, ("user", "theta", "gamma", "V", "C", "r"), rows)

@@ -378,9 +378,9 @@ class TestTwinReduction:
             assert rows.weights.sum() == pytest.approx(1.0, rel=1e-13)
         # the 2**20 weights of the full tensor alone would take 8 MiB
         assert peak < 8 * 2**20
-        # the node cap still counts the full tensor: 33**4 > 2**20 nodes
-        with pytest.raises(mechanism.EngineError, match="order 33 at n=5 needs 1185921 nodes"):
-            QuadratureEngine(order=33).others_rows(complete5.dist, 5, 0, twin_classes(complete5.network))
+        # the node budget counts the rule over the classes, not the 33**4 > 2**20 tensor
+        rows = QuadratureEngine(order=33).others_rows(complete5.dist, 5, 0, twin_classes(complete5.network))
+        assert rows.shape == (math.comb(36, 4), 4) == (58905, 4)
 
 
 class TestChunkPath:

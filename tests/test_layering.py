@@ -152,7 +152,7 @@ def test_verification_builds_no_curves_or_engines():
         for alias in node.names
     }
     banned = ENGINE_CLASSES | {"make_engine", "interim_curves", "reward_schedule",
-                               "_MAX_QUADRATURE_USERS", "system_matrix", "solve_profiles", "_assemble"}
+                               "_MAX_QUADRATURE_NODES", "system_matrix", "solve_profiles", "_assemble"}
     assert not imported & banned
 
 
@@ -229,6 +229,17 @@ def test_twin_classes_defined_once_in_market():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.FunctionDef) and node.name == "twin_classes"]
     assert homes == ["market"]
+
+
+def test_dominance_coupling_spelled_once_in_market():
+    """sum_j (g_ij + g_ji) lives in one helper; the validator and the feasible edge weight call it."""
+    market = top_level_functions(ast.parse((SRC / "market.py").read_text()))
+    axis_sums = {fn for fn, node in market.items() for call in ast.walk(node)
+                 if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "sum"
+                 and any(k.arg == "axis" for k in call.keywords)}
+    assert axis_sums == {"dominance_coupling"}
+    for fn in ("validate_assumption2", "scaled_random_half_network"):
+        assert "dominance_coupling" in references(market[fn]), fn
 
 
 @pytest.mark.parametrize("kernel", ["_rank2_factors", "interim_curves"])

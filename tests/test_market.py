@@ -125,6 +125,14 @@ class TestTypeValidation:
         with pytest.raises(ValueError, match="square"):
             Network(np.zeros((2, 3)))
 
+    def test_network_freezes_its_own_copy(self):
+        w = np.zeros((3, 3))
+        net = Network(w)
+        w[0, 1] = 1.0  # the caller's array stays writable, and the network does not follow it
+        assert net.weights[0, 1] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            net.weights[0, 1] = 1.0
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_network_rejects_non_finite(self, value):
         with pytest.raises(ValueError, match="must be finite"):
@@ -198,9 +206,9 @@ class TestTwinClasses:
 
     def test_direction_and_weight_break_twinship(self):
         w = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        assert twin_classes(Network(w.copy())) == ((0, 1, 2),)
+        assert twin_classes(Network(w)) == ((0, 1, 2),)
         w[0, 1] = 0.5  # g_01 != g_10: 0 and 1 are no longer twins, nor is 2 with either
-        assert twin_classes(Network(w.copy())) == ((0,), (1,), (2,))
+        assert twin_classes(Network(w)) == ((0,), (1,), (2,))
         w[1, 0] = 0.5
         assert twin_classes(Network(w)) == ((0, 1), (2,))
 

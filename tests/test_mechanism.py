@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -27,11 +29,12 @@ from netmech import (
     system_matrix,
     truthful_interim_utility,
 )
-from netmech.market import InvalidScenarioError, scaled_random_half_network
+from netmech.market import InvalidScenarioError, scaled_random_half_network, twin_classes
 from netmech import mechanism
 from netmech.mechanism import demand_solution, solve_profiles
 from conftest import (
-    CASE_PARAMS, UNIFORM, alone, complete_network, random_valid_scenario, whole_samples, zero_network,
+    CASE_PARAMS, UNIFORM, alone, complete_network, path_network, random_valid_scenario, whole_samples,
+    zero_network,
 )
 from oracles import cp_expected_utility_virtual, k_matrix, k_sensitivity, tensor_rule
 
@@ -345,10 +348,14 @@ class TestInterimCurves:
             interim_curves(complete5, 8, QuadratureEngine())
 
     def test_quadrature_size_limit(self, case_params, uniform_dist):
-        g = 0.05 * (np.ones((9, 9)) - np.eye(9))
-        sc = Scenario(Network(g), case_params, uniform_dist)
-        with pytest.raises(EngineError, match="Monte"):
-            interim_curves(sc, 9, QuadratureEngine(order=8))
+        # the complete graph's rule is C(8 + 7, 8) = 6435 multisets of the 8 others
+        complete = Scenario(Network(0.05 * (np.ones((9, 9)) - np.eye(9))), case_params, uniform_dist)
+        assert np.all(np.isfinite(interim_curves(complete, 9, QuadratureEngine(order=8)).gamma))
+        # the path has no twins, so its rule is the 8**8 tensor
+        path = Scenario(path_network(9), case_params, uniform_dist)
+        with pytest.raises(EngineError, match=r"needs 16777216 nodes \(budget 1048576\) and "
+                                              r"134217728 floats of types \(budget 16777216\).*Monte"):
+            interim_curves(path, 9, QuadratureEngine(order=8))
 
     def test_zero_budget_engines(self):
         with pytest.raises(EngineError):
@@ -433,6 +440,48 @@ class TestStatelessEngines:
         assert whole_samples(MonteCarloEngine(samples=4), UNIFORM, 3, 0)[0].shape == (4, 2)
         with pytest.raises(EngineError, match="13 floats, over the budget of 12"):
             MonteCarloEngine(samples=13).others_rows(UNIFORM, 1, 0, alone(1))
+
+
+class TestQuadratureBudget:
+    """A rule is refused by its own size over the twin classes, never by the user count."""
+
+    # twin-free (n, order) pairs on both sides of 2**20 tensor nodes
+    @pytest.mark.parametrize("n,order", [(3, 1024), (3, 1025), (5, 32), (5, 33), (7, 10), (7, 11)])
+    def test_twin_free_boundary(self, n, order):
+        engine = QuadratureEngine(order=order)
+        count = order ** (n - 1)
+        if count <= 2**20:
+            rows = engine.others_rows(UNIFORM, n, 0, alone(n))
+            assert rows.shape == (count, n - 1)
+        else:
+            with pytest.raises(EngineError, match=(
+                    rf"order {order} at n={n} needs {count} nodes \(budget 1048576\) and "
+                    rf"{count * (n - 1)} floats of types \(budget 16777216\)")):
+                engine.others_rows(UNIFORM, n, 0, alone(n))
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_complete_graph_agrees_with_monte_carlo(self, n):
+        sc = Scenario(Network(0.05 * (np.ones((n, n)) - np.eye(n))), CASE_PARAMS, UNIFORM)
+        quad = interim_curves(sc, 17, QuadratureEngine(order=8))
+        # every user is the twin of every other: one computed curve, copied
+        assert np.all(quad.gamma == quad.gamma[0])
+        mc = interim_curves(sc, 17, MonteCarloEngine(samples=100_000, seed=4), users=[0])
+        assert np.all(np.abs(quad.gamma[0] - mc.gamma[0]) <= 3.0 * mc.gamma_se[0])
+
+    # the C(order + n - 2, n - 1) multisets of user 0's n - 1 twins are counted, never built;
+    # at n = 27 the 906192 rows fit the node budget and only their floats are refused
+    @pytest.mark.parametrize("n,order", [(200, 8), (27, 7)])
+    def test_refused_before_any_multiset(self, n, order):
+        classes = twin_classes(complete_network(n))
+        count = math.comb(order + n - 2, n - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EngineError, match=rf"needs {count} nodes .* {count * (n - 1)} floats"):
+                QuadratureEngine(order=order).others_rows(UNIFORM, n, 0, classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestSampleRows:
