@@ -7,9 +7,9 @@ from .distributions import (
     TruncatedNormal,
     TypeDistribution,
     Uniform,
-    distribution_from_config,
     validate_regularity,
 )
+from .config import distribution_from_config
 from .market import (
     Assumption2Report,
     InvalidScenarioError,

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_config, scenario_from_config
+from .config import ConfigError, load_config, params_from_config, scenario_from_config
 from .distributions import SupportError
 from .experiments import (
     EXPERIMENT_NAMES,
@@ -56,7 +56,7 @@ from .mechanism import (
     reward_schedule,
 )
 from .csvio import write_csv
-from .verification import report_csv_rows, verify_all
+from .verification import MAX_SWEEP_FLOATS, report_csv_rows, verify_all
 
 
 def _at_least(low: int):
@@ -159,11 +159,10 @@ def _load_scenario(args) -> tuple[Scenario, dict]:
     return scenario_from_config(cfg), cfg
 
 
-def _curves_and_rewards(args):
-    sc, cfg = _load_scenario(args)
+def _curves_and_rewards(args, sc: Scenario, cfg: dict):
     engine = make_engine(args.engine, args.quad_order, args.mc_samples, _resolve_seed(args, cfg))
     curves = interim_curves(sc, args.report_grid, engine, threads=args.threads)
-    return sc, curves, reward_schedule(curves)
+    return curves, reward_schedule(curves)
 
 
 def cmd_validate(args) -> int:
@@ -198,7 +197,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_rewards(args) -> int:
-    _, curves, rewards = _curves_and_rewards(args)
+    curves, rewards = _curves_and_rewards(args, *_load_scenario(args))
     path = Path(args.out) / "rewards.csv"
     export_interim_csv(curves, rewards, path)
     print(f"wrote {path}")
@@ -206,7 +205,12 @@ def cmd_rewards(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sc, curves, rewards = _curves_and_rewards(args)
+    sc, cfg = _load_scenario(args)
+    floats = sc.n * args.grid * args.report_grid
+    if floats > MAX_SWEEP_FLOATS:
+        raise ConfigError(f"the IC sweep of {sc.n} users x --grid {args.grid} x --report-grid "
+                          f"{args.report_grid} holds {floats} floats, over the budget of {MAX_SWEEP_FLOATS}")
+    curves, rewards = _curves_and_rewards(args, sc, cfg)
     reports = verify_all(sc, curves, rewards, args.grid, args.report_grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -264,12 +268,12 @@ def cmd_bench(args) -> int:
 
 
 def _spec_from_args(args, **fields) -> ExperimentSpec:
-    """Spec from --config (market and type law), --seed, --out and the verb's ``fields``."""
+    """Spec from --config (its params and distribution blocks), --seed, --out and the verb's ``fields``."""
     cfg = load_config(args.config) if args.config else None
     spec = ExperimentSpec(out_dir=args.out, seed=_resolve_seed(args, cfg), **fields)
-    if cfg:
-        sc = scenario_from_config(cfg)
-        spec = replace(spec, params=sc.params, dist=sc.dist)
+    if cfg is not None:
+        params, dist = params_from_config(cfg)
+        spec = replace(spec, params=params, dist=dist)
     return spec
 
 

@@ -12,18 +12,32 @@ Example::
 Network kinds: complete | star | hub (alias hub_plus_edge) | random_k
 (needs "seed") | edges (needs "n" and an "edges" list of [i, j] or
 [i, j, weight] entries, stored symmetrically). An optional "weight" scales
-all edges. Keys starting with an underscore are ignored (comments).
+all edges.
+
+Distribution families, each on ["lower", "upper"]: uniform |
+truncated_normal (params "mu", default 0, and "sigma", default 1) |
+truncated_exponential (params "rate", default 1), the params given in an
+optional "params" object. A missing key or a value that does not convert is
+a ConfigError naming the block and the key. Keys starting with an
+underscore are ignored (comments).
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .distributions import distribution_from_config
+from .distributions import TruncatedExponential, TruncatedNormal, TypeDistribution, Uniform
 from .market import MarketParams, Network, Scenario, check_dense_size, make_network
+
+_FAMILIES = {
+    "uniform": Uniform,
+    "truncated_normal": TruncatedNormal,
+    "truncated_exponential": TruncatedExponential,
+}
 
 
 class ConfigError(ValueError):
@@ -32,42 +46,51 @@ class ConfigError(ValueError):
 
 def load_config(path) -> dict:
     try:
-        text = Path(path).read_text()
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return cfg
 
 
-def _value(block: dict, key: str, convert, what: str):
-    """convert(block[key]); ConfigError naming the key when the value does not convert."""
+def _value(name: str, block: dict, key: str, convert=float, what: str = "a number"):
+    """convert(block[key]), or a ConfigError naming the block and the key."""
+    if key not in block:
+        raise ConfigError(f"{name} missing key {key!r}")
     try:
         return convert(block[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key!r} must be {what}, got {block[key]!r}") from None
+    except (LookupError, TypeError, ValueError):
+        raise ConfigError(f"{name}: key {key!r} must be {what}, got {block[key]!r}") from None
+
+
+def _checked(build, name: str, *args, **kwargs):
+    """build(*args, **kwargs), with its ValueError raised as a ConfigError naming the block."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {name}: {exc}") from exc
+
+
+def _block(cfg: dict, key: str) -> dict:
+    if key not in cfg:
+        raise ConfigError(f"config missing required block {key!r}")
+    if not isinstance(cfg[key], dict):
+        raise ConfigError(f"config block {key!r} must be a JSON object, got {cfg[key]!r}")
+    return cfg[key]
 
 
 def network_from_config(cfg: dict) -> Network:
-    kind = str(cfg.get("kind", "")).lower()
-    if not kind:
-        raise ConfigError("network config needs a 'kind'")
+    kind = _value("network block", cfg, "kind", str, "a string").lower()
     if kind == "hub":
         kind = "hub_plus_edge"
-    weight = _value(cfg, "weight", float, "a number") if "weight" in cfg else 1.0
-    if "n" not in cfg:
-        raise ConfigError(f"network kind {kind!r} needs 'n'")
-    n = _value(cfg, "n", int, "an integer")
+    weight = _value("network block", cfg, "weight") if "weight" in cfg else 1.0
+    n = _value("network block", cfg, "n", int, "an integer")
     if n < 1:
-        raise ConfigError(f"key 'n' must be at least 1, got {n}")
-    try:
-        check_dense_size(n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"network block: key 'n' must be at least 1, got {n}")
+    _checked(check_dense_size, "network block", n)
     if kind == "edges":
         if not isinstance(cfg.get("edges"), list):
             raise ConfigError("network kind 'edges' needs an 'edges' list")
@@ -84,34 +107,37 @@ def network_from_config(cfg: dict) -> Network:
     else:
         if kind == "random_k" and "seed" not in cfg:
             raise ConfigError("network kind 'random_k' needs 'seed'")
-        try:
-            seed = _value(cfg, "seed", int, "an integer") if "seed" in cfg else None
-            w = make_network(kind, n, seed=seed).weights
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        seed = _value("network block", cfg, "seed", int, "an integer") if "seed" in cfg else None
+        w = _checked(make_network, "network block", kind, n, seed=seed).weights
     w = w * weight  # the unscaled array is dropped before Network copies this one
-    try:
-        return Network(w)
-    except ValueError as exc:
-        raise ConfigError(f"bad network block: {exc}") from exc
+    return _checked(Network, "network block", w)
+
+
+def distribution_from_config(cfg: dict) -> TypeDistribution:
+    """Build a type law from a distribution block ``{family, lower, upper, params}``."""
+    cls = _value("distribution block", cfg, "family",
+                 lambda family: _FAMILIES[str(family).lower()], f"one of {sorted(_FAMILIES)}")
+    bounds = {key: _value("distribution block", cfg, key) for key in ("lower", "upper")}
+    params = cfg.get("params", {})
+    known = sorted(f.name for f in fields(cls) if f.name not in bounds)
+    if not isinstance(params, dict):
+        raise ConfigError(f"distribution params must be an object with keys from {known}")
+    for key in params:
+        if key not in known:
+            raise ConfigError(f"unknown parameter {key!r} of family {cfg['family']!r}; "
+                              f"expected one of {known}")
+    values = {key: _value("distribution params", params, key) for key in params}
+    return _checked(cls, "distribution block", **bounds, **values)
+
+
+def params_from_config(cfg: dict) -> tuple[MarketParams, TypeDistribution]:
+    """The market scalars and the type law: the blocks a run reads besides the network."""
+    block = _block(cfg, "params")
+    values = {key: _value("params block", block, key) for key in "abstp"}
+    params = _checked(MarketParams, "params block", **values)
+    return params, distribution_from_config(_block(cfg, "distribution"))
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
-    for key in ("params", "network", "distribution"):
-        if key not in cfg:
-            raise ConfigError(f"config missing required block {key!r}")
-        if not isinstance(cfg[key], dict):
-            raise ConfigError(f"config block {key!r} must be a JSON object, got {cfg[key]!r}")
-    pcfg = cfg["params"]
-    try:
-        params = MarketParams(**{k: _value(pcfg, k, float, "a number") for k in "abstp"})
-    except KeyError as exc:
-        raise ConfigError(f"params block missing key {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad params block: {exc}") from exc
-    network = network_from_config(cfg["network"])
-    try:
-        dist = distribution_from_config(cfg["distribution"])
-    except ValueError as exc:
-        raise ConfigError(f"bad distribution block: {exc}") from exc
-    return Scenario(network, params, dist)
+    params, dist = params_from_config(cfg)
+    return Scenario(network_from_config(_block(cfg, "network")), params, dist)

@@ -24,7 +24,7 @@ the import costs about 0.3 s and 25 MB, and most runs use other laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,8 +169,10 @@ class TruncatedNormal(TypeDistribution):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"parameter mu must be finite, got {self.mu}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"parameter sigma must be finite and positive, got {self.sigma}")
 
     def _z(self, theta):
         return (np.asarray(theta, dtype=float) - self.mu) / self.sigma
@@ -206,8 +208,8 @@ class TruncatedExponential(TypeDistribution):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"parameter rate must be finite and positive, got {self.rate}")
 
     @property
     def _mass(self) -> float:
@@ -256,35 +258,3 @@ def validate_regularity(dist: TypeDistribution, grid_points: int = 512) -> Regul
         min_virtual_value=float(np.min(phi)),
     )
 
-
-_FAMILIES = {
-    "uniform": Uniform,
-    "truncated_normal": TruncatedNormal,
-    "truncated_exponential": TruncatedExponential,
-}
-
-
-def distribution_from_config(cfg: dict) -> TypeDistribution:
-    """Build a distribution from ``{family, lower, upper, params}``."""
-    try:
-        family = cfg["family"]
-        lower = float(cfg["lower"])
-        upper = float(cfg["upper"])
-    except KeyError as exc:
-        raise ValueError(f"distribution config missing key: {exc}") from exc
-    try:
-        cls = _FAMILIES[str(family).lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown distribution family {family!r}; expected one of {sorted(_FAMILIES)}"
-        ) from None
-    params = cfg.get("params", {})
-    known = sorted(f.name for f in fields(cls) if f.name not in ("lower", "upper"))
-    if not isinstance(params, dict):
-        raise ValueError(f"distribution params must be an object with keys from {known}")
-    for key in params:
-        if key not in known:
-            raise ValueError(
-                f"unknown parameter {key!r} of family {family!r}; expected one of {known}"
-            )
-    return cls(lower=lower, upper=upper, **{k: float(v) for k, v in params.items()})

@@ -54,9 +54,10 @@ class TestConfig:
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            scenario_from_config(load_config(path))
+        for text in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+            path.write_bytes(text)
+            with pytest.raises(ConfigError, match="not valid JSON"):
+                scenario_from_config(load_config(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -187,6 +188,23 @@ class TestVerifyVerb:
         assert report_csv[0].startswith("property,value,tolerance,status")
         assert any(line.startswith("ic_max_gain") and ",PASS," in line for line in report_csv)
 
+    def test_ic_sweep_over_budget_exits_two_before_allocating(self, tmp_path, capsys):
+        args = ["verify", "--config", COMPLETE5, "--quad-order", "2", "--out", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            code = main(args + ["--grid", "20000", "--report-grid", "20000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("the IC sweep of 5 users x --grid 20000 x --report-grid 20000 holds 2000000000 "
+                "floats, over the budget of 16777216") in err
+        assert "Traceback" not in err
+        # the sweep's (5, 20000, 20000) utilities would take 14.9 GiB
+        assert peak < 2**20
+        assert main(args) == 0  # the default grids: 5 users x 21 x 201
+
     @pytest.mark.parametrize("config", [HUB5, COMPLETE5], ids=["hub5", "complete5"])
     def test_ic_holds_between_report_nodes(self, tmp_path, capsys, config):
         # the 21 true types are not nodes of a 33-point curve grid
@@ -228,6 +246,23 @@ class TestExperimentVerb:
         code = main(["experiment", "--name", "fig4", "--out", str(tmp_path)])
         assert code == 1
         assert "FAIL" in (tmp_path / "summary.txt").read_text()
+
+
+    @pytest.mark.parametrize("network", [{"kind": "complete", "n": 30000}, {"kind": "random_k", "n": 5}],
+                             ids=["over-budget", "random_k-without-seed"])
+    def test_network_block_not_read(self, tmp_path, capsys, network):
+        """experiment and bench take the config's market parameters and type law, never its network."""
+        cfg = json.loads(Path(HUB5).read_text())
+        outputs = []
+        for name, block in (("valid", cfg["network"]), ("unread", network)):
+            path = write_config(tmp_path, dict(cfg, network=block), f"{name}.json")
+            out = tmp_path / name
+            assert main(["experiment", "--config", path, "--name", "fig4", "--grid", "8",
+                         "--quad-order", "2", "--out", str(out)]) == 0
+            assert main(["bench", "--config", path, "--sizes", "10", "--out", str(out)]) == 0
+            table2 = [line.split(",") for line in (out / "table2.csv").read_text().splitlines()]
+            outputs.append(((out / "fig4.csv").read_bytes(), [row[:1] + row[2:] for row in table2]))
+        assert outputs[0] == outputs[1]
 
 
 class TestBenchVerb:
@@ -347,6 +382,33 @@ class TestMalformedConfig:
                           "params": {"mu": 0.6, "rate": 1}},
          "unknown parameter 'rate' of family 'truncated_normal'"),
         ("network", {"kind": "random_k", "n": 5}, "network kind 'random_k' needs 'seed'"),
+        ("distribution", {"family": "uniform", "lower": None, "upper": 0.8},
+         "distribution block: key 'lower' must be a number, got None"),
+        ("distribution", {"family": "uniform", "lower": 0.4, "upper": [0.8]},
+         "distribution block: key 'upper' must be a number, got [0.8]"),
+        ("distribution", {"family": "uniform", "upper": 0.8}, "distribution block missing key 'lower'"),
+        ("distribution", {"lower": 0.4, "upper": 0.8}, "distribution block missing key 'family'"),
+        ("distribution", {"family": "truncated_normal", "lower": 0.4, "upper": 0.8,
+                          "params": {"mu": 0.6, "sigma": None}},
+         "distribution params: key 'sigma' must be a number, got None"),
+        ("distribution", {"family": "truncated_exponential", "lower": 0.4, "upper": 0.8,
+                          "params": {"rate": "fast"}},
+         "distribution params: key 'rate' must be a number, got 'fast'"),
+        ("distribution", {"family": "truncated_normal", "lower": 0.4, "upper": 0.8,
+                          "params": {"mu": float("nan"), "sigma": 0.3}}, "parameter mu must be finite"),
+        ("distribution", {"family": "truncated_normal", "lower": 0.4, "upper": 0.8,
+                          "params": {"mu": 0.6, "sigma": float("inf")}},
+         "parameter sigma must be finite and positive"),
+        ("distribution", {"family": "truncated_exponential", "lower": 0.4, "upper": 0.8,
+                          "params": {"rate": float("inf")}}, "parameter rate must be finite and positive"),
+        ("distribution", {"family": "truncated_exponential", "lower": 0.4, "upper": 0.8,
+                          "params": {"rate": float("nan")}}, "parameter rate must be finite and positive"),
+        ("params", {"a": 0.5, "b": 6, "s": 1, "t": 1}, "params block missing key 'p'"),
+        ("params", {"a": None, "b": 6, "s": 1, "t": 1, "p": 0.1},
+         "params block: key 'a' must be a number, got None"),
+        ("network", {"kind": "complete"}, "network block missing key 'n'"),
+        ("network", {"kind": "complete", "n": [5]}, "network block: key 'n' must be an integer"),
+        ("network", {"n": 5}, "network block missing key 'kind'"),
     ])
     def test_exit_two_and_key_named(self, tmp_path, capsys, monkeypatch, block, value, named):
         monkeypatch.delenv("NETMECH_SEED", raising=False)

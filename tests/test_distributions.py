@@ -173,7 +173,8 @@ class TestConfig:
         assert dist.rate == 2.0
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown distribution family"):
+        with pytest.raises(ValueError, match=r"key 'family' must be one of \['truncated_exponential', "
+                           r"'truncated_normal', 'uniform'\], got 'beta'"):
             distribution_from_config({"family": "beta", "lower": 0, "upper": 1})
 
     def test_missing_key(self):

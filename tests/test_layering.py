@@ -231,6 +231,16 @@ def test_twin_classes_defined_once_in_market():
     assert homes == ["market"]
 
 
+def test_config_format_parsed_in_config_only():
+    """Every block of a config file is read in one module; the type laws know no config."""
+    homes = [(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name.endswith("_from_config")]
+    assert homes and {stem for stem, _ in homes} == {"config"}
+    distributions = ast.parse((SRC / "distributions.py").read_text())
+    assert "_FAMILIES" not in {node.id for node in ast.walk(distributions) if isinstance(node, ast.Name)}
+
+
 def test_dominance_coupling_spelled_once_in_market():
     """sum_j (g_ij + g_ji) lives in one helper; the validator and the feasible edge weight call it."""
     market = top_level_functions(ast.parse((SRC / "market.py").read_text()))
