@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_config, params_from_config, scenario_from_config
+from .config import ConfigError, as_int, load_config, params_from_config, scenario_from_config
 from .distributions import SupportError
 from .experiments import (
     EXPERIMENT_NAMES,
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _seed(value, source: str) -> int:
     try:
-        seed = int(value)
+        seed = as_int(value)
         if seed >= 0:
             return seed
     except (TypeError, ValueError):

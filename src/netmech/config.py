@@ -18,8 +18,9 @@ Distribution families, each on ["lower", "upper"]: uniform |
 truncated_normal (params "mu", default 0, and "sigma", default 1) |
 truncated_exponential (params "rate", default 1), the params given in an
 optional "params" object. A missing key or a value that does not convert is
-a ConfigError naming the block and the key. Keys starting with an
-underscore are ignored (comments).
+a ConfigError naming the block and the key; an integer key ("n", "seed", an
+edge's endpoints) does not convert from a fraction or a bool. Keys starting
+with an underscore are ignored (comments).
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ def load_config(path) -> dict:
     return cfg
 
 
+def as_int(value) -> int:
+    """int(value), refusing what int() would truncate: a ValueError for a bool or a non-integral number."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _value(name: str, block: dict, key: str, convert=float, what: str = "a number"):
     """convert(block[key]), or a ConfigError naming the block and the key."""
     if key not in block:
@@ -87,7 +95,7 @@ def network_from_config(cfg: dict) -> Network:
     if kind == "hub":
         kind = "hub_plus_edge"
     weight = _value("network block", cfg, "weight") if "weight" in cfg else 1.0
-    n = _value("network block", cfg, "n", int, "an integer")
+    n = _value("network block", cfg, "n", as_int, "an integer")
     if n < 1:
         raise ConfigError(f"network block: key 'n' must be at least 1, got {n}")
     _checked(check_dense_size, "network block", n)
@@ -98,7 +106,7 @@ def network_from_config(cfg: dict) -> Network:
         for entry in cfg["edges"]:
             try:
                 i, j, val = (*entry, 1.0) if len(entry) == 2 else entry
-                i, j, val = int(i), int(j), float(val)
+                i, j, val = as_int(i), as_int(j), float(val)
             except (TypeError, ValueError):
                 raise ConfigError(f"edge entry {entry!r} must be [i, j] or [i, j, weight]") from None
             if not (0 <= i < n and 0 <= j < n) or i == j:
@@ -107,7 +115,7 @@ def network_from_config(cfg: dict) -> Network:
     else:
         if kind == "random_k" and "seed" not in cfg:
             raise ConfigError("network kind 'random_k' needs 'seed'")
-        seed = _value("network block", cfg, "seed", int, "an integer") if "seed" in cfg else None
+        seed = _value("network block", cfg, "seed", as_int, "an integer") if "seed" in cfg else None
         w = _checked(make_network, "network block", kind, n, seed=seed).weights
     w = w * weight  # the unscaled array is dropped before Network copies this one
     return _checked(Network, "network block", w)

@@ -41,9 +41,13 @@ class InvalidScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Network:
-    """Nonnegative weighted influence graph over n users (zero diagonal)."""
+    """Nonnegative weighted influence graph over n users (zero diagonal).
+
+    ``symmetric`` is G == G^T exactly, computed once with the frozen weights.
+    """
 
     weights: np.ndarray
+    symmetric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # an owned copy: freezing it leaves the caller's array writable
@@ -58,6 +62,7 @@ class Network:
             raise ValueError("self-influence g_ii must be zero")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "symmetric", bool(np.array_equal(w, w.T)))
 
     @property
     def n(self) -> int:

@@ -11,15 +11,22 @@ solve is well posed and the solution is entrywise positive.
 
 Every solve in the mechanism goes through ``_solve``, the one guarded solve:
 matrix-free conjugate gradients (``_cg``) on products with G alone, and every
-check that decides whether its result can be trusted. Regularity
+check that decides whether its result can be trusted. A product with A is
+two GEMMs, G v and G^T (phi o v), while G fits the cache budget
+``_CHUNK_FLOATS`` or is not symmetric (``Network.symmetric``); otherwise
+G^T = G, and one GEMM per cache-sized row panel of G against the block
+[v | phi o v] forms both from one read of G. Regularity
 (Assumption 1) gives 0 <= phi <= theta_bar, so with s = min row slack of
 Assumption 2 every A(theta) in the support, and every A with some phi_j set to
 0, is symmetric with its spectrum and ||A||_inf inside [s, 2(t+b) - s]
 (Gershgorin), and ||A^{-1}||_inf <= 1/s (Varah). These bounds are known before
 the first iteration (``_a_priori``): the condition bound caps the iteration
 count, and a residual r turns into the forward-error bound
-||x - x*||_inf <= ||r||_inf / s. Only ``solve_profiles`` (table2's timing and
-the test oracles) stays on direct LU, unguarded.
+||x - x*||_inf <= ||r||_inf / s. A solve is refused when its recomputed
+residual misses the backward-error test ||r||_inf <= ``_RESIDUAL_TOL``
+(||A||_inf ||x||_inf + ||rhs||_inf), the form of CG's stop rule; the
+forward-error bound is what it certifies. Only ``solve_profiles`` (table2's
+timing and the test oracles) stays on direct LU, unguarded.
 
 Interim quantities are expectations over the other users' types as a function
 of one user's own reported type v:
@@ -143,7 +150,8 @@ class NegativeRewardWarning(UserWarning):
 
 # maximum a-priori condition bound (2(t+b) - s) / s accepted by demand_solve
 _COND_LIMIT = 1e12
-# residual accepted from a demand or base-system solve, relative to the right-hand side
+# backward error accepted from a demand or base-system solve: the recomputed residual
+# relative to ||A||_inf ||x||_inf + ||rhs||_inf
 _RESIDUAL_TOL = 1e-10
 # the smallest type grid of the interim curves and the IC sweeps
 MIN_GRID = 9
@@ -226,6 +234,13 @@ def _a_priori(sc: Scenario, system: str) -> _APriori:
     return _APriori(slack, norm, cap)
 
 
+def _by_panels(sc: Scenario) -> bool:
+    """Whether ``_solve``'s product reads G by row panels: G is symmetric and holds more
+    than ``_CHUNK_FLOATS`` floats. The panel path needs nine stack-sized work arrays,
+    the two GEMMs seven."""
+    return sc.network.weights.size > _CHUNK_FLOATS and sc.network.symmetric
+
+
 def _dots(u: np.ndarray, v: np.ndarray):
     """Column-wise inner products of two (n, ...) stacks."""
     # a 1-D BLAS dot: einsum's call overhead costs a single solve about 5%
@@ -281,17 +296,22 @@ def _solve(sc: Scenario, phi: np.ndarray, rhs: np.ndarray, system: str,
     """The one guarded solve: A(phi) X = rhs on every column of an (n,) or (n, k) stack.
 
     Column k of phi holds the virtual values of system k, so A(phi) X is
-    (t+b) X - phi o (G X) - G^T (phi o X), two GEMMs. The checks: every phi in
-    [0, theta_bar], the premise of ``_a_priori``, whose condition refusal
-    names ``system``; CG from X0 = rhs / (t+b) until each column meets the
-    backward-error floor 8 eps (||A||_inf ||x||_inf + ||rhs||_inf), within the
-    a-priori cap; and the recomputed residual within ``_RESIDUAL_TOL`` times
-    each column's right-hand-side scale ||rhs||_inf. A SolverError is prefixed
-    by ``name(column, entry)``. ``work`` is seven arrays of rhs's shape
-    (allocated if None) that hold X, the three products of A and CG's vectors,
-    so a solve on it allocates nothing of the stack's size. Returns
-    (X, iterations, residual, bounds), with residual = ||rhs - A X||_inf per
-    column; X is one of ``work``.
+    (t+b) X - phi o (G X) - G^T (phi o X): two GEMMs while G holds at most
+    ``_CHUNK_FLOATS`` floats or is not symmetric. Otherwise G^T = G, and one
+    GEMM per row panel of ``_CHUNK_FLOATS // n`` rows multiplies the panel by
+    the block [X | phi o X], which gives the panel's rows of both products
+    from one read of it. The checks: every phi in [0, theta_bar], the premise
+    of ``_a_priori``, whose condition refusal names ``system``; CG from
+    X0 = rhs / (t+b) until each column meets the backward-error floor
+    8 eps (||A||_inf ||x||_inf + ||rhs||_inf), within the a-priori cap; and
+    the recomputed residual within ``_RESIDUAL_TOL`` times the same scale in
+    each column. A SolverError is prefixed by ``name(column, entry)``.
+    ``work`` is a flat array of seven times rhs's size, nine on the panel path
+    (``_by_panels``), allocated if None: X, A X, the two GEMMs' outputs (or
+    the block), CG's three vectors and the block's product, so a solve on it
+    allocates nothing of the stack's size.
+    Returns (X, iterations, residual, bounds), with residual =
+    ||rhs - A X||_inf per column; X is a view of ``work``.
     """
     theta_bar = sc.assumption2.theta_max
     # min and max carry a NaN, which fails the test too
@@ -308,13 +328,33 @@ def _solve(sc: Scenario, phi: np.ndarray, rhs: np.ndarray, system: str,
     bounds = _a_priori(sc, system)
     g = sc.network.weights
     tb = sc.params.t + sc.params.b
-    x, q, u, w, *vectors = (np.empty(rhs.shape) for _ in range(7)) if work is None else work
+    size = rhs.size
+    by_panels = _by_panels(sc)
+    work = np.empty((9 if by_panels else 7) * size) if work is None else work
+    x, q, u, w, *vectors = (work[k * size:(k + 1) * size].reshape(rhs.shape) for k in range(7))
     scale = np.abs(rhs, out=u).max(axis=0)
 
-    def apply_a(v):
-        # (tb v - phi o (G v)) - G^T (phi o v), in place
-        np.subtract(np.multiply(v, tb, out=q), np.multiply(phi, np.matmul(g, v, out=u), out=u), out=q)
-        return np.subtract(q, np.matmul(g.T, np.multiply(phi, v, out=u), out=w), out=q)
+    if by_panels:
+        # u and w hold the block [v | phi o v], the last two arrays [G v | G (phi o v)]
+        block, product = (work[k * size:(k + 2) * size].reshape((sc.n, 2) + rhs.shape[1:])
+                          for k in (2, 7))
+        flat_block, flat_product = block.reshape(sc.n, -1), product.reshape(sc.n, -1)
+        panels = list(_chunk_slices(sc.n, _CHUNK_FLOATS // sc.n))
+
+        def apply_a(v):
+            # (tb v - phi o (G v)) - G (phi o v), one GEMM per row panel of G, in place
+            np.copyto(block[:, 0], v)
+            np.multiply(phi, v, out=block[:, 1])
+            for rows in panels:
+                np.matmul(g[rows], flat_block, out=flat_product[rows])
+            phi_gv = np.multiply(phi, product[:, 0], out=product[:, 0])
+            np.subtract(np.multiply(v, tb, out=q), phi_gv, out=q)
+            return np.subtract(q, product[:, 1], out=q)
+    else:
+        def apply_a(v):
+            # (tb v - phi o (G v)) - G^T (phi o v), in place
+            np.subtract(np.multiply(v, tb, out=q), np.multiply(phi, np.matmul(g, v, out=u), out=u), out=q)
+            return np.subtract(q, np.matmul(g.T, np.multiply(phi, v, out=u), out=w), out=q)
 
     def floor(x_norm):
         return 8.0 * np.finfo(float).eps * (bounds.norm * x_norm + scale)
@@ -322,13 +362,16 @@ def _solve(sc: Scenario, phi: np.ndarray, rhs: np.ndarray, system: str,
     x, iterations = _cg(apply_a, rhs, np.divide(rhs, tb, out=x), floor, bounds.cap, name, vectors)
     residual = np.abs(np.subtract(rhs, apply_a(x), out=u), out=u)
     worst = residual.max(axis=0)
-    bad = np.ravel(~(worst <= _RESIDUAL_TOL * scale))
+    # backward error, as in the stop rule: an absolute bound in ||rhs|| alone sits below
+    # the rounding of A x once ||x|| >> ||rhs|| / ||A||, which no solver can meet
+    tolerance = _RESIDUAL_TOL * (bounds.norm * np.abs(x, out=w).max(axis=0) + scale)
+    bad = np.ravel(~(worst <= tolerance))
     if bad.any():
         column = int(np.argmax(bad))
         entry = int(np.argmax(residual.reshape(len(residual), -1)[:, column]))
         raise SolverError(
             f"{name(column, entry)}: residual |r_{entry}| = {np.ravel(worst)[column]:.3g} "
-            f"exceeds tolerance {_RESIDUAL_TOL * np.ravel(scale)[column]:.3g}"
+            f"exceeds backward-error tolerance {np.ravel(tolerance)[column]:.3g}"
         )
     return x, iterations, worst, bounds
 
@@ -339,7 +382,7 @@ def demand_solution(sc: Scenario, theta) -> DemandSolution:
     ``_solve`` runs every check on the CG result; here x must also be
     positive, which Assumption 2 promises. Raises SolverError naming the user
     when a virtual value leaves [0, theta_bar], a demand is not positive, or
-    the recomputed residual misses ``_RESIDUAL_TOL`` * c.
+    the recomputed residual misses ``_RESIDUAL_TOL`` (||A||_inf ||x||_inf + c).
     """
     sc.require_valid()
     th = sc.check_profile(theta)
@@ -640,18 +683,21 @@ def _rank2_factors(sc: Scenario, i: int, phis_others, pool=None):
     big_s = np.empty((n_samples, 2, 2))
     chunk = max(1, _CHUNK_FLOATS // (2 * n))
     size = 2 * n * min(chunk, n_samples)
+    by_panels = _by_panels(sc)
     free = []
 
     def factor(sl):
-        # a workspace is phi, the right-hand side and _solve's seven arrays; list.pop and
-        # append are atomic, so no two running chunks hold the same one
+        # a workspace is phi, the right-hand side and _solve's work; list.pop and append
+        # are atomic, so no two running chunks hold the same one
         try:
             block = free.pop()
         except IndexError:
-            block = np.empty((9, size))
+            block = np.empty((11 if by_panels else 9) * size)
         try:
             m = sl.stop - sl.start
-            phi, rhs, *work = (row[:2 * n * m].reshape(n, 2 * m) for row in block)
+            k = 2 * n * m
+            phi, rhs = (block[j * k:(j + 1) * k].reshape(n, 2 * m) for j in range(2))
+            work = block[2 * k:]
             phi[i] = 0.0
             phi[others, :m] = phis_others[sl].T
             phi[:, m:] = phi[:, :m]

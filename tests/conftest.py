@@ -9,6 +9,7 @@ from netmech import (
     TruncatedNormal,
     Uniform,
 )
+from netmech.market import scaled_random_half_network
 
 CASE_PARAMS = MarketParams(a=0.5, b=6.0, s=1.0, t=1.0, p=0.1)
 UNIFORM = Uniform(0.4, 0.8)
@@ -16,6 +17,15 @@ UNIFORM = Uniform(0.4, 0.8)
 
 def complete_network(n: int) -> Network:
     return Network(np.ones((n, n)) - np.eye(n))
+
+
+def large_scenario(symmetric: bool, n: int = 300) -> Scenario:
+    """A feasible random-half scenario whose G holds more than the solve's cache budget
+    of 2**16 floats (n > 256); halving the weights below the diagonal makes G asymmetric."""
+    w = scaled_random_half_network(n, 5, CASE_PARAMS, UNIFORM.upper)[0].weights
+    if not symmetric:
+        w = w * np.where(np.tri(n, k=-1) > 0, 0.5, 1.0)
+    return Scenario(Network(w), CASE_PARAMS, UNIFORM)
 
 
 def zero_network(n: int) -> Network:

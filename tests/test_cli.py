@@ -409,6 +409,19 @@ class TestMalformedConfig:
         ("network", {"kind": "complete"}, "network block missing key 'n'"),
         ("network", {"kind": "complete", "n": [5]}, "network block: key 'n' must be an integer"),
         ("network", {"n": 5}, "network block missing key 'kind'"),
+        # integer keys refuse what int() would truncate
+        ("network", {"kind": "complete", "n": 5.7}, "network block: key 'n' must be an integer, got 5.7"),
+        ("network", {"kind": "complete", "n": True}, "network block: key 'n' must be an integer, got True"),
+        ("network", {"kind": "edges", "n": 3, "edges": [[0, 1.5]]}, "edge entry [0, 1.5]"),
+        ("network", {"kind": "edges", "n": 3, "edges": [[False, 1]]}, "edge entry [False, 1]"),
+        ("network", {"kind": "random_k", "n": 5, "seed": 2.9},
+         "network block: key 'seed' must be an integer, got 2.9"),
+        ("seed", 2.9, "config key 'seed' must be a nonnegative integer, got 2.9"),
+        ("seed", True, "config key 'seed' must be a nonnegative integer, got True"),
+        # JSON's Infinity: int() raises OverflowError, which no handler caught
+        ("network", {"kind": "complete", "n": float("inf")},
+         "network block: key 'n' must be an integer, got inf"),
+        ("seed", float("inf"), "config key 'seed' must be a nonnegative integer, got inf"),
     ])
     def test_exit_two_and_key_named(self, tmp_path, capsys, monkeypatch, block, value, named):
         monkeypatch.delenv("NETMECH_SEED", raising=False)

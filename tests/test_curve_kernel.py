@@ -37,7 +37,7 @@ from netmech import (
 from netmech import mechanism
 from netmech.market import make_network, twin_classes
 from netmech.mechanism import SampleRows, solve_profiles
-from conftest import alone, random_valid_scenario, whole_samples
+from conftest import alone, large_scenario, random_valid_scenario, whole_samples
 from oracles import tensor_curves, tensor_rule
 from test_mechanism import boundary_scenario
 
@@ -182,6 +182,22 @@ class TestFactorsAgainstLU:
         with np.errstate(all="raise"):
             assert_factors_match_lu(zero5, QuadratureEngine(order=4))
 
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["panel", "two-gemm"])
+    def test_network_past_the_cache_budget(self, symmetric):
+        """n = 300: the (n, 2 samples) stack runs on the row-panel product when G is symmetric."""
+        engine = MonteCarloEngine(samples=40, seed=6)
+        assert_factors_match_lu(large_scenario(symmetric), engine, users=[0, 151])
+
+    def test_panel_chunks_on_a_pool_are_the_serial_factors(self):
+        sc = large_scenario(True)
+        values, _ = whole_samples(MonteCarloEngine(samples=250, seed=6), sc.dist, sc.n, 0)
+        phis = np.asarray(sc.dist.virtual_value(values), dtype=float)
+        want = mechanism._rank2_factors(sc, 0, phis)  # three chunks of up to 109 samples
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            got = mechanism._rank2_factors(sc, 0, phis, pool)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     def test_chunks_do_not_change_factors(self, hub5, monkeypatch):
         values, _ = whole_samples(MonteCarloEngine(samples=700, seed=2), hub5.dist, 5, 0)
         phis = np.asarray(hub5.dist.virtual_value(values), dtype=float)
@@ -200,7 +216,7 @@ class TestGuards:
             monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", chunk_floats)
             with pytest.raises(SolverError, match=r"^user 0: base system \(phi_0 = 0\) right-hand side "
                                                   r"e_i at sample 0: residual \|r_0\| = 2 exceeds "
-                                                  r"tolerance 1e-10$"):
+                                                  r"backward-error tolerance 2.91e-10$"):
                 interim_curves(complete5, 9, QuadratureEngine(order=4), users=users, threads=threads)
 
     def test_iteration_cap(self, complete5, monkeypatch):
@@ -423,14 +439,14 @@ class TestChunkPath:
         rhs = np.zeros((n, 2 * m))
         rhs[0, :m] = 1.0
         rhs[:, m:] = sc.network.weights[0][:, None]
-        work = [np.empty((n, 2 * m)) for _ in range(7)]
+        work = np.empty(9 * rhs.size)
         tracemalloc.start()
         try:
             x, iterations, _, _ = mechanism._solve(sc, phi, rhs, "base system", work=work)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert x is work[0] and iterations > 5
+        assert np.shares_memory(x, work) and iterations > 5
         # per-column arrays and numpy's 64 KiB buffer for broadcast products; an (n, 2m)
         # array alone would be phi.nbytes
         assert peak < phi.nbytes / 3
@@ -439,15 +455,16 @@ class TestChunkPath:
 
 
 class TestNearEdge:
-    """Scenarios whose min row slack is delta (t+b), delta down to 1e-9: the pipeline
-    certifies every property or refuses with a SolverError that names a user."""
+    """Scenarios whose min row slack is delta (t+b), delta down to 1e-12: the pipeline
+    certifies every property, or refuses with a SolverError that names a user and the
+    a-priori condition limit (kappa <= 2 / delta passes 1e12 below delta = 2e-12)."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 5),
         family=st.sampled_from(["uniform", "truncated_exponential", "truncated_normal"]),
-        delta=st.floats(-9.0, math.log10(0.5)).map(lambda e: 10.0**e),
+        delta=st.floats(-12.0, math.log10(0.5)).map(lambda e: 10.0**e),
     )
     def test_certified_or_refused_naming_a_user(self, seed, n, family, delta):
         base = random_valid_scenario(np.random.default_rng(seed), n=n, families=(family,))
@@ -456,7 +473,7 @@ class TestNearEdge:
         try:
             curves = interim_curves(sc, 9, QuadratureEngine(order=4))
         except SolverError as err:
-            assert re.match(r"user \d+[ :]", str(err)), str(err)
+            assert re.match(r"user \d+: .* a-priori bound cond <= .* exceeds 1e\+12", str(err)), str(err)
             return
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NegativeRewardWarning)

@@ -213,6 +213,22 @@ def test_one_cg_and_one_bounds_helper_serve_both_solves():
     assert referrers("_solve") == {"demand_solution", "_rank2_factors"}
 
 
+def test_symmetry_decided_in_market_and_read_by_the_solve_alone():
+    """G = G^T is computed once, in market; only the solve's path rule reads it, the
+    products with G live in _solve alone, and foc_residual, the independent check on
+    the solve, reaches none of them."""
+    comparisons = {path.stem for path in sorted(SRC.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None) in {"array_equal", "array_equiv", "allclose"}}
+    assert comparisons == {"market"}
+    assert referrers("symmetric") == {"_by_panels"}
+    assert referrers("_by_panels") == {"_solve", "_rank2_factors"}
+    assert referrers("matmul") == {"_solve"}
+    for fn in reachable("foc_residual"):
+        assert not references(FUNCTIONS[fn]) & {"_solve", "_cg", "_by_panels", "symmetric"}, fn
+
+
 def test_bruteforce_oracle_shares_no_code_with_the_solve():
     oracles = top_level_functions(ast.parse((Path(__file__).parent / "oracles.py").read_text()))
     defined = FUNCTIONS.keys() | {node.name for node in MECHANISM.body if isinstance(node, ast.ClassDef)}

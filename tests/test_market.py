@@ -15,6 +15,7 @@ from netmech import (
     validate_assumption2,
 )
 from netmech import market
+from netmech.config import network_from_config
 from netmech.market import make_network, twin_classes
 from conftest import CASE_PARAMS, UNIFORM, alone, complete_network, path_network, zero_network
 from oracles import user_utility
@@ -132,6 +133,22 @@ class TestTypeValidation:
         assert net.weights[0, 1] == 0.0
         with pytest.raises(ValueError, match="read-only"):
             net.weights[0, 1] = 1.0
+
+    @pytest.mark.parametrize("kind", ["complete", "star", "hub_plus_edge", "random_k"])
+    def test_generated_networks_are_symmetric(self, kind):
+        assert make_network(kind, 9, seed=4).symmetric
+        assert market.scaled_random_half_network(9, 4, CASE_PARAMS, UNIFORM.upper)[0].symmetric
+
+    def test_edges_config_is_symmetric(self):
+        cfg = {"kind": "edges", "n": 4, "edges": [[0, 1], [2, 1, 0.25], [3, 0, 2.0]]}
+        assert network_from_config(cfg).symmetric
+
+    def test_symmetry_is_exact(self):
+        w = np.array([[0.0, 0.3, 1.0], [0.3, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert Network(w).symmetric
+        w[1, 0] = np.nextafter(0.3, 1.0)
+        assert not Network(w).symmetric
+        assert not Network(np.array([[0.0, 1.0], [0.0, 0.0]])).symmetric
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_network_rejects_non_finite(self, value):

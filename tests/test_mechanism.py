@@ -33,8 +33,8 @@ from netmech.market import InvalidScenarioError, scaled_random_half_network, twi
 from netmech import mechanism
 from netmech.mechanism import demand_solution, solve_profiles
 from conftest import (
-    CASE_PARAMS, UNIFORM, alone, complete_network, path_network, random_valid_scenario, whole_samples,
-    zero_network,
+    CASE_PARAMS, UNIFORM, alone, complete_network, large_scenario, path_network, random_valid_scenario,
+    whole_samples, zero_network,
 )
 from oracles import cp_expected_utility_virtual, k_matrix, k_sensitivity, tensor_rule
 
@@ -220,16 +220,20 @@ class TestFeasibilityBoundary:
                 a = np.abs(system_matrix(sc, theta))
                 assert np.min(2 * np.diag(a) - a.sum(axis=1)) >= floor
 
-    def test_regular_coupling_at_theta_bar_is_refused(self, case_params, uniform_dist):
-        # A(theta_bar) 1 = delta (t+b) 1, so x* = 1.4 / (7e-8) = 2e7 and any
-        # evaluated residual is about eps ||A|| ||x*|| ~ 1e-8, far above 1e-10 c
+    def test_regular_coupling_at_theta_bar_is_certified(self, case_params, uniform_dist):
+        # A(theta_bar) 1 = delta (t+b) 1, so x* = 1.4 / (7e-8) = 2e7 and any evaluated
+        # residual is about eps ||A|| ||x*|| ~ 1e-8: far above 1e-10 c, which the direct
+        # solve misses too, but a backward error of ~1e-17, within 1e-10 (||A|| ||x|| + c)
         sc = boundary_scenario(Scenario(complete_network(4), case_params, uniform_dist), 1e-8)
         theta = np.full(4, 0.8)
-        with pytest.raises(SolverError, match=r"^user \d: residual \|r_\d\| = "):
-            demand_solve(sc, theta)
+        sol = demand_solution(sc, theta)
         x_lu = solve_profiles(sc, np.asarray(sc.dist.virtual_value(theta), dtype=float)[None])[0]
         assert np.allclose(x_lu, 2e7, rtol=1e-6)
-        assert foc_residual(sc, theta, x_lu) > 1e-10 * 1.4  # the direct solve misses it too
+        assert foc_residual(sc, theta, x_lu) > 1e-10 * 1.4
+        assert foc_residual(sc, theta, sol.x) <= 1e-10 * (14.0 * np.max(sol.x) + 1.4)
+        # the Varah bound stays the certified error: a few units on 2e7
+        assert sol.error_bound < 1e-6 * np.max(sol.x)
+        assert np.max(np.abs(sol.x - x_lu)) <= sol.error_bound + varah_bound(sc, theta, x_lu)
 
 
 class TestDemandSolveGuards:
@@ -301,6 +305,72 @@ class TestFocResidual:
 
     def test_zero_network_exact(self, zero5):
         assert foc_residual(zero5, np.full(5, 0.7), np.full(5, 0.2)) < 1e-15
+
+
+def solve_product(monkeypatch, sc, phi, rhs):
+    """The A(phi) product that ``_solve`` hands to CG, captured from its call of ``_cg``."""
+    captured = []
+    cg = mechanism._cg
+
+    def spy(apply_a, *args):
+        captured.append(apply_a)
+        return cg(apply_a, *args)
+
+    monkeypatch.setattr(mechanism, "_cg", spy)
+    mechanism._solve(sc, phi, rhs, "test system")
+    monkeypatch.setattr(mechanism, "_cg", cg)
+    return lambda v: captured[0](v).copy()  # the product lives in _solve's work
+
+
+class TestPanelProduct:
+    """Past 2**16 floats of a symmetric G, _solve forms G v and G (phi o v) by one GEMM per row
+    panel; an asymmetric G, or a small one, keeps the two GEMMs."""
+
+    @staticmethod
+    def system(shape, seed=1):
+        rng = np.random.default_rng(seed)
+        phi = np.asarray(UNIFORM.virtual_value(UNIFORM.quantile(rng.random(shape))), dtype=float)
+        return phi, rng.random(shape)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["panel", "two-gemm"])
+    @pytest.mark.parametrize("shape", [(300,), (300, 4)], ids=["vector", "stack"])
+    def test_solve_matches_lu(self, symmetric, shape):
+        sc = large_scenario(symmetric)
+        assert sc.network.symmetric is symmetric and sc.network.weights.size > mechanism._CHUNK_FLOATS
+        phi, rhs = self.system(shape)
+        x, iterations, _, _ = mechanism._solve(sc, phi, rhs, "test system")
+        assert x.shape == shape and iterations > 3
+        # one system per column of the stack
+        phis, rhss = phi.reshape(300, -1).T, rhs.reshape(300, -1).T
+        want = np.linalg.solve(mechanism._assemble(sc, phis), rhss[..., None])[..., 0].T.reshape(shape)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape", [(300,), (300, 4)], ids=["vector", "stack"])
+    def test_panel_product_equals_two_gemms(self, monkeypatch, shape):
+        panel = large_scenario(True)
+        two = Scenario(Network(panel.network.weights), panel.params, panel.dist)
+        object.__setattr__(two.network, "symmetric", False)  # the same G on the two-GEMM path
+        phi, rhs = self.system(shape)
+        v = np.random.default_rng(2).standard_normal(shape)
+        got = solve_product(monkeypatch, panel, phi, rhs)(v)
+        want = solve_product(monkeypatch, two, phi, rhs)(v)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        dense = np.stack([a @ col for a, col in zip(mechanism._assemble(panel, phi.reshape(300, -1).T),
+                                                   v.reshape(300, -1).T)], axis=1).reshape(shape)
+        assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    def test_panel_iterations_allocate_nothing_of_the_stack_size(self):
+        sc = large_scenario(True)
+        phi, rhs = self.system((300, 200))
+        work = np.empty(9 * rhs.size)
+        tracemalloc.start()
+        try:
+            x, iterations, _, _ = mechanism._solve(sc, phi, rhs, "test system", work=work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(x, work) and iterations > 3
+        assert peak < phi.nbytes / 3
 
 
 class TestKSensitivity:
