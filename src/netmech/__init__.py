@@ -27,7 +27,6 @@ from .mechanism import (
     QuadratureEngine,
     RewardSchedule,
     SolverError,
-    cp_expected_utility,
     demand_solve,
     export_interim_csv,
     foc_residual,

@@ -43,7 +43,7 @@ from .experiments import (
     run_table2,
     write_summary,
 )
-from .market import InvalidScenarioError, Scenario
+from .market import InvalidScenarioError, Scenario, check_dense_size
 from .mechanism import (
     MIN_GRID,
     EngineError,
@@ -72,16 +72,22 @@ def _at_least(low: int):
 
 
 def _sizes(text: str):
-    """argparse type for --sizes: comma-separated network sizes >= 1 (empty: the default)."""
+    """argparse type for --sizes: comma-separated network sizes >= 1 (empty: the default),
+    each within the dense network budget, checked before any array is built."""
     if not text:
         return TABLE2_SIZES
     try:
         sizes = tuple(int(v) for v in text.split(","))
-        if min(sizes) >= 1:
-            return sizes
+        valid = min(sizes) >= 1
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be comma-separated integers >= 1, got {text!r}")
+        valid = False
+    if not valid:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers >= 1, got {text!r}")
+    try:
+        check_dense_size(max(sizes))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return sizes
 
 
 # the flags a verb may read besides --config; interim_curves and verify_ic need

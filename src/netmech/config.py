@@ -18,9 +18,9 @@ Distribution families, each on ["lower", "upper"]: uniform |
 truncated_normal (params "mu", default 0, and "sigma", default 1) |
 truncated_exponential (params "rate", default 1), the params given in an
 optional "params" object. A missing key or a value that does not convert is
-a ConfigError naming the block and the key; an integer key ("n", "seed", an
-edge's endpoints) does not convert from a fraction or a bool. Keys starting
-with an underscore are ignored (comments).
+a ConfigError naming the block and the key; no number converts from a bool,
+and an integer key ("n", "seed", an edge's endpoints) not from a fraction.
+Keys starting with an underscore are ignored (comments).
 """
 
 from __future__ import annotations
@@ -64,7 +64,14 @@ def as_int(value) -> int:
     return int(value)
 
 
-def _value(name: str, block: dict, key: str, convert=float, what: str = "a number"):
+def as_float(value) -> float:
+    """float(value), refusing a bool: JSON's true and false are not numbers."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _value(name: str, block: dict, key: str, convert=as_float, what: str = "a number"):
     """convert(block[key]), or a ConfigError naming the block and the key."""
     if key not in block:
         raise ConfigError(f"{name} missing key {key!r}")
@@ -106,7 +113,7 @@ def network_from_config(cfg: dict) -> Network:
         for entry in cfg["edges"]:
             try:
                 i, j, val = (*entry, 1.0) if len(entry) == 2 else entry
-                i, j, val = as_int(i), as_int(j), float(val)
+                i, j, val = as_int(i), as_int(j), as_float(val)
             except (TypeError, ValueError):
                 raise ConfigError(f"edge entry {entry!r} must be [i, j] or [i, j, weight]") from None
             if not (0 <= i < n and 0 <= j < n) or i == j:

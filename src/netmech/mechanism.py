@@ -88,14 +88,14 @@ min-reduction. gamma is E[x_i g_i.x]; V and C are quadratics in x_i, so both
 come from E[x_i] and E[x_i^2], one product with the weights each. Memory is
 chunked under the float budget ``_CHUNK_FLOATS``. The CG stack runs in chunks
 of samples, each array about that many floats (at least one system). A CG
-chunk draws only its own rows of the sample set, and solves in place on a
-workspace that the next chunk reuses, so its solve allocates nothing of the
-stack's size. The grid stage runs in chunks of at least one grid point, so
-each of its arrays holds at most max(``_CHUNK_FLOATS``, samples) floats: past
-2^16 samples, one float per sample. What grows with the sample count is
-therefore the per-sample factors, coefficients and weights (about a dozen
-floats per sample at the peak) and the grid stage's arrays (up to five per
-running chunk). With one user, its chunks are the parallel tasks.
+chunk draws only its own rows of the sample set, and its solve allocates one
+workspace up front, so its iterations allocate nothing of the stack's size.
+The grid stage runs in chunks of at least one grid point, so each of its
+arrays holds at most max(``_CHUNK_FLOATS``, samples) floats: past 2^16
+samples, one float per sample. What grows with the sample count is therefore
+the per-sample factors, coefficients and weights (about a dozen floats per
+sample at the peak) and the grid stage's arrays (up to five per running
+chunk). With one user, its chunks are the parallel tasks.
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -234,13 +234,6 @@ def _a_priori(sc: Scenario, system: str) -> _APriori:
     return _APriori(slack, norm, cap)
 
 
-def _by_panels(sc: Scenario) -> bool:
-    """Whether ``_solve``'s product reads G by row panels: G is symmetric and holds more
-    than ``_CHUNK_FLOATS`` floats. The panel path needs nine stack-sized work arrays,
-    the two GEMMs seven."""
-    return sc.network.weights.size > _CHUNK_FLOATS and sc.network.symmetric
-
-
 def _dots(u: np.ndarray, v: np.ndarray):
     """Column-wise inner products of two (n, ...) stacks."""
     # a 1-D BLAS dot: einsum's call overhead costs a single solve about 5%
@@ -292,26 +285,27 @@ def _cg(apply_a, rhs: np.ndarray, x: np.ndarray, floor, cap: int,
 
 
 def _solve(sc: Scenario, phi: np.ndarray, rhs: np.ndarray, system: str,
-           name=lambda column, entry: f"user {entry}", work=None):
+           name=lambda column, entry: f"user {entry}"):
     """The one guarded solve: A(phi) X = rhs on every column of an (n,) or (n, k) stack.
 
     Column k of phi holds the virtual values of system k, so A(phi) X is
     (t+b) X - phi o (G X) - G^T (phi o X): two GEMMs while G holds at most
-    ``_CHUNK_FLOATS`` floats or is not symmetric. Otherwise G^T = G, and one
-    GEMM per row panel of ``_CHUNK_FLOATS // n`` rows multiplies the panel by
-    the block [X | phi o X], which gives the panel's rows of both products
-    from one read of it. The checks: every phi in [0, theta_bar], the premise
+    ``_CHUNK_FLOATS`` floats or is not symmetric (``Network.symmetric``, read
+    here alone). Otherwise G^T = G, and one GEMM per row panel of
+    ``_CHUNK_FLOATS // n`` rows multiplies the panel by the block
+    [X | phi o X], which gives the panel's rows of both products from one
+    read of it. The checks: every phi in [0, theta_bar], the premise
     of ``_a_priori``, whose condition refusal names ``system``; CG from
     X0 = rhs / (t+b) until each column meets the backward-error floor
     8 eps (||A||_inf ||x||_inf + ||rhs||_inf), within the a-priori cap; and
     the recomputed residual within ``_RESIDUAL_TOL`` times the same scale in
     each column. A SolverError is prefixed by ``name(column, entry)``.
-    ``work`` is a flat array of seven times rhs's size, nine on the panel path
-    (``_by_panels``), allocated if None: X, A X, the two GEMMs' outputs (or
-    the block), CG's three vectors and the block's product, so a solve on it
-    allocates nothing of the stack's size.
+    The solve allocates one flat workspace of seven times rhs's size, nine on
+    the panel path: X, A X, the two GEMMs' outputs (or the block), CG's three
+    vectors and the block's product, so its iterations allocate nothing of
+    the stack's size.
     Returns (X, iterations, residual, bounds), with residual =
-    ||rhs - A X||_inf per column; X is a view of ``work``.
+    ||rhs - A X||_inf per column.
     """
     theta_bar = sc.assumption2.theta_max
     # min and max carry a NaN, which fails the test too
@@ -329,8 +323,8 @@ def _solve(sc: Scenario, phi: np.ndarray, rhs: np.ndarray, system: str,
     g = sc.network.weights
     tb = sc.params.t + sc.params.b
     size = rhs.size
-    by_panels = _by_panels(sc)
-    work = np.empty((9 if by_panels else 7) * size) if work is None else work
+    by_panels = g.size > _CHUNK_FLOATS and sc.network.symmetric
+    work = np.empty((9 if by_panels else 7) * size)
     x, q, u, w, *vectors = (work[k * size:(k + 1) * size].reshape(rhs.shape) for k in range(7))
     scale = np.abs(rhs, out=u).max(axis=0)
 
@@ -462,10 +456,12 @@ class QuadratureEngine:
     User i's rule has prod_c C(order+k_c-1, k_c) rows over the classes of the
     other users; refuse more than ``_MAX_QUADRATURE_NODES`` rows, or a
     (rows, n-1) set of types over ``_MAX_MC_FLOATS`` floats, before any
-    multiset is built, and point to the Monte Carlo engine instead. The types
-    are i.i.d. and the rule is symmetric in its coordinates, so it is
-    ``exchangeable``: nodes that differ by a permutation within a class of
-    twins give equal integrands, and twin users get equal curves.
+    multiset is built, and point to the Monte Carlo engine instead;
+    ``check_budget`` refuses n users whose smallest rule is already over,
+    before the twin classes are computed. The types are i.i.d. and the rule
+    is symmetric in its coordinates, so it is ``exchangeable``: nodes that
+    differ by a permutation within a class of twins give equal integrands,
+    and twin users get equal curves.
     """
 
     order: int = 8
@@ -475,6 +471,20 @@ class QuadratureEngine:
     def __post_init__(self):
         if self.order < 1:
             raise EngineError("quadrature order must be >= 1")
+
+    def check_budget(self, n: int) -> None:
+        """Refuse n users before their twin classes are known: no partition of the n-1
+        others gives fewer rows than the C(order+n-2, n-1) of one class of all of them."""
+        self._refuse_over_budget(n, math.comb(self.order + n - 2, n - 1), "at least ")
+
+    def _refuse_over_budget(self, n: int, count: int, least: str = "") -> None:
+        floats = count * (n - 1)
+        if count > _MAX_QUADRATURE_NODES or floats > _MAX_MC_FLOATS:
+            raise EngineError(
+                f"quadrature of order {self.order} at n={n} needs {least}{count} nodes "
+                f"(budget {_MAX_QUADRATURE_NODES}) and {least}{floats} floats of types "
+                f"(budget {_MAX_MC_FLOATS}); lower the order or use MonteCarloEngine"
+            )
 
     def others_rows(self, dist: TypeDistribution, n: int, i: int, classes) -> SampleRows:
         """User i's rule as ``SampleRows`` over ``classes``, a partition of the users into
@@ -492,14 +502,7 @@ class QuadratureEngine:
         columns = [[u - (u > i) for u in members if u != i] for members in classes]
         columns = [c for c in columns if c]
         radices = [math.comb(self.order + len(c) - 1, len(c)) for c in columns]
-        count = math.prod(radices)
-        floats = count * (n - 1)
-        if count > _MAX_QUADRATURE_NODES or floats > _MAX_MC_FLOATS:
-            raise EngineError(
-                f"quadrature of order {self.order} at n={n} needs {count} nodes "
-                f"(budget {_MAX_QUADRATURE_NODES}) and {floats} floats of types "
-                f"(budget {_MAX_MC_FLOATS}); lower the order or use MonteCarloEngine"
-            )
+        self._refuse_over_budget(n, math.prod(radices))
         x, w = np.polynomial.legendre.leggauss(self.order)
         half = 0.5 * (dist.upper - dist.lower)
         nodes = dist.lower + (x + 1.0) * half
@@ -664,10 +667,11 @@ def _rank2_factors(sc: Scenario, i: int, phis_others, pool=None):
     any G, so g_i.y = c 1.w and y_i = c 1.z, and only z and w are solved: by
     the guarded ``_solve`` on the (n, 2 samples) stack [z w], in chunks of
     samples, mapped over ``pool`` if given. ``phis_others`` is a
-    (samples, n-1) array or ``SampleRows``; a chunk reads only its own rows.
-    Each chunk runs on a workspace taken from a free list and handed back,
-    so there are at most as many workspaces as chunks running at once. B
-    meets the bounds of ``_a_priori``, since phi_i = 0 only raises row slack.
+    (samples, n-1) array or ``SampleRows``; a chunk reads only its own rows
+    and builds its own phi and right-hand side, so running chunks share
+    nothing but disjoint rows of the outputs, and at most as many chunks'
+    arrays are held as chunks run at once. B meets the bounds of
+    ``_a_priori``, since phi_i = 0 only raises row slack.
     Returns s with shape (samples, 2) and S with shape (samples, 2, 2), rows
     (g_i.[z w], [z_i w_i]). A SolverError names the user, the right-hand side
     and the sample.
@@ -682,39 +686,25 @@ def _rank2_factors(sc: Scenario, i: int, phis_others, pool=None):
     s = np.empty((n_samples, 2))
     big_s = np.empty((n_samples, 2, 2))
     chunk = max(1, _CHUNK_FLOATS // (2 * n))
-    size = 2 * n * min(chunk, n_samples)
-    by_panels = _by_panels(sc)
-    free = []
 
     def factor(sl):
-        # a workspace is phi, the right-hand side and _solve's work; list.pop and append
-        # are atomic, so no two running chunks hold the same one
-        try:
-            block = free.pop()
-        except IndexError:
-            block = np.empty((11 if by_panels else 9) * size)
-        try:
-            m = sl.stop - sl.start
-            k = 2 * n * m
-            phi, rhs = (block[j * k:(j + 1) * k].reshape(n, 2 * m) for j in range(2))
-            work = block[2 * k:]
-            phi[i] = 0.0
-            phi[others, :m] = phis_others[sl].T
-            phi[:, m:] = phi[:, :m]
-            rhs[:, :m] = 0.0
-            rhs[i, :m] = 1.0
-            rhs[:, m:] = g_i[:, None]
+        m = sl.stop - sl.start
+        phi = np.empty((n, 2 * m))
+        phi[i] = 0.0
+        phi[others, :m] = phis_others[sl].T
+        phi[:, m:] = phi[:, :m]
+        rhs = np.zeros((n, 2 * m))
+        rhs[i, :m] = 1.0
+        rhs[:, m:] = g_i[:, None]
 
-            def where(column, entry):
-                return (f"{system} right-hand side {('e_i', 'g_i')[column // m]} "
-                        f"at sample {sl.start + column % m}")
+        def where(column, entry):
+            return (f"{system} right-hand side {('e_i', 'g_i')[column // m]} "
+                    f"at sample {sl.start + column % m}")
 
-            x = _solve(sc, phi, rhs, system, where, work)[0]
-            z, w = x[:, :m], x[:, m:]
-            s[sl] = c * np.stack([w.sum(axis=0), z.sum(axis=0)], axis=1)
-            big_s[sl] = np.stack([g_i @ z, g_i @ w, z[i], w[i]], axis=1).reshape(m, 2, 2)
-        finally:
-            free.append(block)
+        x = _solve(sc, phi, rhs, system, where)[0]
+        z, w = x[:, :m], x[:, m:]
+        s[sl] = c * np.stack([w.sum(axis=0), z.sum(axis=0)], axis=1)
+        big_s[sl] = np.stack([g_i @ z, g_i @ w, z[i], w[i]], axis=1).reshape(m, 2, 2)
 
     _map(pool, factor, _chunk_slices(n_samples, chunk))
     return s, big_s
@@ -740,6 +730,8 @@ def interim_curves(
     With an ``exchangeable`` engine, the first requested user of each class
     of ``twin_classes`` is computed and its rows are copied to the class's
     other requested users; ``threads`` then applies to the computed users.
+    Such an engine's ``check_budget(n)`` runs first, so a rule that no
+    partition into classes fits is refused before the classes are computed.
 
     Deterministic for a fixed engine configuration regardless of ``threads``:
     every chunk's outputs land in preallocated rows or columns, chunk sizes
@@ -769,7 +761,12 @@ def interim_curves(
     gamma_se = np.full((n, grid_size), np.nan) if track_se else None
     # an exchangeable rule gives twins equal curves: the first requested user of each
     # class runs, and its rows are copied to the class's other requested users
-    classes = twin_classes(sc.network) if engine.exchangeable else tuple((u,) for u in range(n))
+    if engine.exchangeable:
+        # refused before the O(n^2) comparisons of twin_classes when no partition fits
+        engine.check_budget(n)
+        classes = twin_classes(sc.network)
+    else:
+        classes = tuple((u,) for u in range(n))
     copies = {}
     for members in classes:
         requested = [u for u in members if u in user_list]
@@ -890,17 +887,6 @@ def reward_schedule(curves: InterimCurves) -> RewardSchedule:
         )
     cell_term = 0.5 * np.diff(grid) * np.diff(curves.gamma, axis=1)
     return RewardSchedule(grid=grid, rewards=rewards, cell_term=cell_term)
-
-
-def cp_expected_utility(sc: Scenario, curves: InterimCurves, rewards: RewardSchedule) -> float:
-    """Expected provider utility: sum_i integral of (C_i - r_i) against the pdf."""
-    if tuple(curves.users) != tuple(range(sc.n)):
-        raise ValueError("provider utility needs curves for every user")
-    if rewards.grid.shape != curves.grid.shape or np.any(rewards.grid != curves.grid):
-        raise ValueError("curves and rewards must share one grid")
-    f = np.asarray(sc.dist.pdf(curves.grid), dtype=float)
-    integrand = (curves.c - rewards.rewards) * f[None, :]
-    return float(np.sum(np.trapezoid(integrand, curves.grid, axis=1)))
 
 
 def export_interim_csv(curves: InterimCurves, rewards: RewardSchedule, path) -> None:

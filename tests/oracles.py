@@ -12,6 +12,7 @@ import numpy as np
 
 from netmech import (
     InterimCurves,
+    RewardSchedule,
     Scenario,
     TruncatedExponential,
     TruncatedNormal,
@@ -127,6 +128,17 @@ def k_sensitivity(sc: Scenario, theta, i: int) -> np.ndarray:
     b[i, :] += slope * g[i, :]
     b[:, i] += slope * g[i, :]
     return k @ b @ k
+
+
+def cp_expected_utility(sc: Scenario, curves: InterimCurves, rewards: RewardSchedule) -> float:
+    """Expected provider utility: sum_i integral of (C_i - r_i) against the pdf."""
+    if tuple(curves.users) != tuple(range(sc.n)):
+        raise ValueError("provider utility needs curves for every user")
+    if rewards.grid.shape != curves.grid.shape or np.any(rewards.grid != curves.grid):
+        raise ValueError("curves and rewards must share one grid")
+    f = np.asarray(sc.dist.pdf(curves.grid), dtype=float)
+    integrand = (curves.c - rewards.rewards) * f[None, :]
+    return float(np.sum(np.trapezoid(integrand, curves.grid, axis=1)))
 
 
 def cp_expected_utility_virtual(sc: Scenario, curves: InterimCurves) -> float:

@@ -340,6 +340,11 @@ class TestBadValuesExitTwo:
         (["rewards", "--config", HUB5, "--quad-order", "100"], None, "order 100 at n=5"),
         (["rewards", "--config", HUB5, "--engine", "mc", "--mc-samples", "100000000"], None,
          "100000000 samples at n=5 draws 500000000 floats, over the budget of 16777216"),
+        # refused by the parser, before table2 builds any network
+        (["bench", "--sizes", "4097"], None, "argument --sizes: a dense network of n=4097"),
+        (["bench", "--sizes", "10,5000"], None,
+         "argument --sizes: a dense network of n=5000 users holds 25000000 weights, "
+         "over the budget of 16777216 floats"),
     ])
     def test_exit_two_and_name(self, tmp_path, capsys, monkeypatch, argv, env, named):
         if env is None:
@@ -422,6 +427,12 @@ class TestMalformedConfig:
         ("network", {"kind": "complete", "n": float("inf")},
          "network block: key 'n' must be an integer, got inf"),
         ("seed", float("inf"), "config key 'seed' must be a nonnegative integer, got inf"),
+        # JSON's true and false are no numbers: no edgeless network from a false weight
+        ("network", {"kind": "complete", "n": 5, "weight": False},
+         "network block: key 'weight' must be a number, got False"),
+        ("network", {"kind": "edges", "n": 3, "edges": [[0, 1, True]]}, "edge entry [0, 1, True]"),
+        ("params", {"a": 0.5, "b": True, "s": 1, "t": 1, "p": 0.1},
+         "params block: key 'b' must be a number, got True"),
     ])
     def test_exit_two_and_key_named(self, tmp_path, capsys, monkeypatch, block, value, named):
         monkeypatch.delenv("NETMECH_SEED", raising=False)

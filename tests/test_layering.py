@@ -214,7 +214,7 @@ def test_one_cg_and_one_bounds_helper_serve_both_solves():
 
 
 def test_symmetry_decided_in_market_and_read_by_the_solve_alone():
-    """G = G^T is computed once, in market; only the solve's path rule reads it, the
+    """G = G^T is computed once, in market; only the solve reads it, to pick its path, the
     products with G live in _solve alone, and foc_residual, the independent check on
     the solve, reaches none of them."""
     comparisons = {path.stem for path in sorted(SRC.glob("*.py"))
@@ -222,11 +222,12 @@ def test_symmetry_decided_in_market_and_read_by_the_solve_alone():
                    if isinstance(node, ast.Call)
                    and getattr(node.func, "attr", None) in {"array_equal", "array_equiv", "allclose"}}
     assert comparisons == {"market"}
-    assert referrers("symmetric") == {"_by_panels"}
-    assert referrers("_by_panels") == {"_solve", "_rank2_factors"}
+    assert referrers("symmetric") == {"_solve"}
+    assert "_by_panels" not in {node.name for node in ast.walk(MECHANISM)
+                                if isinstance(node, ast.FunctionDef)}
     assert referrers("matmul") == {"_solve"}
     for fn in reachable("foc_residual"):
-        assert not references(FUNCTIONS[fn]) & {"_solve", "_cg", "_by_panels", "symmetric"}, fn
+        assert not references(FUNCTIONS[fn]) & {"_solve", "_cg", "symmetric"}, fn
 
 
 def test_bruteforce_oracle_shares_no_code_with_the_solve():

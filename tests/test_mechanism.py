@@ -19,7 +19,6 @@ from netmech import (
     Network,
     TruncatedNormal,
     Uniform,
-    cp_expected_utility,
     demand_solve,
     export_interim_csv,
     foc_residual,
@@ -30,13 +29,13 @@ from netmech import (
     truthful_interim_utility,
 )
 from netmech.market import InvalidScenarioError, scaled_random_half_network, twin_classes
-from netmech import mechanism
+from netmech import market, mechanism
 from netmech.mechanism import demand_solution, solve_profiles
 from conftest import (
     CASE_PARAMS, UNIFORM, alone, complete_network, large_scenario, path_network, random_valid_scenario,
     whole_samples, zero_network,
 )
-from oracles import cp_expected_utility_virtual, k_matrix, k_sensitivity, tensor_rule
+from oracles import cp_expected_utility, cp_expected_utility_virtual, k_matrix, k_sensitivity, tensor_rule
 
 
 def hub_network(n: int) -> Network:
@@ -362,15 +361,16 @@ class TestPanelProduct:
     def test_panel_iterations_allocate_nothing_of_the_stack_size(self):
         sc = large_scenario(True)
         phi, rhs = self.system((300, 200))
-        work = np.empty(9 * rhs.size)
         tracemalloc.start()
         try:
-            x, iterations, _, _ = mechanism._solve(sc, phi, rhs, "test system", work=work)
+            x, iterations, _, _ = mechanism._solve(sc, phi, rhs, "test system")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.shares_memory(x, work) and iterations > 3
-        assert peak < phi.nbytes / 3
+        assert iterations > 3
+        # the panel path's one workspace of nine stack-sized arrays; one more in any
+        # iteration would add phi.nbytes
+        assert peak < 9 * rhs.nbytes + phi.nbytes / 3
 
 
 class TestKSensitivity:
@@ -552,6 +552,18 @@ class TestQuadratureBudget:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_refused_before_the_twin_classes(self, monkeypatch, case_params, uniform_dist):
+        # C(8 + 28, 29) = 8347680 rows if the 29 others were one class of twins
+        sc = Scenario(path_network(30), case_params, uniform_dist)
+
+        def no_classes(network):
+            raise AssertionError("twin classes computed before the budget check")
+
+        monkeypatch.setattr(market, "twin_classes", no_classes)
+        monkeypatch.setattr(mechanism, "twin_classes", no_classes)
+        with pytest.raises(EngineError, match=r"needs at least 8347680 nodes \(budget 1048576\)"):
+            interim_curves(sc, 9, QuadratureEngine(order=8))
 
 
 class TestSampleRows:
