@@ -33,6 +33,8 @@ from .distributions import (
 
 # floats in a dense n x n weight matrix (128 MiB), refused before the matrix is built
 _MAX_NETWORK_FLOATS = 2**24
+# floats of a row panel of G (512 KiB, cache-sized); a symmetric G past it is read by panels
+_PANEL_FLOATS = 2**16
 
 
 class InvalidScenarioError(ValueError):
@@ -67,6 +69,43 @@ class Network:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+    def operator(self, phi: np.ndarray, tb: float, spare: int):
+        """v -> A(phi) v = tb v - phi o (G v) - G^T (phi o v) on (n,) or (n, k) stacks shaped like
+        phi, one system per column, and ``spare`` more such stacks, from one allocation.
+
+        Two GEMMs while G holds at most ``_PANEL_FLOATS`` floats or is not ``symmetric``
+        (read here alone); otherwise G^T = G, and one GEMM per row panel of
+        ``_PANEL_FLOATS // n`` rows times the block [v | phi o v] gives both products
+        from one read of G. The spares come first, then the product's output and two stacks
+        of scratch (four by panels); each product overwrites the last. Returns (apply, spares).
+        """
+        g, n, size = self.weights, self.n, phi.size
+        by_panels = g.size > _PANEL_FLOATS and self.symmetric
+        work = np.empty((spare + (5 if by_panels else 3)) * size)
+        stacks = [work[k * size:(k + 1) * size].reshape(phi.shape) for k in range(spare + 3)]
+        q, u, w = stacks[spare:]
+        if by_panels:
+            # u and w hold the block [v | phi o v], the last two stacks [G v | G (phi o v)]
+            block, product = (work[k * size:(k + 2) * size].reshape((n, 2) + phi.shape[1:])
+                              for k in (spare + 1, spare + 3))
+            flat_block, flat_product = block.reshape(n, -1), product.reshape(n, -1)
+            panels = [slice(k, k + _PANEL_FLOATS // n) for k in range(0, n, _PANEL_FLOATS // n)]
+
+            def apply(v):
+                np.copyto(block[:, 0], v)
+                np.multiply(phi, v, out=block[:, 1])
+                for rows in panels:
+                    np.matmul(g[rows], flat_block, out=flat_product[rows])
+                phi_gv = np.multiply(phi, product[:, 0], out=product[:, 0])
+                np.subtract(np.multiply(v, tb, out=q), phi_gv, out=q)
+                return np.subtract(q, product[:, 1], out=q)
+        else:
+            def apply(v):
+                phi_gv = np.multiply(phi, np.matmul(g, v, out=u), out=u)
+                np.subtract(np.multiply(v, tb, out=q), phi_gv, out=q)
+                return np.subtract(q, np.matmul(g.T, np.multiply(phi, v, out=u), out=w), out=q)
+        return apply, stacks[:spare]
 
 
 def check_dense_size(n: int) -> None:

@@ -10,18 +10,14 @@ positive diagonal and nonpositive off-diagonal entries (an M-matrix), so the
 solve is well posed and the solution is entrywise positive.
 
 Every solve in the mechanism goes through ``_solve``, the one guarded solve:
-matrix-free conjugate gradients (``_cg``) on products with G alone, and every
-check that decides whether its result can be trusted. A product with A is
-two GEMMs, G v and G^T (phi o v), while G fits the cache budget
-``_CHUNK_FLOATS`` or is not symmetric (``Network.symmetric``); otherwise
-G^T = G, and one GEMM per cache-sized row panel of G against the block
-[v | phi o v] forms both from one read of G. Regularity
-(Assumption 1) gives 0 <= phi <= theta_bar, so with s = min row slack of
-Assumption 2 every A(theta) in the support, and every A with some phi_j set to
-0, is symmetric with its spectrum and ||A||_inf inside [s, 2(t+b) - s]
-(Gershgorin), and ||A^{-1}||_inf <= 1/s (Varah). These bounds are known before
-the first iteration (``_a_priori``): the condition bound caps the iteration
-count, and a residual r turns into the forward-error bound
+matrix-free conjugate gradients (``_cg``) on the products with A that
+``Network.operator`` makes, and every check that decides whether its result
+can be trusted. Regularity (Assumption 1) gives 0 <= phi <= theta_bar, so with
+s = min row slack of Assumption 2 every A(theta) in the support, and every A
+with some phi_j set to 0, is symmetric with its spectrum and ||A||_inf inside
+[s, 2(t+b) - s] (Gershgorin), and ||A^{-1}||_inf <= 1/s (Varah). These bounds
+are known before the first iteration (``_a_priori``): the condition bound caps
+the iteration count, and a residual r turns into the forward-error bound
 ||x - x*||_inf <= ||r||_inf / s. A solve is refused when its recomputed
 residual misses the backward-error test ||r||_inf <= ``_RESIDUAL_TOL``
 (||A||_inf ||x||_inf + ||rhs||_inf), the form of CG's stop rule; the
@@ -288,24 +284,14 @@ def _solve(sc: Scenario, phi: np.ndarray, rhs: np.ndarray, system: str,
            name=lambda column, entry: f"user {entry}"):
     """The one guarded solve: A(phi) X = rhs on every column of an (n,) or (n, k) stack.
 
-    Column k of phi holds the virtual values of system k, so A(phi) X is
-    (t+b) X - phi o (G X) - G^T (phi o X): two GEMMs while G holds at most
-    ``_CHUNK_FLOATS`` floats or is not symmetric (``Network.symmetric``, read
-    here alone). Otherwise G^T = G, and one GEMM per row panel of
-    ``_CHUNK_FLOATS // n`` rows multiplies the panel by the block
-    [X | phi o X], which gives the panel's rows of both products from one
-    read of it. The checks: every phi in [0, theta_bar], the premise
-    of ``_a_priori``, whose condition refusal names ``system``; CG from
-    X0 = rhs / (t+b) until each column meets the backward-error floor
-    8 eps (||A||_inf ||x||_inf + ||rhs||_inf), within the a-priori cap; and
-    the recomputed residual within ``_RESIDUAL_TOL`` times the same scale in
-    each column. A SolverError is prefixed by ``name(column, entry)``.
-    The solve allocates one flat workspace of seven times rhs's size, nine on
-    the panel path: X, A X, the two GEMMs' outputs (or the block), CG's three
-    vectors and the block's product, so its iterations allocate nothing of
-    the stack's size.
-    Returns (X, iterations, residual, bounds), with residual =
-    ||rhs - A X||_inf per column.
+    Column k of phi holds system k's virtual values; ``Network.operator`` makes the
+    products with A(phi), and its one allocation also holds X and CG's three vectors.
+    The checks: every phi in [0, theta_bar], the premise of ``_a_priori``, whose
+    condition refusal names ``system``; CG from X0 = rhs / (t+b) until each column
+    meets the backward-error floor 8 eps (||A||_inf ||x||_inf + ||rhs||_inf), within
+    the a-priori cap; and the recomputed residual within ``_RESIDUAL_TOL`` times the
+    same scale in each column. A SolverError is prefixed by ``name(column, entry)``.
+    Returns (X, iterations, residual, bounds), residual = ||rhs - A X||_inf per column.
     """
     theta_bar = sc.assumption2.theta_max
     # min and max carry a NaN, which fails the test too
@@ -320,45 +306,19 @@ def _solve(sc: Scenario, phi: np.ndarray, rhs: np.ndarray, system: str,
             f"{theta_bar:g}], the premise of the a-priori bounds (Assumption 1)"
         )
     bounds = _a_priori(sc, system)
-    g = sc.network.weights
     tb = sc.params.t + sc.params.b
-    size = rhs.size
-    by_panels = g.size > _CHUNK_FLOATS and sc.network.symmetric
-    work = np.empty((9 if by_panels else 7) * size)
-    x, q, u, w, *vectors = (work[k * size:(k + 1) * size].reshape(rhs.shape) for k in range(7))
-    scale = np.abs(rhs, out=u).max(axis=0)
-
-    if by_panels:
-        # u and w hold the block [v | phi o v], the last two arrays [G v | G (phi o v)]
-        block, product = (work[k * size:(k + 2) * size].reshape((sc.n, 2) + rhs.shape[1:])
-                          for k in (2, 7))
-        flat_block, flat_product = block.reshape(sc.n, -1), product.reshape(sc.n, -1)
-        panels = list(_chunk_slices(sc.n, _CHUNK_FLOATS // sc.n))
-
-        def apply_a(v):
-            # (tb v - phi o (G v)) - G (phi o v), one GEMM per row panel of G, in place
-            np.copyto(block[:, 0], v)
-            np.multiply(phi, v, out=block[:, 1])
-            for rows in panels:
-                np.matmul(g[rows], flat_block, out=flat_product[rows])
-            phi_gv = np.multiply(phi, product[:, 0], out=product[:, 0])
-            np.subtract(np.multiply(v, tb, out=q), phi_gv, out=q)
-            return np.subtract(q, product[:, 1], out=q)
-    else:
-        def apply_a(v):
-            # (tb v - phi o (G v)) - G^T (phi o v), in place
-            np.subtract(np.multiply(v, tb, out=q), np.multiply(phi, np.matmul(g, v, out=u), out=u), out=q)
-            return np.subtract(q, np.matmul(g.T, np.multiply(phi, v, out=u), out=w), out=q)
+    apply_a, (x, r, d, t) = sc.network.operator(phi, tb, spare=4)
+    scale = np.abs(rhs, out=r).max(axis=0)
 
     def floor(x_norm):
         return 8.0 * np.finfo(float).eps * (bounds.norm * x_norm + scale)
 
-    x, iterations = _cg(apply_a, rhs, np.divide(rhs, tb, out=x), floor, bounds.cap, name, vectors)
-    residual = np.abs(np.subtract(rhs, apply_a(x), out=u), out=u)
+    x, iterations = _cg(apply_a, rhs, np.divide(rhs, tb, out=x), floor, bounds.cap, name, (r, d, t))
+    residual = np.abs(np.subtract(rhs, apply_a(x), out=r), out=r)
     worst = residual.max(axis=0)
     # backward error, as in the stop rule: an absolute bound in ||rhs|| alone sits below
     # the rounding of A x once ||x|| >> ||rhs|| / ||A||, which no solver can meet
-    tolerance = _RESIDUAL_TOL * (bounds.norm * np.abs(x, out=w).max(axis=0) + scale)
+    tolerance = _RESIDUAL_TOL * (bounds.norm * np.abs(x, out=d).max(axis=0) + scale)
     bad = np.ravel(~(worst <= tolerance))
     if bad.any():
         column = int(np.argmax(bad))
@@ -469,8 +429,9 @@ class QuadratureEngine:
     exchangeable = True
 
     def __post_init__(self):
-        if self.order < 1:
-            raise EngineError("quadrature order must be >= 1")
+        if self.order < 1 or self.order**2 > _MAX_MC_FLOATS:
+            raise EngineError(f"quadrature order {self.order} needs order >= 1 and an order x order "
+                              f"eigenproblem of {self.order**2} floats within the budget of {_MAX_MC_FLOATS}")
 
     def check_budget(self, n: int) -> None:
         """Refuse n users before their twin classes are known: no partition of the n-1

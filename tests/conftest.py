@@ -20,8 +20,8 @@ def complete_network(n: int) -> Network:
 
 
 def large_scenario(symmetric: bool, n: int = 300) -> Scenario:
-    """A feasible random-half scenario whose G holds more than the solve's cache budget
-    of 2**16 floats (n > 256); halving the weights below the diagonal makes G asymmetric."""
+    """A feasible random-half scenario whose G holds more than the operator's row-panel
+    budget of 2**16 floats (n > 256); halving the weights below the diagonal makes G asymmetric."""
     w = scaled_random_half_network(n, 5, CASE_PARAMS, UNIFORM.upper)[0].weights
     if not symmetric:
         w = w * np.where(np.tri(n, k=-1) > 0, 0.5, 1.0)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -317,6 +318,18 @@ class TestDeterminism:
 
 
 class TestBadValuesExitTwo:
+    def test_quadrature_order_over_its_matrix_budget_exits_two_at_once(self, tmp_path, capsys):
+        """Two users' rule has only ``order`` rows, so the row budget passes any order; the
+        order x order matrix that leggauss eigen-solves is refused before it is built."""
+        cfg = json.loads(Path(COMPLETE5).read_text())
+        cfg["network"]["n"] = 2
+        path = write_config(tmp_path, cfg)
+        start = time.perf_counter()
+        code = main(["rewards", "--config", path, "--quad-order", "4097", "--out", str(tmp_path)])
+        assert code == 2 and time.perf_counter() - start < 1.0
+        assert ("quadrature order 4097 needs order >= 1 and an order x order eigenproblem of "
+                "16785409 floats within the budget of 16777216") in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,env,named", [
         (["rewards", "--config", COMPLETE5, "--report-grid", "5"], None, "--report-grid"),
         (["verify", "--config", COMPLETE5, "--grid", "5"], None, "--grid"),

@@ -34,7 +34,7 @@ from netmech import (
     reward_schedule,
     verify_all,
 )
-from netmech import mechanism
+from netmech import market, mechanism
 from netmech.market import make_network, twin_classes
 from netmech.mechanism import SampleRows, solve_profiles
 from conftest import alone, large_scenario, random_valid_scenario, whole_samples
@@ -439,7 +439,7 @@ class TestChunkPath:
         rhs = np.zeros((n, 2 * m))
         rhs[0, :m] = 1.0
         rhs[:, m:] = sc.network.weights[0][:, None]
-        assert sc.network.weights.size <= mechanism._CHUNK_FLOATS  # the two-GEMM path
+        assert sc.network.weights.size <= market._PANEL_FLOATS  # the two-GEMM path
         tracemalloc.start()
         try:
             x, iterations, _, _ = mechanism._solve(sc, phi, rhs, "base system")

@@ -213,21 +213,26 @@ def test_one_cg_and_one_bounds_helper_serve_both_solves():
     assert referrers("_solve") == {"demand_solution", "_rank2_factors"}
 
 
-def test_symmetry_decided_in_market_and_read_by_the_solve_alone():
-    """G = G^T is computed once, in market; only the solve reads it, to pick its path, the
-    products with G live in _solve alone, and foc_residual, the independent check on
-    the solve, reaches none of them."""
+def test_symmetry_decided_in_market_and_read_by_the_operator_alone():
+    """G = G^T is computed once, in market, and only Network.operator reads it, to pick its
+    product path. No mechanism function names it or makes a product by matmul, the solve
+    never sees how G is stored, and foc_residual, the independent check on the solve,
+    reaches neither the solve nor the operator."""
     comparisons = {path.stem for path in sorted(SRC.glob("*.py"))
                    for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.Call)
                    and getattr(node.func, "attr", None) in {"array_equal", "array_equiv", "allclose"}}
     assert comparisons == {"market"}
-    assert referrers("symmetric") == {"_solve"}
-    assert "_by_panels" not in {node.name for node in ast.walk(MECHANISM)
-                                if isinstance(node, ast.FunctionDef)}
-    assert referrers("matmul") == {"_solve"}
+    market = ast.parse((SRC / "market.py").read_text())
+    readers = {node.name for node in ast.walk(market)
+               if isinstance(node, ast.FunctionDef) and "symmetric" in references(node)}
+    assert readers == {"operator"}
+    assert not {node.name for node in ast.walk(MECHANISM) if isinstance(node, ast.FunctionDef)
+                and references(node) & {"symmetric", "matmul"}}
+    assert not references(FUNCTIONS["_solve"]) & {"weights", "_CHUNK_FLOATS"}
+    assert "operator" in references(FUNCTIONS["_solve"])
     for fn in reachable("foc_residual"):
-        assert not references(FUNCTIONS[fn]) & {"_solve", "_cg", "symmetric"}, fn
+        assert not references(FUNCTIONS[fn]) & {"_solve", "_cg", "operator", "symmetric"}, fn
 
 
 def test_bruteforce_oracle_shares_no_code_with_the_solve():

@@ -306,24 +306,9 @@ class TestFocResidual:
         assert foc_residual(zero5, np.full(5, 0.7), np.full(5, 0.2)) < 1e-15
 
 
-def solve_product(monkeypatch, sc, phi, rhs):
-    """The A(phi) product that ``_solve`` hands to CG, captured from its call of ``_cg``."""
-    captured = []
-    cg = mechanism._cg
-
-    def spy(apply_a, *args):
-        captured.append(apply_a)
-        return cg(apply_a, *args)
-
-    monkeypatch.setattr(mechanism, "_cg", spy)
-    mechanism._solve(sc, phi, rhs, "test system")
-    monkeypatch.setattr(mechanism, "_cg", cg)
-    return lambda v: captured[0](v).copy()  # the product lives in _solve's work
-
-
 class TestPanelProduct:
-    """Past 2**16 floats of a symmetric G, _solve forms G v and G (phi o v) by one GEMM per row
-    panel; an asymmetric G, or a small one, keeps the two GEMMs."""
+    """Past 2**16 floats of a symmetric G, ``Network.operator`` forms G v and G (phi o v) by one
+    GEMM per row panel; an asymmetric G, or a small one, keeps the two GEMMs."""
 
     @staticmethod
     def system(shape, seed=1):
@@ -331,11 +316,26 @@ class TestPanelProduct:
         phi = np.asarray(UNIFORM.virtual_value(UNIFORM.quantile(rng.random(shape))), dtype=float)
         return phi, rng.random(shape)
 
+    @staticmethod
+    def product(sc, phi, stacks):
+        """The operator's product, whose buffer with one spare stack holds ``stacks`` stacks:
+        four on the two-GEMM path, six on the panel path."""
+        apply, (spare,) = sc.network.operator(phi, sc.params.t + sc.params.b, spare=1)
+        assert spare.base.size == stacks * phi.size
+        return apply
+
+    @staticmethod
+    def dense(sc, phi, v):
+        """A(phi) v from the assembled matrices, one system per column."""
+        n = sc.n
+        matrices = mechanism._assemble(sc, phi.reshape(n, -1).T)
+        return np.stack([a @ col for a, col in zip(matrices, v.reshape(n, -1).T)], axis=1).reshape(v.shape)
+
     @pytest.mark.parametrize("symmetric", [True, False], ids=["panel", "two-gemm"])
     @pytest.mark.parametrize("shape", [(300,), (300, 4)], ids=["vector", "stack"])
     def test_solve_matches_lu(self, symmetric, shape):
         sc = large_scenario(symmetric)
-        assert sc.network.symmetric is symmetric and sc.network.weights.size > mechanism._CHUNK_FLOATS
+        assert sc.network.symmetric is symmetric and sc.network.weights.size > market._PANEL_FLOATS
         phi, rhs = self.system(shape)
         x, iterations, _, _ = mechanism._solve(sc, phi, rhs, "test system")
         assert x.shape == shape and iterations > 3
@@ -344,18 +344,34 @@ class TestPanelProduct:
         want = np.linalg.solve(mechanism._assemble(sc, phis), rhss[..., None])[..., 0].T.reshape(shape)
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("symmetric, stacks", [(True, 9), (False, 7)], ids=["panel", "two-gemm"])
+    @pytest.mark.parametrize("shape", [(300,), (300, 4)], ids=["vector", "stack"])
+    def test_solve_takes_one_allocation(self, symmetric, stacks, shape):
+        """X, CG's three vectors and the product's scratch are carved from one buffer."""
+        phi, rhs = self.system(shape)
+        x = mechanism._solve(large_scenario(symmetric), phi, rhs, "test system")[0]
+        assert x.base.size == stacks * x.size
+
     @pytest.mark.parametrize("shape", [(300,), (300, 4)], ids=["vector", "stack"])
     def test_panel_product_equals_two_gemms(self, monkeypatch, shape):
-        panel = large_scenario(True)
-        two = Scenario(Network(panel.network.weights), panel.params, panel.dist)
-        object.__setattr__(two.network, "symmetric", False)  # the same G on the two-GEMM path
-        phi, rhs = self.system(shape)
+        sc = large_scenario(True)
+        phi, _ = self.system(shape)
         v = np.random.default_rng(2).standard_normal(shape)
-        got = solve_product(monkeypatch, panel, phi, rhs)(v)
-        want = solve_product(monkeypatch, two, phi, rhs)(v)
+        got = self.product(sc, phi, 6)(v).copy()
+        monkeypatch.setattr(market, "_PANEL_FLOATS", sc.network.weights.size)  # the two-GEMM path
+        want = self.product(sc, phi, 4)(v)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        dense = np.stack([a @ col for a, col in zip(mechanism._assemble(panel, phi.reshape(300, -1).T),
-                                                   v.reshape(300, -1).T)], axis=1).reshape(shape)
+        dense = self.dense(sc, phi, v)
+        assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n, stacks", [(256, 4), (257, 6)], ids=["two-gemm", "panel"])
+    def test_product_at_the_panel_boundary(self, n, stacks):
+        """G of 256**2 = 2**16 floats keeps the two GEMMs; one more user takes the panels."""
+        sc = large_scenario(True, n)
+        phi, _ = self.system((n, 3))
+        v = np.random.default_rng(3).standard_normal((n, 3))
+        got = self.product(sc, phi, stacks)(v)
+        dense = self.dense(sc, phi, v)
         assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
 
     def test_panel_iterations_allocate_nothing_of_the_stack_size(self):
@@ -430,6 +446,11 @@ class TestInterimCurves:
     def test_zero_budget_engines(self):
         with pytest.raises(EngineError):
             QuadratureEngine(order=0)
+        # leggauss eigen-solves an order x order matrix, so 4096**2 = 2**24 floats is the largest
+        assert QuadratureEngine(order=4096).order == 4096
+        with pytest.raises(EngineError, match="order 4097 needs order >= 1 and an order x order "
+                                              "eigenproblem of 16785409 floats within the budget of 16777216"):
+            QuadratureEngine(order=4097)
         with pytest.raises(EngineError):
             MonteCarloEngine(samples=0)
 
