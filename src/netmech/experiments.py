@@ -28,6 +28,7 @@ from .distributions import TypeDistribution, Uniform
 from .market import MarketParams, Network, Scenario, make_network, scaled_random_half_network
 from .mechanism import (
     MIN_GRID,
+    MonteCarloEngine,
     cumulative_trapezoid,
     interim_curves,
     make_engine,
@@ -306,7 +307,7 @@ def run_fig6(spec: ExperimentSpec) -> ExperimentResult:
     sizes = FIG6_SIZES
     params, upper = spec.params, spec.dist.upper
     weight = min(scaled_random_half_network(n, spec.seed + n, params, upper)[1] for n in sizes)
-    engine = make_engine("mc", spec.quad_order, spec.mc_samples, spec.seed)
+    engine = MonteCarloEngine(samples=spec.mc_samples, seed=spec.seed)
     utilities = {}
     u_se = {}
     rows = []

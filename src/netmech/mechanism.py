@@ -41,22 +41,23 @@ rule, or reseeds the generator, on each call, and hands out the sample set a
 slice of rows at a time: quadrature computes the rows' node indices, and Monte
 Carlo advances the generator past the earlier rows, so any slicing gives the
 rows of the one (samples, n) uniform draw. Users share their common columns,
-and threads share an engine without a lock.
+and threads share an engine without a lock. Each engine also states its own
+error: ``standard_error(values, means, weights)`` is Monte Carlo's i.i.d.
+standard error of the means, and None for quadrature, which states none.
 
-Users j and k are twins when swapping them leaves G unchanged
-(``market.twin_classes``). The types are i.i.d. and the Gauss-Legendre rule
-is symmetric in its coordinates, so the quadrature engine is
-``exchangeable``, and ``interim_curves`` uses the classes at two levels.
-Only the first requested user of each class is computed, and its rows are
-copied to the class's other requested users. And user i's rule runs over
-the classes of the other users: k others of one class take the
-C(order+k-1, k) multisets of k nodes, weighted by the multinomial
-k! / prod m!, not the order**k tuples, so the rule has
-prod_c C(order+k_c-1, k_c) rows. At order 8, hub5 needs 1296 rows for its
-hub and 2304 for each other user, against 4096; complete5 needs 330. On a
-twin-free network every class is one user, and the rule is the tensor, bit
-for bit. Monte Carlo gives each user other columns of its matrix, so its
-sample sets are not symmetric and it uses neither reduction.
+An engine's ``classes(network)`` partitions the users, and ``interim_curves``
+uses the partition at two levels. Only the first requested user of each class
+is computed, and its rows are copied to the class's other requested users.
+And user i's rule runs over the classes of the other users. Quadrature's
+classes are the twins of ``market.twin_classes``, users whose swap leaves G
+unchanged: the types are i.i.d. and the Gauss-Legendre rule is symmetric in
+its coordinates, so k others of one class take the C(order+k-1, k) multisets
+of k nodes, weighted by the multinomial k! / prod m!, not the order**k tuples,
+and the rule has prod_c C(order+k_c-1, k_c) rows. At order 8, hub5 needs 1296
+rows for its hub and 2304 for each other user, against 4096; complete5 needs
+330. On a twin-free network every class is one user, and the rule is the
+tensor, bit for bit. Monte Carlo gives each user other columns of its matrix,
+so its sample sets are not symmetric, and its classes are single users.
 
 Along the grid only user i's virtual value moves, and it enters A through a
 symmetric rank-2 term: with g_i = G[i, :],
@@ -91,7 +92,8 @@ arrays holds at most max(``_CHUNK_FLOATS``, samples) floats: past 2^16
 samples, one float per sample. What grows with the sample count is therefore
 the per-sample factors, coefficients and weights (about a dozen floats per
 sample at the peak) and the grid stage's arrays (up to five per running
-chunk). With one user, its chunks are the parallel tasks.
+chunk), times the pool's workers, at most ``os.cpu_count()``. With one user,
+its chunks are the parallel tasks.
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -117,6 +119,7 @@ R_i(theta_hat) = r_i(theta_hat_i).
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -129,7 +132,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .distributions import SupportError, TypeDistribution
-from .market import Scenario, twin_classes
+from .market import Network, Scenario, twin_classes
 
 
 class SolverError(RuntimeError):
@@ -416,27 +419,28 @@ class QuadratureEngine:
     User i's rule has prod_c C(order+k_c-1, k_c) rows over the classes of the
     other users; refuse more than ``_MAX_QUADRATURE_NODES`` rows, or a
     (rows, n-1) set of types over ``_MAX_MC_FLOATS`` floats, before any
-    multiset is built, and point to the Monte Carlo engine instead;
-    ``check_budget`` refuses n users whose smallest rule is already over,
-    before the twin classes are computed. The types are i.i.d. and the rule
-    is symmetric in its coordinates, so it is ``exchangeable``: nodes that
+    multiset is built, and point to the Monte Carlo engine instead. The types
+    are i.i.d. and the rule is symmetric in its coordinates, so nodes that
     differ by a permutation within a class of twins give equal integrands,
-    and twin users get equal curves.
+    and twin users get equal curves: ``classes`` are the twin classes. A
+    deterministic rule, it states no ``standard_error``.
     """
 
     order: int = 8
-    kind = "quadrature"
-    exchangeable = True
+    standard_error = None
 
     def __post_init__(self):
         if self.order < 1 or self.order**2 > _MAX_MC_FLOATS:
             raise EngineError(f"quadrature order {self.order} needs order >= 1 and an order x order "
                               f"eigenproblem of {self.order**2} floats within the budget of {_MAX_MC_FLOATS}")
 
-    def check_budget(self, n: int) -> None:
-        """Refuse n users before their twin classes are known: no partition of the n-1
-        others gives fewer rows than the C(order+n-2, n-1) of one class of all of them."""
+    def classes(self, network: Network) -> tuple:
+        """``twin_classes(network)``, after refusing n users before their classes are known:
+        no partition of the n-1 others gives fewer rows than the C(order+n-2, n-1) of one
+        class of all of them."""
+        n = network.n
         self._refuse_over_budget(n, math.comb(self.order + n - 2, n - 1), "at least ")
+        return twin_classes(network)
 
     def _refuse_over_budget(self, n: int, count: int, least: str = "") -> None:
         floats = count * (n - 1)
@@ -504,18 +508,26 @@ class MonteCarloEngine:
     between users. A slice of rows is drawn alone, from the generator
     advanced past the rows before it, so the matrix is never held whole.
     Refuse a set that draws more than ``_MAX_MC_FLOATS`` floats, before any
-    draw. Twins see different columns, so the sample sets are not
-    ``exchangeable`` and ``classes`` is ignored.
+    draw. Twins see different columns, so every user is its own class.
     """
 
     samples: int = 20_000
     seed: int = 0
-    kind = "mc"
-    exchangeable = False
 
     def __post_init__(self):
         if self.samples < 1:
             raise EngineError("need at least one Monte Carlo sample")
+
+    def classes(self, network: Network) -> tuple:
+        return tuple((u,) for u in range(network.n))
+
+    @staticmethod
+    def standard_error(values: np.ndarray, means: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The i.i.d. standard error of each row's mean: the sample variance about
+        ``means``, over m - 1, divided by the m samples (Glasserman 2003, sec. 1.1)."""
+        m = weights.size
+        var = ((values - means[:, None])**2 @ weights) * m / max(1, m - 1)
+        return np.sqrt(var / m)
 
     def others_rows(self, dist: TypeDistribution, n: int, i: int, classes) -> SampleRows:
         if self.samples * n > _MAX_MC_FLOATS:
@@ -536,14 +548,14 @@ class MonteCarloEngine:
         return SampleRows(dist, np.full(self.samples, 1.0 / self.samples), types, (self.samples, n - 1))
 
 
-def make_engine(kind: str, quad_order: int, mc_samples: int, seed: int):
-    """The expectation engine ``kind``: quadrature of ``quad_order``, or Monte
-    Carlo with ``mc_samples`` draws from ``seed``. The one place engines are built."""
-    if kind == "quadrature":
+def make_engine(name: str, quad_order: int, mc_samples: int, seed: int):
+    """The expectation engine ``name``: quadrature of ``quad_order``, or Monte
+    Carlo with ``mc_samples`` draws from ``seed``. The one place an engine name is read."""
+    if name == "quadrature":
         return QuadratureEngine(order=quad_order)
-    if kind == "mc":
+    if name == "mc":
         return MonteCarloEngine(samples=mc_samples, seed=seed)
-    raise EngineError(f"unknown engine {kind!r}; expected quadrature or mc")
+    raise EngineError(f"unknown engine {name!r}; expected quadrature or mc")
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +568,8 @@ class InterimCurves:
     """Per-user interim quantities on a common type grid.
 
     Rows of users that were not requested are NaN; ``users`` lists the
-    computed ones. ``gamma_se`` is the Monte Carlo standard error of gamma
-    (None for quadrature).
+    computed ones. ``gamma_se`` is the engine's standard error of gamma;
+    None when it states none.
     """
 
     grid: np.ndarray
@@ -680,19 +692,19 @@ def interim_curves(
 ) -> InterimCurves:
     """Estimate gamma_i, V_i, C_i on a uniform type grid for the given users.
 
-    ``threads`` > 1 runs one pool at one of two levels. With more than one
+    ``threads`` > 1 runs one pool, of at most ``os.cpu_count()`` workers (live
+    memory grows with the workers), at one of two levels. With more than one
     user, the pool maps users and each user runs its chunks in turn; with one
     (fig6 asks for one user), its CG chunks, then its grid chunks, are mapped
     over the pool, so the earliest chunk's SolverError is the one raised, as
-    in a serial run. The
-    sample set is read a chunk of rows at a time (``others_rows``), so no
-    (samples, n-1) array of types or virtual values is built.
+    in a serial run. The sample set is read a chunk of rows at a time
+    (``others_rows``), so no (samples, n-1) array of types or virtual values
+    is built.
 
-    With an ``exchangeable`` engine, the first requested user of each class
-    of ``twin_classes`` is computed and its rows are copied to the class's
-    other requested users; ``threads`` then applies to the computed users.
-    Such an engine's ``check_budget(n)`` runs first, so a rule that no
-    partition into classes fits is refused before the classes are computed.
+    The first requested user of each of the engine's ``classes`` is computed
+    and its rows are copied to the class's other requested users; ``threads``
+    then applies to the computed users. ``gamma_se`` is filled by the engine's
+    ``standard_error`` where it has one.
 
     Deterministic for a fixed engine configuration regardless of ``threads``:
     every chunk's outputs land in preallocated rows or columns, chunk sizes
@@ -718,16 +730,8 @@ def interim_curves(
     gamma = np.full((n, grid_size), np.nan)
     v = np.full((n, grid_size), np.nan)
     c = np.full((n, grid_size), np.nan)
-    track_se = engine.kind == "mc"
-    gamma_se = np.full((n, grid_size), np.nan) if track_se else None
-    # an exchangeable rule gives twins equal curves: the first requested user of each
-    # class runs, and its rows are copied to the class's other requested users
-    if engine.exchangeable:
-        # refused before the O(n^2) comparisons of twin_classes when no partition fits
-        engine.check_budget(n)
-        classes = twin_classes(sc.network)
-    else:
-        classes = tuple((u,) for u in range(n))
+    gamma_se = None if engine.standard_error is None else np.full((n, grid_size), np.nan)
+    classes = engine.classes(sc.network)
     copies = {}
     for members in classes:
         requested = [u for u in members if u in user_list]
@@ -738,7 +742,6 @@ def interim_curves(
     def run_user(i, pool):
         rows = engine.others_rows(dist, n, i, classes)
         weights = rows.weights
-        n_samples = weights.size
         s, big_s = _rank2_factors(sc, i, rows, pool)
         # (I - phi S) [g_i.x, x_i] = s by Cramer's rule, its phi-free parts once per sample
         s0, s1 = s.T.copy()
@@ -782,21 +785,20 @@ def interim_curves(
             square = xi @ weights
             v[i, sl] = (p.a - p.p) * mean - 0.5 * p.b * square
             c[i, sl] = p.s * mean - 0.5 * p.t * square
-            if track_se:
-                resid = gamma_samples - gamma[i, sl][:, None]
-                var = (resid**2 @ weights) * n_samples / max(1, n_samples - 1)
-                gamma_se[i, sl] = np.sqrt(var / n_samples)
+            if gamma_se is not None:
+                gamma_se[i, sl] = engine.standard_error(gamma_samples, gamma[i, sl], weights)
 
-        _map(pool, grid_chunk, _chunk_slices(grid_size, max(1, _CHUNK_FLOATS // n_samples)))
+        _map(pool, grid_chunk, _chunk_slices(grid_size, max(1, _CHUNK_FLOATS // weights.size)))
 
-    # threads=1 stays in this thread, under the caller's np.errstate (pool threads lack it)
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+    workers = min(threads, os.cpu_count() or 1)
+    # one worker stays in this thread, under the caller's np.errstate (pool threads lack it)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         if len(runs) == 1:
             run_user(runs[0], pool)
         else:
             _map(pool, lambda i: run_user(i, None), runs)
     for i, twins in copies.items():
-        for out in (gamma, v, c) + ((gamma_se,) if track_se else ()):
+        for out in (gamma, v, c) + (() if gamma_se is None else (gamma_se,)):
             out[twins] = out[i]
 
     return InterimCurves(

@@ -319,8 +319,10 @@ class TensorRule:
     """An engine that serves the full tensor rule built by the test: no twin reduction."""
 
     order: int
-    kind = "tensor"
-    exchangeable = False
+    standard_error = None
+
+    def classes(self, network):
+        return alone(network.n)
 
     def others_rows(self, dist, n, i, classes):
         types, weights = tensor_rule(dist, n, self.order)
@@ -403,21 +405,42 @@ class TestChunkPath:
     """A single user: its chunks run on the pool."""
 
     @pytest.mark.parametrize("engine", [QuadratureEngine(order=6), MonteCarloEngine(samples=1500, seed=4)],
-                             ids=lambda e: e.kind)
+                             ids=["quadrature", "mc"])
     def test_one_user_bit_identical_across_threads(self, hub5, monkeypatch, engine):
         # chunks of 64 samples in the CG stage and one grid point each in the grid stage;
-        # frequent thread switches would expose two chunks writing the same rows
+        # frequent thread switches would expose two chunks writing the same rows;
+        # four CPUs, so the pool's cap still gives threads=4 four workers
         monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2 * 5 * 64)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             runs = [interim_curves(hub5, 17, engine, users=[0], threads=t) for t in (1, 2, 4)]
         finally:
             sys.setswitchinterval(interval)
-        fields = ("gamma", "v", "c") + (("gamma_se",) if engine.kind == "mc" else ())
+        fields = ("gamma", "v", "c") + (("gamma_se",) if engine.standard_error is not None else ())
         for got in runs[1:]:
             for field in fields:
                 assert np.array_equal(getattr(got, field), getattr(runs[0], field), equal_nan=True), field
+
+    def test_pool_capped_at_the_cpus(self, hub5, monkeypatch):
+        """Live memory grows with the workers, so no more open than there are CPUs."""
+        opened = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers)
+
+        engine = MonteCarloEngine(samples=60, seed=3)
+        want = interim_curves(hub5, 9, engine)
+        monkeypatch.setattr(mechanism, "ThreadPoolExecutor", Recorded)
+        for cpus, threads, workers in ((2, 64, [2]), (4, 3, [3]), (1, 64, []), (None, 64, [])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            opened.clear()
+            got = interim_curves(hub5, 9, engine, threads=threads)
+            assert opened == workers, (cpus, threads)
+            assert np.array_equal(got.gamma_se, want.gamma_se), (cpus, threads)
 
     def test_sample_rows_give_the_array_factors(self, hub5, monkeypatch):
         monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2 * 5 * 64)

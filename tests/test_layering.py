@@ -134,12 +134,16 @@ def engine_constructions(tree: ast.AST) -> list:
     ]
 
 
-def test_engines_built_in_one_function():
+def test_engines_built_by_name_in_one_function_and_by_fig6():
+    """make_engine is the one reader of an engine name; fig6, always Monte Carlo, builds
+    its engine directly and passes no quadrature order."""
     total = sum(len(engine_constructions(ast.parse(p.read_text()))) for p in SRC.glob("*.py"))
-    mechanism = ast.parse((SRC / "mechanism.py").read_text())
-    factory = next(node for node in ast.walk(mechanism)
-                   if isinstance(node, ast.FunctionDef) and node.name == "make_engine")
-    assert len(engine_constructions(factory)) == total == 2
+    factory = top_level_functions(ast.parse((SRC / "mechanism.py").read_text()))["make_engine"]
+    fig6 = top_level_functions(ast.parse((SRC / "experiments.py").read_text()))["run_fig6"]
+    assert len(engine_constructions(factory)) == 2
+    assert [node.func.id for node in engine_constructions(fig6)] == ["MonteCarloEngine"]
+    assert "make_engine" not in {node.id for node in ast.walk(fig6) if isinstance(node, ast.Name)}
+    assert total == 3
 
 
 def test_verification_builds_no_curves_or_engines():
@@ -276,10 +280,29 @@ def test_dominance_coupling_spelled_once_in_market():
 
 @pytest.mark.parametrize("kernel", ["_rank2_factors", "interim_curves"])
 def test_curve_kernel_never_names_quadrature(kernel):
-    """The twin reduction follows the engine's ``exchangeable`` capability, not its kind."""
+    """The kernel takes the engine's ``classes`` and ``standard_error``; it never asks
+    which engine it holds, nor finds the twins itself."""
     for fn in reachable(kernel):
         node = FUNCTIONS[fn]
         assert "QuadratureEngine" not in references(node), fn
         strings = {c.value for c in ast.walk(node) if isinstance(c, ast.Constant)}
         assert "quadrature" not in strings, fn
-    assert "exchangeable" in references(FUNCTIONS["interim_curves"])
+        assert not references(node) & {"kind", "exchangeable", "check_budget", "twin_classes"}, fn
+    assert "classes" in references(FUNCTIONS["interim_curves"])
+
+
+def test_sample_variance_spelled_once_on_the_monte_carlo_engine():
+    """The i.i.d. variance's m / max(1, m - 1) lives in MonteCarloEngine.standard_error alone."""
+    def is_dof(call):
+        return (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "max"
+                and len(call.args) == 2 and getattr(call.args[0], "value", None) == 1
+                and isinstance(call.args[1], ast.BinOp) and isinstance(call.args[1].op, ast.Sub)
+                and getattr(call.args[1].right, "value", None) == 1)
+
+    homes = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            homes += [(path.stem, owner, fn.name) for fn in (top.body if owner else [top])
+                      if isinstance(fn, ast.FunctionDef) and any(map(is_dof, ast.walk(fn)))]
+    assert homes == [("mechanism", "MonteCarloEngine", "standard_error")]

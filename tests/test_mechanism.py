@@ -456,9 +456,9 @@ class TestInterimCurves:
 
     def test_make_engine(self):
         quad = make_engine("quadrature", 5, 100, 7)
-        assert (quad.kind, quad.order) == ("quadrature", 5)
+        assert isinstance(quad, QuadratureEngine) and quad.order == 5
         mc = make_engine("mc", 5, 100, 7)
-        assert (mc.kind, mc.samples, mc.seed) == ("mc", 100, 7)
+        assert isinstance(mc, MonteCarloEngine) and (mc.samples, mc.seed) == (100, 7)
         with pytest.raises(EngineError, match="unknown engine 'lu'"):
             make_engine("lu", 5, 100, 7)
 
@@ -480,7 +480,7 @@ class TestInterimCurves:
 class TestStatelessEngines:
     ENGINES = [QuadratureEngine(order=5), MonteCarloEngine(samples=300, seed=4)]
 
-    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.kind)
+    @pytest.mark.parametrize("engine", ENGINES, ids=["quadrature", "mc"])
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_repeated_calls_are_equal(self, engine, n):
         first = whole_samples(engine, UNIFORM, n, n - 1)
