@@ -14,7 +14,8 @@ for experiment and bench):
 A flag a verb does not read is a usage error. Exit codes: 0 = success and
 every asserted property passed; 1 = a property check failed (the report is
 still written); 2 = usage, config or validation error, with the flag, config
-key or violated assumption named.
+key or violated assumption named. --out is created before any computation,
+and an --out that cannot be a directory is such an error.
 
 All randomness flows from one nonnegative seed. Precedence: --seed flag, then
 the NETMECH_SEED environment variable, then a "seed" key in the config file,
@@ -165,6 +166,17 @@ def _load_scenario(args) -> tuple[Scenario, dict]:
     return scenario_from_config(cfg), cfg
 
 
+def _output_dir(args) -> Path:
+    """Create --out before any computation; ConfigError, with the OS reason, if it cannot be."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: cannot create the output directory: "
+                          f"{exc.strerror or exc}") from None
+    return out
+
+
 def _curves_and_rewards(args, sc: Scenario, cfg: dict):
     engine = make_engine(args.engine, args.quad_order, args.mc_samples, _resolve_seed(args, cfg))
     curves = interim_curves(sc, args.report_grid, engine, threads=args.threads)
@@ -203,8 +215,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_rewards(args) -> int:
-    curves, rewards = _curves_and_rewards(args, *_load_scenario(args))
-    path = Path(args.out) / "rewards.csv"
+    sc, cfg = _load_scenario(args)
+    path = _output_dir(args) / "rewards.csv"
+    curves, rewards = _curves_and_rewards(args, sc, cfg)
     export_interim_csv(curves, rewards, path)
     print(f"wrote {path}")
     return 0
@@ -216,10 +229,9 @@ def cmd_verify(args) -> int:
     if floats > MAX_SWEEP_FLOATS:
         raise ConfigError(f"the IC sweep of {sc.n} users x --grid {args.grid} x --report-grid "
                           f"{args.report_grid} holds {floats} floats, over the budget of {MAX_SWEEP_FLOATS}")
+    out = _output_dir(args)
     curves, rewards = _curves_and_rewards(args, sc, cfg)
     reports = verify_all(sc, curves, rewards, args.grid, args.report_grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = []
     for report in reports:
         lines.extend(report.summary_lines())
@@ -251,8 +263,8 @@ def cmd_experiment(args) -> int:
             if getattr(args, dest) < low:
                 raise ConfigError(f"--{dest.replace('_', '-')} must be an integer >= {low} "
                                   f"for experiment {name}, got {getattr(args, dest)}")
+    summary_path = _output_dir(args) / "summary.txt"
     results = [run_experiment(spec, name) for name in names]
-    summary_path = Path(args.out) / "summary.txt"
     write_summary(results, summary_path)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -264,12 +276,14 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    result = run_table2(_spec_from_args(args), sizes=args.sizes)
+    spec = _spec_from_args(args)
+    summary_path = _output_dir(args) / "summary.txt"
+    result = run_table2(spec, sizes=args.sizes)
     for rec in result.records:
         print(f"n={rec.n}: {rec.wall_seconds:.6f} s ({rec.statistic} of {rec.repetitions})")
     for check in result.checks:
         print(check.line())
-    write_summary([result], Path(args.out) / "summary.txt")
+    write_summary([result], summary_path)
     return 0 if result.passed else 1
 
 

@@ -76,24 +76,31 @@ solved. All samples' z and w are solved by one matrix-free CG on a stack with
 one system per column, at O(n^2) per iteration and system, not per sample and
 grid point. Cramer's rule then runs on four coefficients formed once per
 sample, ca = S10 s0 - S00 s1, cb = S01 s1 - S11 s0, tr = S00 + S11 and
-dt = det S:
+dt = det S, held as three (2, samples) stacks tr_dt = [tr, -dt],
+x_num = [ca, s1] and g_num = [cb, s0]. A chunk of grid points makes each
+quantity by one K=2 product (a BLAS GEMM) of its rows of [phi_i, phi_i^2]
+or [phi_i, 1] with a stack:
 
-    det = 1 - phi_i (tr - phi_i dt),  x_i = (s1 + phi_i ca) / det,  g_i.x = (s0 + phi_i cb) / det,
+    det = 1 - [phi_i, phi_i^2] tr_dt,  x_i = [phi_i, 1] x_num / det,  g_i.x = [phi_i, 1] g_num / det,
 
-a few passes per (grid point, sample) element, each sign guard one
-min-reduction. gamma is E[x_i g_i.x]; V and C are quadratics in x_i, so both
-come from E[x_i] and E[x_i^2], one product with the weights each. Memory is
-chunked under the float budget ``_CHUNK_FLOATS``. The CG stack runs in chunks
-of samples, each array about that many floats (at least one system). A CG
-chunk draws only its own rows of the sample set, and its solve allocates one
-workspace up front, so its iterations allocate nothing of the stack's size.
-The grid stage runs in chunks of at least one grid point, so each of its
-arrays holds at most max(``_CHUNK_FLOATS``, samples) floats: past 2^16
-samples, one float per sample. What grows with the sample count is therefore
-the per-sample factors, coefficients and weights (about a dozen floats per
-sample at the peak) and the grid stage's arrays (up to five per running
-chunk), times the pool's workers, at most ``os.cpu_count()``. With one user,
-its chunks are the parallel tasks.
+six passes per (grid point, sample) element (three products, a subtraction
+and two divisions), then each sign guard one min-reduction. gamma is
+E[x_i g_i.x]; V and C are quadratics in x_i, so both come from E[x_i] and
+E[x_i^2], one product with the weights each. Memory is chunked under the
+float budget ``_CHUNK_FLOATS``. The CG stack runs in chunks of samples, each
+array about that many floats (at least one system). A CG chunk draws only its
+own rows of the sample set, and its solve allocates one workspace up front,
+so its iterations allocate nothing of the stack's size. The grid stage runs
+in chunks of at least one grid point, so each of its arrays holds at most
+max(``_CHUNK_FLOATS``, samples) floats: past 2^16 samples, one float per
+sample. What grows with the sample count is therefore the per-sample
+factors, stacks and weights, and the grid stage's arrays. The stacks are
+filled in place, s freed once copied and S once read, so at most eleven
+floats per sample are held: s, S, the weights and four rows of stacks, then
+S, the weights and all six. The grid stage holds seven (stacks and weights)
+plus three arrays per running chunk (det, x_i and g_i.x; the standard
+error's temporary takes det's place), times the pool's workers, at most
+``os.cpu_count()``. With one user, its chunks are the parallel tasks.
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -125,7 +132,7 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, combinations_with_replacement
 
 import numpy as np
@@ -412,6 +419,15 @@ class SampleRows:
         return np.asarray(self.dist.virtual_value(self.types(rows)), dtype=float)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """The Gauss-Legendre nodes and weights on [-1, 1], computed once per order and read-only."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 @dataclass(frozen=True)
 class QuadratureEngine:
     """Gauss-Legendre expectation over the other users' types, reduced by their twin classes.
@@ -468,7 +484,7 @@ class QuadratureEngine:
         columns = [c for c in columns if c]
         radices = [math.comb(self.order + len(c) - 1, len(c)) for c in columns]
         self._refuse_over_budget(n, math.prod(radices))
-        x, w = np.polynomial.legendre.leggauss(self.order)
+        x, w = _gauss_legendre(self.order)
         half = 0.5 * (dist.upper - dist.lower)
         nodes = dist.lower + (x + 1.0) * half
         node_weights = w * half * np.asarray(dist.pdf(nodes), dtype=float)
@@ -726,6 +742,9 @@ def interim_curves(
     p = sc.params
     grid = np.linspace(dist.lower, dist.upper, grid_size)
     phi_grid = np.asarray(dist.virtual_value(grid), dtype=float)
+    # the (grid, 2) left factors of the grid stage's products: [phi, phi^2] and [phi, 1]
+    phi_det = np.stack([phi_grid, phi_grid * phi_grid], axis=1)
+    phi_num = np.stack([phi_grid, np.ones(grid_size)], axis=1)
 
     gamma = np.full((n, grid_size), np.nan)
     v = np.full((n, grid_size), np.nan)
@@ -743,27 +762,32 @@ def interim_curves(
         rows = engine.others_rows(dist, n, i, classes)
         weights = rows.weights
         s, big_s = _rank2_factors(sc, i, rows, pool)
-        # (I - phi S) [g_i.x, x_i] = s by Cramer's rule, its phi-free parts once per sample
-        s0, s1 = s.T.copy()
+        # (I - phi S) [g_i.x, x_i] = s by Cramer's rule: x_num = [ca, s1], g_num = [cb, s0]
+        # and tr_dt = [tr, -dt], filled in place with tr_dt[0] as the one temporary
+        x_num, g_num = np.empty((2, 2, len(s)))
+        g_num[1], x_num[1] = s.T
         del s
-        ca = big_s[:, 1, 0] * s0 - big_s[:, 0, 0] * s1
-        cb = big_s[:, 0, 1] * s1 - big_s[:, 1, 1] * s0
-        tr = big_s[:, 0, 0] + big_s[:, 1, 1]
-        dt = big_s[:, 0, 0] * big_s[:, 1, 1] - big_s[:, 0, 1] * big_s[:, 1, 0]
-        del big_s
+        s00, s01, s10, s11 = big_s.reshape(-1, 4).T
+        tr_dt = np.empty((2, len(big_s)))
+        # -dt = S01 S10 - S00 S11, the exact negation of S00 S11 - S01 S10
+        np.multiply(s01, s10, out=tr_dt[1])
+        tr_dt[1] -= np.multiply(s00, s11, out=tr_dt[0])
+        # ca = S10 s0 - S00 s1 and cb = S01 s1 - S11 s0
+        np.multiply(s10, g_num[1], out=x_num[0])
+        x_num[0] -= np.multiply(s00, x_num[1], out=tr_dt[0])
+        np.multiply(s01, x_num[1], out=g_num[0])
+        g_num[0] -= np.multiply(s11, g_num[1], out=tr_dt[0])
+        np.add(s00, s11, out=tr_dt[0])
+        del big_s, s00, s01, s10, s11
 
         def grid_chunk(sl):
-            ph = phi_grid[sl][:, None]
-            # det = 1 - phi (tr - phi dt), x_i = (s1 + phi ca) / det, g_i.x = (s0 + phi cb) / det
-            det = ph * dt
-            np.subtract(tr, det, out=det)
-            det *= ph
+            # det = 1 - [phi, phi^2] . [tr, -dt], x_i = [phi, 1] . x_num / det and
+            # g_i.x = [phi, 1] . g_num / det: three K=2 products
+            det = phi_det[sl] @ tr_dt
             np.subtract(1.0, det, out=det)
-            xi = ph * ca
-            xi += s1
+            xi = phi_num[sl] @ x_num
             xi /= det
-            gx = ph * cb
-            gx += s0
+            gx = phi_num[sl] @ g_num
             gx /= det
             for name, value, holds in (
                 ("det(I - phi S)", det, np.greater),
@@ -777,6 +801,7 @@ def interim_curves(
                         f"user {i} at theta {grid[sl][k]:.12g}: {name} = {value[k, j]:.6g} "
                         f"at sample {j} breaks the sign that Assumption 2 promises"
                     )
+            del det, value  # spent: the standard error's temporary takes its place
             gamma_samples = np.multiply(xi, gx, out=gx)
             gamma[i, sl] = gamma_samples @ weights
             # V and C are quadratics in x_i: both come from E[x_i] and E[x_i^2]

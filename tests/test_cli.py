@@ -381,6 +381,27 @@ class TestBadValuesExitTwo:
         monkeypatch.setenv("NETMECH_SEED", "0")
         assert main(argv + ["--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("argv,under,reason", [
+        (["rewards", "--config", COMPLETE5], "", "File exists"),
+        (["verify", "--config", COMPLETE5], "sub", "Not a directory"),
+        (["experiment", "--name", "fig4"], "", "File exists"),
+        (["bench", "--sizes", "5"], "sub/deeper", "Not a directory"),
+    ], ids=["rewards", "verify", "experiment", "bench"])
+    def test_out_naming_a_file_exits_two_before_computing(self, tmp_path, capsys, monkeypatch,
+                                                          argv, under, reason):
+        """--out that is a regular file, or a path under one, is refused before any computation."""
+        for name in ("interim_curves", "run_experiment", "run_table2"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("computed before --out"))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / under if under else blocker
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ")
+        assert reason in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "kept\n"
+
 
 class TestMalformedConfig:
     @pytest.mark.parametrize("block,value,named", [

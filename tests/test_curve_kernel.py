@@ -91,6 +91,13 @@ def with_rows(big_s, rows):
     return big_s
 
 
+def with_entry(factor, index, value):
+    """A copy of a factor array with ``value`` at ``index``."""
+    factor = factor.copy()
+    factor[index] = value
+    return factor
+
+
 def first_sign_break(sc, grid_size, s, big_s, quantity):
     """(grid index, sample) of the first element in (grid, sample) order at which the
     named quantity of the 2x2 system (I - phi S) [g_i.x, x_i] = s breaks its sign,
@@ -298,6 +305,24 @@ class TestGuards:
             assert f"{np.linspace(0.4, 0.8, 9)[k]:.12g}" == theta
             assert f" at sample {j} breaks" in message, (chunk_floats, threads)
             assert "Assumption 2" in message
+
+    @pytest.mark.parametrize("quantity,sample,tamper", [
+        # S00 = inf makes tr and det S infinite, so det(I - phi S) = 1 - (0 inf + 0 inf) at phi = 0
+        pytest.param("det(I - phi S)", 5, lambda s, big_s: (s, with_entry(big_s, (5, 0, 0), np.inf)),
+                     id="inf-in-S"),
+        # s1 = inf makes ca infinite, so x_i = (0 ca + s1) / det is NaN at phi = 0
+        pytest.param("x_2", 9, lambda s, big_s: (with_entry(s, (9, 1), np.inf), big_s), id="inf-in-s"),
+    ])
+    def test_infinite_factor_fails_its_sign_as_nan(self, path5, monkeypatch, quantity, sample, tamper):
+        factors = mechanism._rank2_factors
+        monkeypatch.setattr(mechanism, "_rank2_factors", lambda *args: tamper(*factors(*args)))
+        for chunk_floats, threads in ((mechanism._CHUNK_FLOATS, 1), (4**4, 1), (4**4, 2)):
+            monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", chunk_floats)
+            with pytest.raises(SolverError) as err, warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                interim_curves(path5, 9, QuadratureEngine(order=4), users=[2], threads=threads)
+            assert str(err.value) == (f"user 2 at theta 0.4: {quantity} = nan at sample {sample} "
+                                      f"breaks the sign that Assumption 2 promises")
 
     def test_grid_chunks_do_not_change_curves(self, hub5, monkeypatch):
         """The grid stage never mixes grid points: one per chunk gives the default curves."""
