@@ -29,8 +29,6 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .distributions import TruncatedExponential, TruncatedNormal, TypeDistribution, Uniform
 from .market import MarketParams, Network, Scenario, check_dense_size, make_network
 
@@ -106,26 +104,19 @@ def network_from_config(cfg: dict) -> Network:
     if n < 1:
         raise ConfigError(f"network block: key 'n' must be at least 1, got {n}")
     _checked(check_dense_size, "network block", n)
+    edges = []
     if kind == "edges":
         if not isinstance(cfg.get("edges"), list):
             raise ConfigError("network kind 'edges' needs an 'edges' list")
-        w = np.zeros((n, n))
         for entry in cfg["edges"]:
             try:
                 i, j, val = (*entry, 1.0) if len(entry) == 2 else entry
-                i, j, val = as_int(i), as_int(j), as_float(val)
+                edges.append((as_int(i), as_int(j), as_float(val)))
             except (TypeError, ValueError):
                 raise ConfigError(f"edge entry {entry!r} must be [i, j] or [i, j, weight]") from None
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ConfigError(f"edge ({i}, {j}) invalid for n={n}")
-            w[i, j] = w[j, i] = val
-    else:
-        if kind == "random_k" and "seed" not in cfg:
-            raise ConfigError("network kind 'random_k' needs 'seed'")
-        seed = _value("network block", cfg, "seed", as_int, "an integer") if "seed" in cfg else None
-        w = _checked(make_network, "network block", kind, n, seed=seed).weights
-    w = w * weight  # the unscaled array is dropped before Network copies this one
-    return _checked(Network, "network block", w)
+    seed = _value("network block", cfg, "seed", as_int, "an integer") if "seed" in cfg else None
+    # market builds, scales and checks the one weight array
+    return _checked(make_network, "network block", kind, n, seed, edges=edges, weight=weight)
 
 
 def distribution_from_config(cfg: dict) -> TypeDistribution:

@@ -31,7 +31,10 @@ from .distributions import (
 )
 
 
-# floats in a dense n x n weight matrix (128 MiB), refused before the matrix is built
+# floats in a dense n x n weight matrix (128 MiB), refused before the matrix is built. A generator
+# builds, checks and freezes each network in that one float array, with at most n^2 bytes beside
+# it (random_k's bool adjacency, or the comparison of G with G^T), and 2 n^2 bytes before it
+# (the adjacency and its transpose while it is symmetrized)
 _MAX_NETWORK_FLOATS = 2**24
 # floats of a row panel of G (512 KiB, cache-sized); a symmetric G past it is read by panels
 _PANEL_FLOATS = 2**16
@@ -45,20 +48,29 @@ class InvalidScenarioError(ValueError):
 class Network:
     """Nonnegative weighted influence graph over n users (zero diagonal).
 
-    ``symmetric`` is G == G^T exactly, computed once with the frozen weights.
+    ``weights`` is a float64 C-order array that is read-only. A read-only
+    float64 C-order array that owns its memory, as the generators below build
+    it, is kept as it is (a writable view taken before it was frozen would
+    still write to it); anything else, a caller's writable array above all,
+    is copied and the copy frozen, so the caller's array stays writable and
+    the network does not follow it. ``symmetric`` is G == G^T exactly,
+    computed once with the frozen weights.
     """
 
     weights: np.ndarray
     symmetric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # an owned copy: freezing it leaves the caller's array writable
-        w = np.array(self.weights, dtype=float, order="C")
+        w = self.weights
+        if not (isinstance(w, np.ndarray) and w.dtype == np.float64 and w.flags.c_contiguous
+                and not w.flags.writeable and w.base is None):
+            w = np.array(w, dtype=float, order="C")
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weights must be a square matrix, got shape {w.shape}")
         if w.shape[0] < 1:
             raise ValueError("need at least one user")
-        if not np.all((w >= 0) & (w < np.inf)):
+        # two passes and no n x n temporaries: a NaN fails both comparisons
+        if not (w.min() >= 0 and w.max() < np.inf):
             raise ValueError("influence weights g_ij must be finite and nonnegative")
         if np.any(np.diag(w) != 0):
             raise ValueError("self-influence g_ii must be zero")
@@ -272,41 +284,64 @@ def validate_assumption2(sc: Scenario) -> Assumption2Report:
     )
 
 
-def make_network(kind: str, n: int, seed: int | None = None) -> Network:
-    """Symmetric 0/1 benchmark graphs.
+def make_network(kind: str, n: int, seed: int | None = None, *, edges=(), weight: float = 1.0) -> Network:
+    """Symmetric benchmark graphs, every weight scaled by ``weight``.
 
     complete: all pairs; star: node 0 to all others; hub_plus_edge: star plus
-    the extra tie (2, 3); random_k: every user picks n//2 partners uniformly,
-    then the adjacency is symmetrized.
+    the extra tie (2, 3); random_k: every user picks n//2 partners uniformly
+    from ``seed``, then the adjacency is symmetrized; edges: g_ij = g_ji = g
+    for each (i, j, g) of ``edges``, a later entry overwriting an earlier one.
+    The weights are built in the one n x n float array the network keeps.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    check_dense_size(n)
+    if kind == "random_k":
+        return _frozen(np.multiply(_random_half(n, seed), weight, dtype=float))
+    w = _zeros(n)
     if kind == "complete":
-        w = np.ones((n, n)) - np.eye(n)
+        w.fill(1.0)
+        np.fill_diagonal(w, 0.0)
     elif kind == "star":
-        w = np.zeros((n, n))
-        if n > 1:
-            w[0, 1:] = 1.0
-            w[1:, 0] = 1.0
+        w[0, 1:] = w[1:, 0] = 1.0
     elif kind == "hub_plus_edge":
         if n < 4:
             raise ValueError("hub_plus_edge needs n >= 4")
-        w = np.zeros((n, n))
-        w[0, 1:] = 1.0
-        w[1:, 0] = 1.0
+        w[0, 1:] = w[1:, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
-    elif kind == "random_k":
-        rng = np.random.default_rng(seed)
-        w = np.zeros((n, n))
-        k = n // 2
-        for i in range(n):
-            others = np.delete(np.arange(n), i)
-            picked = rng.choice(others, size=k, replace=False)
-            w[i, picked] = 1.0
-        w = np.maximum(w, w.T)
+    elif kind == "edges":
+        for i, j, g in edges:
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise ValueError(f"edge ({i}, {j}) invalid for n={n}")
+            w[i, j] = w[j, i] = g
     else:
         raise ValueError(f"unknown network kind {kind!r}")
+    w *= weight
+    return _frozen(w)
+
+
+def _zeros(n: int, dtype=float) -> np.ndarray:
+    """An n x n array of zeros, after refusing n < 1 and a network over the dense budget."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    check_dense_size(n)
+    return np.zeros((n, n), dtype)
+
+
+def _random_half(n: int, seed: int | None) -> np.ndarray:
+    """random_k's symmetrized bool adjacency. Row i's partners are ``choice(n - 1, ...)``
+    shifted past i, the same draws as ``choice`` over the array of the others."""
+    if seed is None:
+        raise ValueError("network kind 'random_k' needs 'seed': two unseeded draws differ")
+    adj = _zeros(n, bool)
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        picked = rng.choice(n - 1, size=n // 2, replace=False)
+        adj[i, picked + (picked >= i)] = True
+    adj |= adj.T
+    return adj
+
+
+def _frozen(w: np.ndarray) -> Network:
+    """The network that keeps ``w``, a float64 C-order array no one else holds, frozen first."""
+    w.setflags(write=False)
     return Network(w)
 
 
@@ -316,13 +351,13 @@ def scaled_random_half_network(n: int, seed: int, params: MarketParams, theta_ma
 
     The default weight leaves a factor-2 margin on the worst dominance row.
     """
-    w = make_network("random_k", n, seed).weights
+    w = _random_half(n, seed)
     if edge_weight is None:
         coupling = float(dominance_coupling(w).max())
         edge_weight = 0.5 * (params.t + params.b) / (theta_max * coupling) if coupling else 1.0
-    # rebinding w drops the unit-weight base before Network copies the scaled array
-    w = w * edge_weight
-    return Network(w), edge_weight
+    # rebinding w drops the bool adjacency before Network compares G with G^T
+    w = np.multiply(w, edge_weight, dtype=float)
+    return _frozen(w), edge_weight
 
 
 def cp_ex_post_utility(sc: Scenario, x, rewards) -> float:

@@ -133,7 +133,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations_with_replacement
+from itertools import chain
 
 import numpy as np
 
@@ -428,6 +428,38 @@ def _gauss_legendre(order: int):
     return rule
 
 
+def _multisets(order: int, k: int, node_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The C(order+k-1, k) multisets of k of the ``order`` nodes, each ascending, as the rows
+    of an intp array in lexicographic order (the rows of combinations_with_replacement), and
+    their weights: the product of a row's node weights, left to right, times k! / prod m!.
+
+    Level j holds the multisets of j nodes: each of level j-1, in order, extended by every
+    node from its last one up. A level keeps each row's last node and its prefix's row, and
+    carries the weights and prod m! forward (exact in floats: it divides j!). The columns
+    are read back through the prefixes, ``_CHUNK_FLOATS`` entries at a time, so each block
+    of rows stays in cache."""
+    last, weights, levels = np.arange(order), node_weights, []
+    run = perms = np.ones(order)
+    for _ in range(1, k):
+        counts = order - last
+        parent = np.repeat(np.arange(last.size), counts)
+        levels.append((last, parent))
+        prefix_last = last[parent]
+        last = prefix_last + np.arange(parent.size) - (np.cumsum(counts) - counts)[parent]
+        # run counts the equal nodes at the end of a row, so the product of the runs is prod m!
+        run = np.where(last == prefix_last, run[parent] + 1, 1)
+        perms = perms[parent] * run
+        weights = weights[parent] * node_weights[last]
+    out = np.empty((last.size, k), dtype=np.intp)
+    for block in _chunk_slices(last.size, max(1, _CHUNK_FLOATS // k)):
+        rows = np.arange(block.start, block.stop)
+        out[block, -1] = last[block]
+        for column, (prefix_last, parent) in zip(range(k - 2, -1, -1), reversed(levels)):
+            rows = parent[rows]
+            out[block, column] = prefix_last[rows]
+    return out, weights * (math.factorial(k) / perms)
+
+
 @dataclass(frozen=True)
 class QuadratureEngine:
     """Gauss-Legendre expectation over the other users' types, reduced by their twin classes.
@@ -488,29 +520,18 @@ class QuadratureEngine:
         half = 0.5 * (dist.upper - dist.lower)
         nodes = dist.lower + (x + 1.0) * half
         node_weights = w * half * np.asarray(dist.pdf(nodes), dtype=float)
-        parts, class_weights = [], []
-        for cols in columns:
-            k = len(cols)
-            flat = chain.from_iterable(combinations_with_replacement(range(self.order), k))
-            multisets = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
-            # run[:, j] counts the equal nodes up to j of a sorted multiset, so prod(run) = prod m!
-            run = np.ones(multisets.shape)
-            for j in range(1, k):
-                run[:, j] += (multisets[:, j] == multisets[:, j - 1]) * run[:, j - 1]
-            parts.append(multisets)
-            class_weights.append(np.prod(node_weights[multisets], axis=1)
-                                 * (math.factorial(k) / np.prod(run, axis=1)))
+        rules = [_multisets(self.order, len(cols), node_weights) for cols in columns]
         strides = np.cumprod([1] + radices[:0:-1])[::-1]
 
         def types(rows):
             # digit k of the row number, in the mixed radix, picks class k's multiset
             r = np.arange(rows.start, rows.stop)
             out = np.empty((r.size, n - 1))
-            for cols, multisets, stride, radix in zip(columns, parts, strides, radices):
+            for cols, (multisets, _), stride, radix in zip(columns, rules, strides, radices):
                 out[:, cols] = nodes[multisets[r // stride % radix]]
             return out
 
-        weights = reduce(np.multiply.outer, class_weights, np.ones(())).ravel()
+        weights = reduce(np.multiply.outer, [rule[1] for rule in rules], np.ones(())).ravel()
         return SampleRows(dist, weights, types, (weights.size, n - 1))
 
 

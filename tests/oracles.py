@@ -8,6 +8,9 @@ row slack of A(theta) at least (t+b) - theta_bar sum_j (g_ij + g_ji) > 0.
 
 from __future__ import annotations
 
+import math
+from itertools import chain, combinations_with_replacement
+
 import numpy as np
 
 from netmech import (
@@ -196,3 +199,51 @@ def tensor_curves(sc: Scenario, grid_size: int, order: int, users) -> dict:
         out["v"][i] = ((p.a - p.p) * xi - 0.5 * p.b * xi**2) @ weights
         out["c"][i] = (p.s * xi - 0.5 * p.t * xi**2) @ weights
     return out
+
+
+def multisets(order: int, k: int, node_weights: np.ndarray):
+    """The k-node multisets of range(order) from itertools, in its lexicographic order, and
+    their weights: the product of a row's node weights, left to right, times k! / prod m!."""
+    flat = chain.from_iterable(combinations_with_replacement(range(order), k))
+    rows = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+    # run[:, j] counts the equal nodes up to j of a sorted multiset, so prod(run) = prod m!
+    run = np.ones(rows.shape)
+    for j in range(1, k):
+        run[:, j] += (rows[:, j] == rows[:, j - 1]) * run[:, j - 1]
+    return rows, np.prod(node_weights[rows], axis=1) * (math.factorial(k) / np.prod(run, axis=1))
+
+
+def network_weights(kind: str, n: int, seed=None, edges=(), weight: float = 1.0) -> np.ndarray:
+    """The generators' weights built the plain way, in separate float arrays: each random_k
+    row draws from the array of the other users, and the adjacency is symmetrized by a maximum."""
+    if kind == "complete":
+        w = np.ones((n, n)) - np.eye(n)
+    elif kind in ("star", "hub_plus_edge"):
+        w = np.zeros((n, n))
+        w[0, 1:] = 1.0
+        w[1:, 0] = 1.0
+        if kind == "hub_plus_edge":
+            w[2, 3] = w[3, 2] = 1.0
+    elif kind == "random_k":
+        rng = np.random.default_rng(seed)
+        w = np.zeros((n, n))
+        for i in range(n):
+            w[i, rng.choice(np.delete(np.arange(n), i), size=n // 2, replace=False)] = 1.0
+        w = np.maximum(w, w.T)
+    elif kind == "edges":
+        w = np.zeros((n, n))
+        for i, j, g in edges:
+            w[i, j] = w[j, i] = g
+    else:
+        raise ValueError(f"no reference for network kind {kind!r}")
+    return w * weight
+
+
+def scaled_random_half_weights(n: int, seed: int, params, theta_max: float, edge_weight=None):
+    """random_k's weights times the edge weight that leaves a factor-2 margin on the worst
+    dominance row (or ``edge_weight``), and that weight."""
+    w = network_weights("random_k", n, seed)
+    if edge_weight is None:
+        coupling = float((w.sum(axis=1) + w.sum(axis=0)).max())
+        edge_weight = 0.5 * (params.t + params.b) / (theta_max * coupling) if coupling else 1.0
+    return w * edge_weight, edge_weight

@@ -38,6 +38,7 @@ from netmech import market, mechanism
 from netmech.market import make_network, twin_classes
 from netmech.mechanism import SampleRows, solve_profiles
 from conftest import alone, large_scenario, random_valid_scenario, whole_samples
+import oracles
 from oracles import tensor_curves, tensor_rule
 from test_mechanism import boundary_scenario
 
@@ -424,6 +425,22 @@ class TestTwinReduction:
         # the node budget counts the rule over the classes, not the 33**4 > 2**20 tensor
         rows = QuadratureEngine(order=33).others_rows(complete5.dist, 5, 0, twin_classes(complete5.network))
         assert rows.shape == (math.comb(36, 4), 4) == (58905, 4)
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_multisets_match_the_itertools_oracle(self, monkeypatch, chunk):
+        """The vectorized enumeration gives itertools' rows in its order and the same weight bits,
+        read back in blocks of any size (blocks of one row when a row exceeds the chunk)."""
+        if chunk:
+            monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", chunk)
+        cases = [(order, k) for order in range(1, 7) for k in range(1, 7)] + [(33, 4), (2, 40)]
+        if not chunk:
+            cases.append((8, 12))  # 50388 rows, read back in ten blocks
+        for order, k in cases:
+            node_weights = np.random.default_rng([order, k]).uniform(0.01, 1.0, order)
+            rows, weights = mechanism._multisets(order, k, node_weights)
+            want_rows, want_weights = oracles.multisets(order, k, node_weights)
+            assert rows.dtype == np.intp and np.array_equal(rows, want_rows), (order, k)
+            assert weights.tobytes() == want_weights.tobytes(), (order, k)
 
 
 class TestChunkPath:

@@ -267,6 +267,23 @@ def test_config_format_parsed_in_config_only():
     assert "_FAMILIES" not in {node.id for node in ast.walk(distributions) if isinstance(node, ast.Name)}
 
 
+def test_config_leaves_network_construction_to_market():
+    """config parses the network block; market allocates, scales, checks and freezes the one
+    weight array. So config imports no numpy, reads no ``weights``, calls no ``Network`` and
+    hands every kind, with its edges and weight, to ``make_network``."""
+    config = ast.parse((SRC / "config.py").read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(config) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(config)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert "numpy" not in imported
+    assert "weights" not in references(config)
+    assert "Network" not in {getattr(node.func, "id", None) for node in ast.walk(config) if isinstance(node, ast.Call)}
+    build = top_level_functions(config)["network_from_config"]
+    assert "make_network" in references(build)
+    assert not any(isinstance(node, ast.BinOp) for node in ast.walk(build))
+
+
 def test_dominance_coupling_spelled_once_in_market():
     """sum_j (g_ij + g_ji) lives in one helper; the validator and the feasible edge weight call it."""
     market = top_level_functions(ast.parse((SRC / "market.py").read_text()))

@@ -1,3 +1,7 @@
+import ast
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from netmech import market
 from netmech.config import network_from_config
 from netmech.market import make_network, twin_classes
 from conftest import CASE_PARAMS, UNIFORM, alone, complete_network, path_network, zero_network
+import oracles
 from oracles import user_utility
 
 
@@ -266,3 +271,107 @@ class TestDenseBudget:
         # table2 and the solve-n800 benchmark build dense networks of 800 users
         market.check_dense_size(800)
         assert 4096**2 <= market._MAX_NETWORK_FLOATS
+
+
+SIZES = [1, 2, 3, 4, 5, 64, 257]
+SEEDS = [0, 3, 11]
+
+
+def edge_list(n: int) -> list:
+    """Edges of every form: unit and weighted, repeated with a new weight, and ones that meet."""
+    return [(0, n - 1, 1.0), (n - 1, n // 2, 0.25), (n // 3, n - 1, 2.0), (0, n - 1, 0.5)] if n > 2 else [(0, 1, 3.0)]
+
+
+def same_bits(network: Network, reference: np.ndarray) -> bool:
+    w = network.weights
+    return w.dtype == np.float64 and w.flags.c_contiguous and w.tobytes() == reference.tobytes()
+
+
+class TestConstruction:
+    """Every dense network is built in one n x n float array, with the reference's bits."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_generators_match_the_reference_bit_for_bit(self, n):
+        for kind in ["complete", "star"] + ["hub_plus_edge"] * (n >= 4):
+            assert same_bits(make_network(kind, n), oracles.network_weights(kind, n)), kind
+        for seed in SEEDS:
+            assert same_bits(make_network("random_k", n, seed), oracles.network_weights("random_k", n, seed))
+            for edge_weight in (None, 0.013):
+                net, weight = market.scaled_random_half_network(n, seed, CASE_PARAMS, UNIFORM.upper, edge_weight)
+                want, want_weight = oracles.scaled_random_half_weights(n, seed, CASE_PARAMS, UNIFORM.upper,
+                                                                       edge_weight)
+                assert same_bits(net, want) and weight == want_weight, (seed, edge_weight)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_config_networks_match_the_reference_bit_for_bit(self, n):
+        for kind in ["complete", "star"] + ["hub_plus_edge"] * (n >= 4):
+            for weight in (1, 0.37):
+                got = network_from_config({"kind": kind, "n": n, "weight": weight})
+                assert same_bits(got, oracles.network_weights(kind, n, weight=weight)), (kind, weight)
+        for seed in SEEDS:
+            got = network_from_config({"kind": "random_k", "n": n, "seed": seed, "weight": 0.21})
+            assert same_bits(got, oracles.network_weights("random_k", n, seed, weight=0.21)), seed
+        if n > 1:
+            edges = edge_list(n)
+            got = network_from_config({"kind": "edges", "n": n, "weight": 1.5, "edges": [list(e) for e in edges]})
+            assert same_bits(got, oracles.network_weights("edges", n, edges=edges, weight=1.5))
+
+    def test_reference_generators_share_no_code_with_market(self):
+        tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+        references = {node.id if isinstance(node, ast.Name) else node.attr
+                      for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                      and fn.name in ("network_weights", "scaled_random_half_weights")
+                      for node in ast.walk(fn) if isinstance(node, (ast.Name, ast.Attribute))}
+        source = ast.parse(Path(market.__file__).read_text())
+        defined = {node.name for node in source.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert {"make_network", "scaled_random_half_network", "dominance_coupling"} <= defined
+        assert not references & defined
+
+    @pytest.mark.parametrize("build", [
+        lambda n: make_network("complete", n),
+        lambda n: make_network("star", n),
+        lambda n: make_network("hub_plus_edge", n),
+        lambda n: make_network("random_k", n, 3),
+        lambda n: market.scaled_random_half_network(n, 3, CASE_PARAMS, UNIFORM.upper),
+        lambda n: network_from_config({"kind": "complete", "n": n, "weight": 0.5}),
+        lambda n: network_from_config({"kind": "random_k", "n": n, "seed": 3, "weight": 0.5}),
+        lambda n: network_from_config({"kind": "edges", "n": n, "weight": 0.5, "edges": [[0, 1], [2, 1, 0.25]]}),
+    ], ids=["complete", "star", "hub_plus_edge", "random_k", "scaled", "config-complete", "config-random_k",
+            "config-edges"])
+    def test_one_n_by_n_float_array_at_its_peak(self, build):
+        # the float array, at most n^2 bytes beside it (random_k's adjacency, or the
+        # comparison of G with G^T), and 64 KiB for everything of size O(n)
+        n = 512
+        tracemalloc.start()
+        try:
+            built = build(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        network = built[0] if isinstance(built, tuple) else built
+        assert network.n == n
+        assert peak <= 1.25 * n * n * 8 + 64 * 2**10
+
+    def test_network_keeps_a_frozen_array_and_copies_any_other(self):
+        frozen = np.zeros((3, 3))
+        frozen.setflags(write=False)
+        assert Network(frozen).weights is frozen
+        kept = make_network("star", 4).weights
+        assert Network(kept).weights is kept
+        # a read-only view may have a writable base, and a float32 or Fortran-order array is converted
+        for other in (np.zeros((4, 4))[:3, :3], np.zeros((3, 3), dtype=np.float32), np.zeros((3, 3), order="F")):
+            other.setflags(write=False)
+            copied = Network(other).weights
+            assert copied is not other and copied.dtype == np.float64 and copied.flags.c_contiguous
+            assert not copied.flags.writeable
+
+    def test_random_k_needs_a_seed(self):
+        with pytest.raises(ValueError, match="'random_k' needs 'seed'"):
+            make_network("random_k", 5)
+        with pytest.raises(ValueError, match="'random_k' needs 'seed'"):
+            market.scaled_random_half_network(5, None, CASE_PARAMS, UNIFORM.upper)
+
+    def test_bad_edge_named(self):
+        for edge in ((0, 0, 1.0), (0, 3, 1.0), (-1, 1, 1.0)):
+            with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) invalid for n=3"):
+                make_network("edges", 3, edges=[(0, 1, 1.0), edge])
