@@ -33,8 +33,8 @@ from .distributions import (
 
 # floats in a dense n x n weight matrix (128 MiB), refused before the matrix is built. A generator
 # builds, checks and freezes each network in that one float array, with at most n^2 bytes beside
-# it (random_k's bool adjacency, or the comparison of G with G^T), and 2 n^2 bytes before it
-# (the adjacency and its transpose while it is symmetrized)
+# it (random_k's bool adjacency) and 2 n^2 bytes before it (the adjacency and its transpose while
+# it is symmetrized); the comparison of G with G^T holds one panel's bools
 _MAX_NETWORK_FLOATS = 2**24
 # floats of a row panel of G (512 KiB, cache-sized); a symmetric G past it is read by panels
 _PANEL_FLOATS = 2**16
@@ -54,7 +54,8 @@ class Network:
     still write to it); anything else, a caller's writable array above all,
     is copied and the copy frozen, so the caller's array stays writable and
     the network does not follow it. ``symmetric`` is G == G^T exactly,
-    computed once with the frozen weights.
+    computed once with the frozen weights, a row panel of ``_PANEL_FLOATS``
+    floats against its column panel at a time.
     """
 
     weights: np.ndarray
@@ -76,7 +77,9 @@ class Network:
             raise ValueError("self-influence g_ii must be zero")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "symmetric", bool(np.array_equal(w, w.T)))
+        rows = max(1, _PANEL_FLOATS // len(w))
+        object.__setattr__(self, "symmetric", all(
+            np.array_equal(w[k:k + rows], w[:, k:k + rows].T) for k in range(0, len(w), rows)))
 
     @property
     def n(self) -> int:

@@ -99,8 +99,11 @@ filled in place, s freed once copied and S once read, so at most eleven
 floats per sample are held: s, S, the weights and four rows of stacks, then
 S, the weights and all six. The grid stage holds seven (stacks and weights)
 plus three arrays per running chunk (det, x_i and g_i.x; the standard
-error's temporary takes det's place), times the pool's workers, at most
-``os.cpu_count()``. With one user, its chunks are the parallel tasks.
+error's temporary takes det's place). Users run in turn, and the pool's
+tasks are the chunks of one user, never whole users, so live memory is one
+user's per-sample arrays plus one chunk's arrays per worker, at most
+``os.cpu_count()`` of them. A user whose samples fit one CG chunk runs on
+the calling thread alone, its grid stage too.
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -125,6 +128,7 @@ R_i(theta_hat) = r_i(theta_hat_i).
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import warnings
@@ -661,12 +665,23 @@ def _chunk_slices(m: int, chunk: int):
 
 
 def _map(pool, fn, items) -> None:
-    """fn on every item in order, on the pool if there is one; the earliest item's error propagates."""
+    """fn on every item in order, on the pool if there is one; the earliest item's error propagates.
+
+    A pool task runs in a copy of the caller's context, taken here: numpy keeps
+    ``np.errstate`` in a contextvar, and pool threads start from an empty context."""
     if pool is None:
         for item in items:
             fn(item)
     else:
-        list(pool.map(fn, items))
+        items = list(items)
+        contexts = [contextvars.copy_context() for _ in items]
+        list(pool.map(lambda context, item: context.run(fn, item), contexts, items))
+
+
+def _cg_chunk(n: int) -> int:
+    """Samples in one chunk of the CG stage: its (n, 2 samples) stack holds about
+    ``_CHUNK_FLOATS`` floats, and at least one system."""
+    return max(1, _CHUNK_FLOATS // (2 * n))
 
 
 def _rank2_factors(sc: Scenario, i: int, phis_others, pool=None):
@@ -695,7 +710,6 @@ def _rank2_factors(sc: Scenario, i: int, phis_others, pool=None):
     n_samples = phis_others.shape[0]
     s = np.empty((n_samples, 2))
     big_s = np.empty((n_samples, 2, 2))
-    chunk = max(1, _CHUNK_FLOATS // (2 * n))
 
     def factor(sl):
         m = sl.stop - sl.start
@@ -716,7 +730,7 @@ def _rank2_factors(sc: Scenario, i: int, phis_others, pool=None):
         s[sl] = c * np.stack([w.sum(axis=0), z.sum(axis=0)], axis=1)
         big_s[sl] = np.stack([g_i @ z, g_i @ w, z[i], w[i]], axis=1).reshape(m, 2, 2)
 
-    _map(pool, factor, _chunk_slices(n_samples, chunk))
+    _map(pool, factor, _chunk_slices(n_samples, _cg_chunk(n)))
     return s, big_s
 
 
@@ -729,14 +743,14 @@ def interim_curves(
 ) -> InterimCurves:
     """Estimate gamma_i, V_i, C_i on a uniform type grid for the given users.
 
-    ``threads`` > 1 runs one pool, of at most ``os.cpu_count()`` workers (live
-    memory grows with the workers), at one of two levels. With more than one
-    user, the pool maps users and each user runs its chunks in turn; with one
-    (fig6 asks for one user), its CG chunks, then its grid chunks, are mapped
-    over the pool, so the earliest chunk's SolverError is the one raised, as
-    in a serial run. The sample set is read a chunk of rows at a time
-    (``others_rows``), so no (samples, n-1) array of types or virtual values
-    is built.
+    Users run in turn. ``threads`` > 1 opens one pool, of at most
+    ``os.cpu_count()`` workers (live memory grows with the workers by one
+    chunk each), and each user maps its CG chunks, then its grid chunks, over
+    it, so the earliest chunk's SolverError is the one raised, as in a serial
+    run. A user whose samples fit one CG chunk (``_cg_chunk``) submits
+    nothing: it runs on the calling thread. The sample set is read a chunk of
+    rows at a time (``others_rows``), so no (samples, n-1) array of types or
+    virtual values is built.
 
     The first requested user of each of the engine's ``classes`` is computed
     and its rows are copied to the class's other requested users; ``threads``
@@ -782,6 +796,8 @@ def interim_curves(
     def run_user(i, pool):
         rows = engine.others_rows(dist, n, i, classes)
         weights = rows.weights
+        if weights.size <= _cg_chunk(n):
+            pool = None  # one CG chunk: the user, grid stage and all, runs on this thread
         s, big_s = _rank2_factors(sc, i, rows, pool)
         # (I - phi S) [g_i.x, x_i] = s by Cramer's rule: x_num = [ca, s1], g_num = [cb, s0]
         # and tr_dt = [tr, -dt], filled in place with tr_dt[0] as the one temporary
@@ -837,12 +853,10 @@ def interim_curves(
         _map(pool, grid_chunk, _chunk_slices(grid_size, max(1, _CHUNK_FLOATS // weights.size)))
 
     workers = min(threads, os.cpu_count() or 1)
-    # one worker stays in this thread, under the caller's np.errstate (pool threads lack it)
+    # the pool starts a thread only when a chunk is submitted to it
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        if len(runs) == 1:
-            run_user(runs[0], pool)
-        else:
-            _map(pool, lambda i: run_user(i, None), runs)
+        for i in runs:
+            run_user(i, pool)
     for i, twins in copies.items():
         for out in (gamma, v, c) + (() if gamma_se is None else (gamma_se,)):
             out[twins] = out[i]

@@ -444,7 +444,7 @@ class TestTwinReduction:
 
 
 class TestChunkPath:
-    """A single user: its chunks run on the pool."""
+    """Users run in turn, and the pool runs the chunks of one user at a time."""
 
     @pytest.mark.parametrize("engine", [QuadratureEngine(order=6), MonteCarloEngine(samples=1500, seed=4)],
                              ids=["quadrature", "mc"])
@@ -464,6 +464,78 @@ class TestChunkPath:
         for got in runs[1:]:
             for field in fields:
                 assert np.array_equal(getattr(got, field), getattr(runs[0], field), equal_nan=True), field
+
+    @pytest.mark.parametrize("engine", [QuadratureEngine(order=6), MonteCarloEngine(samples=1500, seed=4)],
+                             ids=["quadrature", "mc"])
+    @pytest.mark.parametrize("chunk_floats", [mechanism._CHUNK_FLOATS, 2 * 5 * 64], ids=["one-chunk", "chunks"])
+    def test_all_users_bit_identical_across_threads(self, hub5, monkeypatch, engine, chunk_floats):
+        # the default budget holds every user's samples in one CG chunk, so no chunk reaches
+        # the pool; chunks of 64 samples put every user's chunks on it
+        monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", chunk_floats)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        runs = [interim_curves(hub5, 17, engine, threads=t) for t in (1, 2, 4)]
+        fields = ("gamma", "v", "c") + (("gamma_se",) if engine.standard_error is not None else ())
+        for got in runs[1:]:
+            for field in fields:
+                assert np.array_equal(getattr(got, field), getattr(runs[0], field)), field
+
+    def test_a_user_in_one_chunk_submits_nothing(self, hub5, monkeypatch):
+        """hub5's rules of 1296 and 2304 rows at order 8 each fit one CG chunk, so every user,
+        grid stage and all, runs on the calling thread; users never go to the pool."""
+        submitted = []
+
+        class Spy(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(mechanism, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        engine = QuadratureEngine(order=8)
+        want = interim_curves(hub5, 201, engine)
+        got = interim_curves(hub5, 201, engine, threads=2)
+        assert submitted == []
+        assert np.array_equal(got.gamma, want.gamma) and np.array_equal(got.v, want.v)
+        # a CG chunk of 2303 samples: the hub's 1296 rows still fit it, the two other runs
+        # (users 1 and 2; 3 and 4 are their twins) each submit 2 CG chunks and 23 grid chunks
+        # of 23030 // 2304 = 9 grid points
+        monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2 * 5 * 2303)
+        want = interim_curves(hub5, 201, engine)
+        got = interim_curves(hub5, 201, engine, threads=2)
+        assert len(submitted) == 2 * (2 + 23)
+        assert np.array_equal(got.gamma, want.gamma) and np.array_equal(got.v, want.v)
+
+    def test_pool_holds_one_user_at_a_time(self, hub5, monkeypatch):
+        """Two workers add one chunk each to one user's per-sample arrays, not a second user's."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        engine = MonteCarloEngine(samples=200_000, seed=3)
+        peaks = []
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                interim_curves(hub5, 9, engine, users=[0, 1, 2], threads=threads)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # about 1.3 here; two users' per-sample arrays at once would read about 2
+        assert peaks[1] <= 1.4 * peaks[0]
+
+    def test_pool_tasks_keep_the_callers_errstate(self, hub5, monkeypatch):
+        """numpy's error state is a contextvar: a pool chunk runs under the caller's, so an
+        inf in S raises FloatingPointError at any thread count, not a guard's SolverError."""
+        factors = mechanism._rank2_factors
+
+        def tampered(*args):
+            s, big_s = factors(*args)
+            return s, with_entry(big_s, (5, 0, 0), np.inf)
+
+        monkeypatch.setattr(mechanism, "_rank2_factors", tampered)
+        # chunks of 25 samples and one grid point put every user's chunks on the pool
+        monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2**8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for threads in (1, 2):
+            with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
+                interim_curves(hub5, 9, QuadratureEngine(order=8), threads=threads)
 
     def test_pool_capped_at_the_cpus(self, hub5, monkeypatch):
         """Live memory grows with the workers, so no more open than there are CPUs."""
@@ -551,17 +623,17 @@ class TestNearEdge:
 def test_mc_memory_within_budget():
     """MC at n=60 with 20k samples stays well under the 1.2 GB of a stacked solve."""
     script = (
-        "import resource\n"
         "from netmech import MarketParams, MonteCarloEngine, Scenario, Uniform, interim_curves\n"
         "from netmech.market import scaled_random_half_network\n"
         "params = MarketParams(a=0.5, b=6.0, s=1.0, t=1.0, p=0.1)\n"
         "dist = Uniform(0.4, 0.8)\n"
         "net, _ = scaled_random_half_network(60, 60, params, dist.upper)\n"
         "interim_curves(Scenario(net, params, dist), 9, MonteCarloEngine(20_000, seed=0), users=[0])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        # the child's own high-water mark: ru_maxrss carries the parent's over fork and exec
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    peak_mb = int(done.stdout.strip()) / 1024  # ru_maxrss is in KiB on Linux
+    peak_mb = int(done.stdout.strip()) / 1024  # VmHWM is in kB
     assert peak_mb < 400

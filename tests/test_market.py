@@ -155,6 +155,20 @@ class TestTypeValidation:
         assert not Network(w).symmetric
         assert not Network(np.array([[0.0, 1.0], [0.0, 0.0]])).symmetric
 
+    @pytest.mark.parametrize("n", [1, 2, 256, 300, 513])
+    def test_symmetry_by_panels_is_the_whole_comparison(self, n):
+        # past 256 users the row panels of _PANEL_FLOATS // n rows are compared in turn
+        # with their column panels: one asymmetric entry in any of them is seen
+        w = np.random.default_rng(n).random((n, n))
+        w += w.T
+        np.fill_diagonal(w, 0.0)
+        assert Network(w).symmetric
+        for j, k in {(n - 1, 0), (0, n - 1), (n // 2, n - 1 - n // 3), (n - 1, n - 2)}:
+            if j != k and k >= 0:
+                bad = w.copy()
+                bad[j, k] = np.nextafter(bad[j, k], 0.0)
+                assert not Network(bad).symmetric, (j, k)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_network_rejects_non_finite(self, value):
         with pytest.raises(ValueError, match="must be finite"):
@@ -283,8 +297,23 @@ def edge_list(n: int) -> list:
 
 
 def same_bits(network: Network, reference: np.ndarray) -> bool:
+    """The reference's bits, and ``symmetric`` equal to the whole comparison of G with G^T."""
     w = network.weights
-    return w.dtype == np.float64 and w.flags.c_contiguous and w.tobytes() == reference.tobytes()
+    return (w.dtype == np.float64 and w.flags.c_contiguous and w.tobytes() == reference.tobytes()
+            and network.symmetric == np.array_equal(w, w.T))
+
+
+def traced_build(build, n: int):
+    """The network that ``build(n)`` makes and the tracemalloc peak of making it."""
+    tracemalloc.start()
+    try:
+        built = build(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    network = built[0] if isinstance(built, tuple) else built
+    assert network.n == n and network.symmetric == np.array_equal(network.weights, network.weights.T)
+    return network, peak
 
 
 class TestConstruction:
@@ -339,18 +368,26 @@ class TestConstruction:
     ], ids=["complete", "star", "hub_plus_edge", "random_k", "scaled", "config-complete", "config-random_k",
             "config-edges"])
     def test_one_n_by_n_float_array_at_its_peak(self, build):
-        # the float array, at most n^2 bytes beside it (random_k's adjacency, or the
-        # comparison of G with G^T), and 64 KiB for everything of size O(n)
+        # the float array, at most n^2 bytes beside it (random_k's adjacency), and 64 KiB
+        # for everything of size O(n)
         n = 512
-        tracemalloc.start()
-        try:
-            built = build(n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        network = built[0] if isinstance(built, tuple) else built
-        assert network.n == n
+        _, peak = traced_build(build, n)
         assert peak <= 1.25 * n * n * 8 + 64 * 2**10
+
+    @pytest.mark.parametrize("build", [
+        lambda n: make_network("complete", n),
+        lambda n: make_network("star", n),
+        lambda n: make_network("hub_plus_edge", n),
+        lambda n: make_network("edges", n, edges=edge_list(n)),
+        lambda n: network_from_config({"kind": "complete", "n": n, "weight": 0.5}),
+        lambda n: network_from_config({"kind": "edges", "n": n, "weight": 0.5, "edges": [[0, 1], [2, 1, 0.25]]}),
+    ], ids=["complete", "star", "hub_plus_edge", "edges", "config-complete", "config-edges"])
+    def test_no_n_by_n_temporary_without_an_adjacency(self, build):
+        # G is compared with G^T a panel of _PANEL_FLOATS bools at a time, so a kind with no
+        # bool adjacency holds nothing of size n^2 beside its float array
+        n = 512
+        _, peak = traced_build(build, n)
+        assert peak <= n * n * 8 + 256 * 2**10
 
     def test_network_keeps_a_frozen_array_and_copies_any_other(self):
         frozen = np.zeros((3, 3))
