@@ -77,7 +77,8 @@ one system per column, at O(n^2) per iteration and system, not per sample and
 grid point. Cramer's rule then runs on four coefficients formed once per
 sample, ca = S10 s0 - S00 s1, cb = S01 s1 - S11 s0, tr = S00 + S11 and
 dt = det S, held as three (2, samples) stacks tr_dt = [tr, -dt],
-x_num = [ca, s1] and g_num = [cb, s0]. A chunk of grid points makes each
+x_num = [ca, s1] and g_num = [cb, s0]; each chunk of samples solves its own
+s and S and writes its own columns of the stacks. A chunk of grid points makes each
 quantity by one K=2 product (a BLAS GEMM) of its rows of [phi_i, phi_i^2]
 or [phi_i, 1] with a stack:
 
@@ -93,15 +94,14 @@ own rows of the sample set, and its solve allocates one workspace up front,
 so its iterations allocate nothing of the stack's size. The grid stage runs
 in chunks of at least one grid point, so each of its arrays holds at most
 max(``_CHUNK_FLOATS``, samples) floats: past 2^16 samples, one float per
-sample. What grows with the sample count is therefore the per-sample
-factors, stacks and weights, and the grid stage's arrays. The stacks are
-filled in place, s freed once copied and S once read, so at most eleven
-floats per sample are held: s, S, the weights and four rows of stacks, then
-S, the weights and all six. The grid stage holds seven (stacks and weights)
-plus three arrays per running chunk (det, x_i and g_i.x; the standard
-error's temporary takes det's place). Users run in turn, and the pool's
-tasks are the chunks of one user, never whole users, so live memory is one
-user's per-sample arrays plus one chunk's arrays per worker, at most
+sample. What grows with the sample count is therefore the stacks and the
+weights, and the grid stage's arrays; s and S exist only a CG chunk at a
+time. The CG stage holds seven floats per sample (six rows of stacks and
+the weights), and the grid stage those seven plus three arrays per running
+chunk (det, x_i and g_i.x; the standard error's temporary takes det's
+place): ten floats per sample on one thread. Users run in turn, and the
+pool's tasks are the chunks of one user, never whole users, so live memory
+is one user's stacks and weights plus one chunk's arrays per worker, at most
 ``os.cpu_count()`` of them. A user whose samples fit one CG chunk runs on
 the calling thread alone, its grid stage too.
 
@@ -250,8 +250,7 @@ def _dots(u: np.ndarray, v: np.ndarray):
     return u @ v if u.ndim == 1 else np.einsum("i...,i...->...", u, v)
 
 
-def _cg(apply_a, rhs: np.ndarray, x: np.ndarray, floor, cap: int,
-        name=lambda system, entry: f"user {entry}", work=None):
+def _cg(apply_a, rhs: np.ndarray, x: np.ndarray, floor, cap: int, name, work):
     """Unpreconditioned conjugate gradients on every column of an (n, ...) stack from x.
 
     Systems are columns, so the per-system dots and maxima reduce along the
@@ -259,12 +258,12 @@ def _cg(apply_a, rhs: np.ndarray, x: np.ndarray, floor, cap: int,
     recurrence (its own rr, alpha and beta) until ||r||_inf <= floor(||x||_inf)
     in its column; a system at its floor is frozen, so a zero right-hand side
     costs no 0/0. x is updated in place, and ``work``, three arrays of x's
-    shape (allocated if None), holds r, d and a temporary, so an iteration
-    allocates nothing of the stack's size beyond what ``apply_a`` does.
+    shape, holds r, d and a temporary, so an iteration allocates nothing of
+    the stack's size beyond what ``apply_a`` does.
     Returns (x, iterations); raises SolverError, prefixed by
     ``name(system, entry)``, after ``cap`` iterations.
     """
-    r, d, t = (np.empty(x.shape) for _ in range(3)) if work is None else work
+    r, d, t = work
     np.subtract(rhs, apply_a(x), out=r)
     np.copyto(d, r)
     rr = _dots(r, r)
@@ -409,9 +408,9 @@ class SampleRows:
 
     ``types(rows)`` is the (rows, n-1) block of types of a slice of samples,
     the same values whether the set is made whole or in consecutive slices,
-    and ``self[rows]`` their virtual values, so the curve kernel indexes it
-    like the (samples, n-1) virtual-value array it never builds. ``weights``
-    are every sample's weights.
+    and ``self[rows]`` their virtual values, which ``interim_curves`` reads
+    one CG chunk at a time in place of the (samples, n-1) virtual-value array
+    it never builds. ``weights`` are every sample's weights.
     """
 
     dist: TypeDistribution
@@ -678,60 +677,41 @@ def _map(pool, fn, items) -> None:
         list(pool.map(lambda context, item: context.run(fn, item), contexts, items))
 
 
-def _cg_chunk(n: int) -> int:
-    """Samples in one chunk of the CG stage: its (n, 2 samples) stack holds about
-    ``_CHUNK_FLOATS`` floats, and at least one system."""
-    return max(1, _CHUNK_FLOATS // (2 * n))
-
-
-def _rank2_factors(sc: Scenario, i: int, phis_others, pool=None):
-    """Per-sample SMW factors of user i's curve: s = [g_i.y, y_i] and S (2 x 2).
+def _rank2_factors(sc: Scenario, i: int, phis_others: np.ndarray, start: int):
+    """The SMW factors of user i's curve on one chunk of samples: s = [g_i.y, y_i] and S (2 x 2).
 
     For every sample of the other users' virtual values, B is A with
     phi_i = 0, y = B^-1 c 1, z = B^-1 e_i and w = B^-1 g_i. B is symmetric for
     any G, so g_i.y = c 1.w and y_i = c 1.z, and only z and w are solved: by
-    the guarded ``_solve`` on the (n, 2 samples) stack [z w], in chunks of
-    samples, mapped over ``pool`` if given. ``phis_others`` is a
-    (samples, n-1) array or ``SampleRows``; a chunk reads only its own rows
-    and builds its own phi and right-hand side, so running chunks share
-    nothing but disjoint rows of the outputs, and at most as many chunks'
-    arrays are held as chunks run at once. B meets the bounds of
+    the guarded ``_solve`` on the (n, 2 m) stack [z w] of the chunk's m
+    samples. ``phis_others`` is the chunk's (m, n-1) virtual values and
+    ``start`` the user's number of its first sample. B meets the bounds of
     ``_a_priori``, since phi_i = 0 only raises row slack.
-    Returns s with shape (samples, 2) and S with shape (samples, 2, 2), rows
+    Returns s with shape (m, 2) and S with shape (m, 2, 2), rows
     (g_i.[z w], [z_i w_i]). A SolverError names the user, the right-hand side
-    and the sample.
+    and the sample, numbered from ``start``.
     """
     n = sc.n
+    m = len(phis_others)
     system = f"user {i}: base system (phi_{i} = 0)"
     p = sc.params
     g_i = sc.network.weights[i]
-    others = np.delete(np.arange(n), i)
-    c = p.s + p.a - p.p
-    n_samples = phis_others.shape[0]
-    s = np.empty((n_samples, 2))
-    big_s = np.empty((n_samples, 2, 2))
+    phi = np.empty((n, 2 * m))
+    phi[i] = 0.0
+    phi[np.delete(np.arange(n), i), :m] = phis_others.T
+    phi[:, m:] = phi[:, :m]
+    rhs = np.zeros((n, 2 * m))
+    rhs[i, :m] = 1.0
+    rhs[:, m:] = g_i[:, None]
 
-    def factor(sl):
-        m = sl.stop - sl.start
-        phi = np.empty((n, 2 * m))
-        phi[i] = 0.0
-        phi[others, :m] = phis_others[sl].T
-        phi[:, m:] = phi[:, :m]
-        rhs = np.zeros((n, 2 * m))
-        rhs[i, :m] = 1.0
-        rhs[:, m:] = g_i[:, None]
+    def where(column, entry):
+        return (f"{system} right-hand side {('e_i', 'g_i')[column // m]} "
+                f"at sample {start + column % m}")
 
-        def where(column, entry):
-            return (f"{system} right-hand side {('e_i', 'g_i')[column // m]} "
-                    f"at sample {sl.start + column % m}")
-
-        x = _solve(sc, phi, rhs, system, where)[0]
-        z, w = x[:, :m], x[:, m:]
-        s[sl] = c * np.stack([w.sum(axis=0), z.sum(axis=0)], axis=1)
-        big_s[sl] = np.stack([g_i @ z, g_i @ w, z[i], w[i]], axis=1).reshape(m, 2, 2)
-
-    _map(pool, factor, _chunk_slices(n_samples, _cg_chunk(n)))
-    return s, big_s
+    x = _solve(sc, phi, rhs, system, where)[0]
+    z, w = x[:, :m], x[:, m:]
+    s = (p.s + p.a - p.p) * np.stack([w.sum(axis=0), z.sum(axis=0)], axis=1)
+    return s, np.stack([g_i @ z, g_i @ w, z[i], w[i]], axis=1).reshape(m, 2, 2)
 
 
 def interim_curves(
@@ -747,10 +727,14 @@ def interim_curves(
     ``os.cpu_count()`` workers (live memory grows with the workers by one
     chunk each), and each user maps its CG chunks, then its grid chunks, over
     it, so the earliest chunk's SolverError is the one raised, as in a serial
-    run. A user whose samples fit one CG chunk (``_cg_chunk``) submits
-    nothing: it runs on the calling thread. The sample set is read a chunk of
-    rows at a time (``others_rows``), so no (samples, n-1) array of types or
-    virtual values is built.
+    run. This is the one place that chunks a user and picks the pool: a CG
+    chunk holds about ``_CHUNK_FLOATS`` floats of stack and at least one
+    sample, and a user whose samples fit one CG chunk submits nothing: it runs
+    on the calling thread. Each CG chunk reads its own rows of the sample set
+    (``others_rows``), solves their factors (``_rank2_factors``) and writes
+    their columns of the grid stage's stacks, so no (samples, n-1) array of
+    types or virtual values, and no per-sample factor of a whole user, is
+    built.
 
     The first requested user of each of the engine's ``classes`` is computed
     and its rows are copied to the class's other requested users; ``threads``
@@ -796,26 +780,26 @@ def interim_curves(
     def run_user(i, pool):
         rows = engine.others_rows(dist, n, i, classes)
         weights = rows.weights
-        if weights.size <= _cg_chunk(n):
+        # samples in one CG chunk: its (n, 2 samples) stack holds about _CHUNK_FLOATS floats
+        cg_chunk = max(1, _CHUNK_FLOATS // (2 * n))
+        if weights.size <= cg_chunk:
             pool = None  # one CG chunk: the user, grid stage and all, runs on this thread
-        s, big_s = _rank2_factors(sc, i, rows, pool)
-        # (I - phi S) [g_i.x, x_i] = s by Cramer's rule: x_num = [ca, s1], g_num = [cb, s0]
-        # and tr_dt = [tr, -dt], filled in place with tr_dt[0] as the one temporary
-        x_num, g_num = np.empty((2, 2, len(s)))
-        g_num[1], x_num[1] = s.T
-        del s
-        s00, s01, s10, s11 = big_s.reshape(-1, 4).T
-        tr_dt = np.empty((2, len(big_s)))
-        # -dt = S01 S10 - S00 S11, the exact negation of S00 S11 - S01 S10
-        np.multiply(s01, s10, out=tr_dt[1])
-        tr_dt[1] -= np.multiply(s00, s11, out=tr_dt[0])
-        # ca = S10 s0 - S00 s1 and cb = S01 s1 - S11 s0
-        np.multiply(s10, g_num[1], out=x_num[0])
-        x_num[0] -= np.multiply(s00, x_num[1], out=tr_dt[0])
-        np.multiply(s01, x_num[1], out=g_num[0])
-        g_num[0] -= np.multiply(s11, g_num[1], out=tr_dt[0])
-        np.add(s00, s11, out=tr_dt[0])
-        del big_s, s00, s01, s10, s11
+        # (I - phi S) [g_i.x, x_i] = s by Cramer's rule: tr_dt = [tr, -dt], x_num = [ca, s1]
+        # and g_num = [cb, s0]; each CG chunk writes its own columns
+        tr_dt, x_num, g_num = np.empty((3, 2, weights.size))
+
+        def factor_chunk(sl):
+            factors = _rank2_factors(sc, i, rows[sl], sl.start)
+            (s0, s1), (s00, s01, s10, s11) = (f.reshape(len(f), -1).T for f in factors)
+            np.add(s00, s11, out=tr_dt[0, sl])
+            # -dt = S01 S10 - S00 S11, the exact negation of S00 S11 - S01 S10
+            np.subtract(s01 * s10, s00 * s11, out=tr_dt[1, sl])
+            # ca = S10 s0 - S00 s1 and cb = S01 s1 - S11 s0
+            np.subtract(s10 * s0, s00 * s1, out=x_num[0, sl])
+            np.subtract(s01 * s1, s11 * s0, out=g_num[0, sl])
+            x_num[1, sl], g_num[1, sl] = s1, s0
+
+        _map(pool, factor_chunk, _chunk_slices(weights.size, cg_chunk))
 
         def grid_chunk(sl):
             # det = 1 - [phi, phi^2] . [tr, -dt], x_i = [phi, 1] . x_num / det and

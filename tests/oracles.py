@@ -183,7 +183,8 @@ def tensor_rule(dist, n: int, order: int):
 
 def tensor_curves(sc: Scenario, grid_size: int, order: int, users) -> dict:
     """gamma, V and C of ``users`` on the full tensor rule: the kernel's factors of every
-    node (``_rank2_factors`` on an array) and one LAPACK 2x2 solve per (grid point, node)."""
+    node (``_rank2_factors`` on the whole array, one chunk) and one LAPACK 2x2 solve per
+    (grid point, node)."""
     n, dist, p = sc.n, sc.dist, sc.params
     types, weights = tensor_rule(dist, n, order)
     phis = np.asarray(dist.virtual_value(types), dtype=float)
@@ -191,7 +192,7 @@ def tensor_curves(sc: Scenario, grid_size: int, order: int, users) -> dict:
     phi = np.asarray(dist.virtual_value(grid), dtype=float)[:, None, None, None]
     out = {key: np.full((n, grid_size), np.nan) for key in ("gamma", "v", "c")}
     for i in users:
-        s, big_s = mechanism._rank2_factors(sc, i, phis)
+        s, big_s = mechanism._rank2_factors(sc, i, phis, 0)
         m = np.eye(2) - phi * big_s
         x = np.linalg.solve(m, np.broadcast_to(s[..., None], m.shape[:-1] + (1,)))[..., 0]
         gx, xi = x[..., 0], x[..., 1]

@@ -84,19 +84,42 @@ def lu_factors(sc, i, phis_others):
             np.stack([g_sol[:, 1:], i_sol[:, 1:]], axis=1))
 
 
-def with_rows(big_s, rows):
-    """A copy of the S factors with S = [[c, 0], [0, 0]] at each sample j of ``rows`` {j: c}."""
+def with_rows(big_s, start, rows):
+    """A copy of one chunk's S factors, its first sample numbered ``start``, with
+    S = [[c, 0], [0, 0]] at each sample j of ``rows`` {j: c} that the chunk holds."""
     big_s = big_s.copy()
     for j, c in rows.items():
-        big_s[j] = [[c, 0.0], [0.0, 0.0]]
+        if start <= j < start + len(big_s):
+            big_s[j - start] = [[c, 0.0], [0.0, 0.0]]
     return big_s
 
 
-def with_entry(factor, index, value):
-    """A copy of a factor array with ``value`` at ``index``."""
+def with_entry(factor, start, index, value):
+    """A copy of one chunk's factor array, its first sample numbered ``start``, with
+    ``value`` at ``index`` if the chunk holds sample ``index[0]``."""
     factor = factor.copy()
-    factor[index] = value
+    if start <= index[0] < start + len(factor):
+        factor[(index[0] - start,) + index[1:]] = value
     return factor
+
+
+def tamper_factors(monkeypatch, tamper):
+    """Make ``_rank2_factors`` return ``tamper(s, S, start)`` of each chunk's factors, and
+    return the dict that collects the returned factors by the chunk's first sample."""
+    factors = mechanism._rank2_factors
+    chunks = {}
+
+    def tampered(sc, i, phis_others, start):
+        chunks[start] = tamper(*factors(sc, i, phis_others, start), start)
+        return chunks[start]
+
+    monkeypatch.setattr(mechanism, "_rank2_factors", tampered)
+    return chunks
+
+
+def joined(chunks):
+    """One user's (s, S) from the factors of its chunks, keyed by first sample."""
+    return tuple(np.concatenate([chunks[start][k] for start in sorted(chunks)]) for k in (0, 1))
 
 
 def first_sign_break(sc, grid_size, s, big_s, quantity):
@@ -119,7 +142,7 @@ def assert_factors_match_lu(sc, engine, users=None):
     for i in range(sc.n) if users is None else users:
         values, _ = whole_samples(engine, sc.dist, sc.n, i)
         phis = np.asarray(sc.dist.virtual_value(values), dtype=float)
-        got = mechanism._rank2_factors(sc, i, phis)
+        got = mechanism._rank2_factors(sc, i, phis, 0)
         want = lu_factors(sc, i, phis)
         for name, g, w in zip(("s", "S"), got, want):
             assert g.shape == w.shape
@@ -196,24 +219,6 @@ class TestFactorsAgainstLU:
         engine = MonteCarloEngine(samples=40, seed=6)
         assert_factors_match_lu(large_scenario(symmetric), engine, users=[0, 151])
 
-    def test_panel_chunks_on_a_pool_are_the_serial_factors(self):
-        sc = large_scenario(True)
-        values, _ = whole_samples(MonteCarloEngine(samples=250, seed=6), sc.dist, sc.n, 0)
-        phis = np.asarray(sc.dist.virtual_value(values), dtype=float)
-        want = mechanism._rank2_factors(sc, 0, phis)  # three chunks of up to 109 samples
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            got = mechanism._rank2_factors(sc, 0, phis, pool)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-
-    def test_chunks_do_not_change_factors(self, hub5, monkeypatch):
-        values, _ = whole_samples(MonteCarloEngine(samples=700, seed=2), hub5.dist, 5, 0)
-        phis = np.asarray(hub5.dist.virtual_value(values), dtype=float)
-        whole = mechanism._rank2_factors(hub5, 0, phis)
-        monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2 * 5 * 64)
-        for got, want in zip(mechanism._rank2_factors(hub5, 0, phis), whole):
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
 
 class TestGuards:
     def test_residual_of_base_solve(self, complete5, monkeypatch):
@@ -271,52 +276,50 @@ class TestGuards:
 
     # phi(0.4) = 0 on Uniform(0.4, 0.8), so det = 1 there and first fails at 0.45
     @pytest.mark.parametrize("theta,quantity,tamper", [
-        ("0.45", "det(I - phi S)", lambda s, big_s: (s, big_s * np.array([[1e6, 1.0], [1.0, 1.0]]))),
-        ("0.4", "x_2", lambda s, big_s: (-s, big_s)),
-        ("0.4", "g_2.x", lambda s, big_s: (s * np.array([-1.0, 1.0]), big_s)),
+        ("0.45", "det(I - phi S)", lambda s, big_s, start: (s, big_s * np.array([[1e6, 1.0], [1.0, 1.0]]))),
+        ("0.4", "x_2", lambda s, big_s, start: (-s, big_s)),
+        ("0.4", "g_2.x", lambda s, big_s, start: (s * np.array([-1.0, 1.0]), big_s)),
         # a NaN in one sample's S makes det NaN at every type, phi = 0 included
-        pytest.param("0.4", "det(I - phi S)", lambda s, big_s: (s, with_rows(big_s, {5: np.nan})),
+        pytest.param("0.4", "det(I - phi S)", lambda s, big_s, start: (s, with_rows(big_s, start, {5: np.nan})),
                      id="nan-factor"),
         # S = [[c, 0], [0, 0]] gives det = 1 - phi c, first <= 0 where phi >= 1/c: sample 37
         # breaks at phi = 0.5 (theta 0.65), sample 11 only at 0.7, sample 200 with sample 37
         pytest.param("0.65", "det(I - phi S)",
-                     lambda s, big_s: (s, with_rows(big_s, {11: 1 / 0.65, 37: 1 / 0.45, 200: 1 / 0.45})),
+                     lambda s, big_s, start: (s, with_rows(big_s, start, {11: 1 / 0.65, 37: 1 / 0.45,
+                                                                          200: 1 / 0.45})),
                      id="first-bad-after-sample-0"),
     ])
     def test_m_matrix_signs(self, path5, monkeypatch, theta, quantity, tamper):
-        factors = mechanism._rank2_factors
-        seen = []
-
-        def tampered(*args):
-            seen.append(tamper(*factors(*args)))
-            return seen[-1]
-
-        monkeypatch.setattr(mechanism, "_rank2_factors", tampered)
+        chunks = tamper_factors(monkeypatch, tamper)
         # the path has no twins, so user 2's rule is the whole tensor of 4**4 samples: the
-        # default budget holds the whole grid in one chunk, 256 one grid point per chunk, so
-        # a later bad theta lies in a later chunk; two threads map the grid chunks over the pool
+        # default budget holds it in one CG chunk and the whole grid in one grid chunk; 256
+        # floats give CG chunks of 25 samples, so samples 37 and 200 lie in later chunks, and
+        # one grid point per chunk, so a later bad theta lies in a later chunk; two threads
+        # map the chunks over the pool
         for chunk_floats, threads in ((mechanism._CHUNK_FLOATS, 1), (4**4, 1), (4**4, 2)):
             monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", chunk_floats)
+            chunks.clear()
             with pytest.raises(SolverError) as err:
                 interim_curves(path5, 9, QuadratureEngine(order=4), users=[2], threads=threads)
             message = str(err.value)
             assert message.startswith(f"user 2 at theta {theta}: {quantity} = ")
-            assert len(seen[-1][0]) == 4**4
-            k, j = first_sign_break(path5, 9, *seen[-1], quantity)
+            s, big_s = joined(chunks)
+            assert len(s) == 4**4
+            k, j = first_sign_break(path5, 9, s, big_s, quantity)
             assert f"{np.linspace(0.4, 0.8, 9)[k]:.12g}" == theta
             assert f" at sample {j} breaks" in message, (chunk_floats, threads)
             assert "Assumption 2" in message
 
     @pytest.mark.parametrize("quantity,sample,tamper", [
         # S00 = inf makes tr and det S infinite, so det(I - phi S) = 1 - (0 inf + 0 inf) at phi = 0
-        pytest.param("det(I - phi S)", 5, lambda s, big_s: (s, with_entry(big_s, (5, 0, 0), np.inf)),
-                     id="inf-in-S"),
+        pytest.param("det(I - phi S)", 5,
+                     lambda s, big_s, start: (s, with_entry(big_s, start, (5, 0, 0), np.inf)), id="inf-in-S"),
         # s1 = inf makes ca infinite, so x_i = (0 ca + s1) / det is NaN at phi = 0
-        pytest.param("x_2", 9, lambda s, big_s: (with_entry(s, (9, 1), np.inf), big_s), id="inf-in-s"),
+        pytest.param("x_2", 9, lambda s, big_s, start: (with_entry(s, start, (9, 1), np.inf), big_s),
+                     id="inf-in-s"),
     ])
     def test_infinite_factor_fails_its_sign_as_nan(self, path5, monkeypatch, quantity, sample, tamper):
-        factors = mechanism._rank2_factors
-        monkeypatch.setattr(mechanism, "_rank2_factors", lambda *args: tamper(*factors(*args)))
+        tamper_factors(monkeypatch, tamper)
         for chunk_floats, threads in ((mechanism._CHUNK_FLOATS, 1), (4**4, 1), (4**4, 2)):
             monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", chunk_floats)
             with pytest.raises(SolverError) as err, warnings.catch_warnings():
@@ -520,16 +523,23 @@ class TestChunkPath:
         # about 1.3 here; two users' per-sample arrays at once would read about 2
         assert peaks[1] <= 1.4 * peaks[0]
 
+    def test_user_peak_within_ten_and_a_half_floats_per_sample(self, hub5):
+        """One user's 1M Monte Carlo samples hold six rows of stacks and the weights, then the
+        grid stage's three chunk arrays of one float per sample: ten floats per sample. Whole-user
+        factors beside the stacks would read eleven."""
+        samples = 1_000_000
+        tracemalloc.start()
+        try:
+            interim_curves(hub5, 9, MonteCarloEngine(samples=samples, seed=3), users=[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * 8 * samples + 2**20
+
     def test_pool_tasks_keep_the_callers_errstate(self, hub5, monkeypatch):
         """numpy's error state is a contextvar: a pool chunk runs under the caller's, so an
         inf in S raises FloatingPointError at any thread count, not a guard's SolverError."""
-        factors = mechanism._rank2_factors
-
-        def tampered(*args):
-            s, big_s = factors(*args)
-            return s, with_entry(big_s, (5, 0, 0), np.inf)
-
-        monkeypatch.setattr(mechanism, "_rank2_factors", tampered)
+        tamper_factors(monkeypatch, lambda s, big_s, start: (s, with_entry(big_s, start, (5, 0, 0), np.inf)))
         # chunks of 25 samples and one grid point put every user's chunks on the pool
         monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2**8)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -556,15 +566,31 @@ class TestChunkPath:
             assert opened == workers, (cpus, threads)
             assert np.array_equal(got.gamma_se, want.gamma_se), (cpus, threads)
 
-    def test_sample_rows_give_the_array_factors(self, hub5, monkeypatch):
+    def test_panel_chunks_bit_identical_across_threads(self, monkeypatch):
+        """n = 300 with symmetric G: each CG chunk's stack runs on the row-panel product, and
+        250 samples take three chunks of up to 109, on the pool at two threads."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sc = large_scenario(True)
+        engine = MonteCarloEngine(samples=250, seed=6)
+        want, got = (interim_curves(sc, 9, engine, users=[0], threads=t) for t in (1, 2))
+        for field in ("gamma", "v", "c", "gamma_se"):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chunk_factors_match_the_whole_array(self, hub5, monkeypatch, threads):
+        """The chunks of 64 samples that the kernel reads from ``SampleRows``, each numbered
+        from its first sample, give the factors of one call on the user's whole array."""
         monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2 * 5 * 64)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        chunks = tamper_factors(monkeypatch, lambda s, big_s, start: (s, big_s))
         engine = MonteCarloEngine(samples=700, seed=2)
+        interim_curves(hub5, 9, engine, users=[3], threads=threads)
+        assert sorted(chunks) == list(range(0, 700, 64))
         values, _ = whole_samples(engine, hub5.dist, 5, 3)
-        want = mechanism._rank2_factors(hub5, 3, np.asarray(hub5.dist.virtual_value(values), dtype=float))
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            got = mechanism._rank2_factors(hub5, 3, engine.others_rows(hub5.dist, 5, 3, alone(5)), pool)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        monkeypatch.undo()
+        whole = mechanism._rank2_factors(hub5, 3, np.asarray(hub5.dist.virtual_value(values), dtype=float), 0)
+        for got, want in zip(joined(chunks), whole):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_cg_iterations_allocate_nothing_of_the_stack_size(self):
         sc = random_valid_scenario(np.random.default_rng(8), n=60)

@@ -217,6 +217,18 @@ def test_one_cg_and_one_bounds_helper_serve_both_solves():
     assert referrers("_solve") == {"demand_solution", "_rank2_factors"}
 
 
+def test_chunking_and_pooling_decided_in_interim_curves():
+    """One function decides how a user's samples are chunked and which chunks go to the pool;
+    ``_rank2_factors`` solves the one chunk it is given."""
+    pooling = {"_map", "_chunk_slices", "ThreadPoolExecutor"}
+    assert referrers("_map") == referrers("ThreadPoolExecutor") == {"interim_curves"}
+    assert referrers("_chunk_slices") == {"_multisets", "interim_curves"}
+    assert not [path.stem for path in sorted(SRC.glob("*.py"))
+                if path.stem != "mechanism" and references(ast.parse(path.read_text())) & pooling]
+    arguments = FUNCTIONS["_rank2_factors"].args
+    assert "pool" not in {a.arg for a in arguments.args + arguments.kwonlyargs}
+
+
 def test_symmetry_decided_in_market_and_read_by_the_operator_alone():
     """G = G^T is computed once, in market, and only Network.operator reads it, to pick its
     product path. No mechanism function names it or makes a product by matmul, the solve

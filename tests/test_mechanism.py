@@ -278,9 +278,15 @@ class TestDemandSolveGuards:
     def test_iteration_cap(self, hub5):
         a = system_matrix(hub5, np.array([0.5, 0.6, 0.7, 0.8, 0.45]))
         rhs = np.full(5, 1.4)
+
+        def cg(floor, cap):
+            work = tuple(np.empty(5) for _ in range(3))
+            return mechanism._cg(lambda v: a @ v, rhs, rhs / 7.0, floor, cap,
+                                 lambda system, entry: f"user {entry}", work)
+
         with pytest.raises(SolverError, match=r"^user \d: CG residual .* after 1 iterations"):
-            mechanism._cg(lambda v: a @ v, rhs, rhs / 7.0, lambda x: 0.0, 1)
-        x, iterations = mechanism._cg(lambda v: a @ v, rhs, rhs / 7.0, lambda x: 1e-13, 50)
+            cg(lambda x: 0.0, 1)
+        x, iterations = cg(lambda x: 1e-13, 50)
         assert iterations <= 5
         assert np.allclose(x, np.linalg.solve(a, rhs), rtol=0, atol=1e-13)
 
