@@ -42,8 +42,9 @@ slice of rows at a time: quadrature computes the rows' node indices, and Monte
 Carlo advances the generator past the earlier rows, so any slicing gives the
 rows of the one (samples, n) uniform draw. Users share their common columns,
 and threads share an engine without a lock. Each engine also states its own
-error: ``standard_error(values, means, weights)`` is Monte Carlo's i.i.d.
-standard error of the means, and None for quadrature, which states none.
+error: ``standard_error(sums, squares, weights)`` is Monte Carlo's i.i.d.
+standard error of the means, merged from chunks of the samples, and None for
+quadrature, which states none.
 
 An engine's ``classes(network)`` partitions the users, and ``interim_curves``
 uses the partition at two levels. Only the first requested user of each class
@@ -72,38 +73,37 @@ identity turns every grid point into the 2x2 solve
     (I - phi_i S) [g_i.x, x_i] = s,   s = [g_i.y, y_i],   S = [g_i.[z w]; [z_i w_i]],
 
 which is all that gamma, V and C need; B is symmetric, so y never has to be
-solved. All samples' z and w are solved by one matrix-free CG on a stack with
+solved. The samples' z and w are solved by matrix-free CG on a stack with
 one system per column, at O(n^2) per iteration and system, not per sample and
 grid point. Cramer's rule then runs on four coefficients formed once per
 sample, ca = S10 s0 - S00 s1, cb = S01 s1 - S11 s0, tr = S00 + S11 and
-dt = det S, held as three (2, samples) stacks tr_dt = [tr, -dt],
-x_num = [ca, s1] and g_num = [cb, s0]; each chunk of samples solves its own
-s and S and writes its own columns of the stacks. A chunk of grid points makes each
-quantity by one K=2 product (a BLAS GEMM) of its rows of [phi_i, phi_i^2]
-or [phi_i, 1] with a stack:
+dt = det S, held per chunk of samples as three (2, samples) stacks
+tr_dt = [tr, -dt], x_num = [ca, s1] and g_num = [cb, s0]. A block of grid
+points makes each quantity by one K=2 product (a BLAS GEMM) of its rows of
+[phi_i, phi_i^2] or [phi_i, 1] with a stack:
 
     det = 1 - [phi_i, phi_i^2] tr_dt,  x_i = [phi_i, 1] x_num / det,  g_i.x = [phi_i, 1] g_num / det,
 
 six passes per (grid point, sample) element (three products, a subtraction
 and two divisions), then each sign guard one min-reduction. gamma is
 E[x_i g_i.x]; V and C are quadratics in x_i, so both come from E[x_i] and
-E[x_i^2], one product with the weights each. Memory is chunked under the
-float budget ``_CHUNK_FLOATS``. The CG stack runs in chunks of samples, each
-array about that many floats (at least one system). A CG chunk draws only its
-own rows of the sample set, and its solve allocates one workspace up front,
-so its iterations allocate nothing of the stack's size. The grid stage runs
-in chunks of at least one grid point, so each of its arrays holds at most
-max(``_CHUNK_FLOATS``, samples) floats: past 2^16 samples, one float per
-sample. What grows with the sample count is therefore the stacks and the
-weights, and the grid stage's arrays; s and S exist only a CG chunk at a
-time. The CG stage holds seven floats per sample (six rows of stacks and
-the weights), and the grid stage those seven plus three arrays per running
-chunk (det, x_i and g_i.x; the standard error's temporary takes det's
-place): ten floats per sample on one thread. Users run in turn, and the
-pool's tasks are the chunks of one user, never whole users, so live memory
-is one user's stacks and weights plus one chunk's arrays per worker, at most
-``os.cpu_count()`` of them. A user whose samples fit one CG chunk runs on
-the calling thread alone, its grid stage too.
+E[x_i^2], one product with the weights each.
+
+Memory is bounded by the float budget ``_CHUNK_FLOATS``, not by the sample
+count. A user's samples run in CG chunks, each stack about that many floats
+(at least one system), and each chunk takes its own samples all the way: it
+draws only its rows of the sample set, solves their s and S (one workspace
+allocated up front, so CG iterations allocate nothing of the stack's size),
+fills its own three stacks, and runs the grid stage on them in blocks of at
+least one grid point, each block's arrays at most ``_CHUNK_FLOATS`` floats
+and freed before the next. What leaves a chunk is its weighted sums of
+x_i g_i.x, x_i and x_i^2 at every grid point (and, for a standard error, of
+the squares about the chunk's mean), added chunk by chunk in order once all
+chunks are done. No array of a user's whole sample set is built, so
+live memory is one chunk's arrays per worker, at most ``os.cpu_count()`` of
+them, at any sample count. Users run in turn, and the pool's tasks are the
+chunks of one user; a user whose samples fit one CG chunk runs on the calling
+thread alone, and its sums are its values, bit for bit.
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -174,7 +174,7 @@ _MAX_QUADRATURE_NODES = 2**20
 _MAX_MC_FLOATS = 2**24
 # floats per array in one chunk of the curve kernel (512 KiB, cache-sized): the
 # (n, 2 samples) CG stack of a chunk of samples, or the (grid points, samples)
-# arrays of a grid chunk, which has at least one grid point: past 2**16 samples, one row
+# arrays of one grid block of that chunk, which has at least one grid point
 _CHUNK_FLOATS = 2**16
 
 
@@ -410,7 +410,9 @@ class SampleRows:
     the same values whether the set is made whole or in consecutive slices,
     and ``self[rows]`` their virtual values, which ``interim_curves`` reads
     one CG chunk at a time in place of the (samples, n-1) virtual-value array
-    it never builds. ``weights`` are every sample's weights.
+    it never builds. ``weights`` are every sample's weights, which the kernel
+    also reads a chunk's slice at a time; Monte Carlo's one weight 1/samples
+    is a zero-stride view, not an array of the samples.
     """
 
     dist: TypeDistribution
@@ -561,12 +563,19 @@ class MonteCarloEngine:
     def classes(self, network: Network) -> tuple:
         return tuple((u,) for u in range(network.n))
 
-    @staticmethod
-    def standard_error(values: np.ndarray, means: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """The i.i.d. standard error of each row's mean: the sample variance about
-        ``means``, over m - 1, divided by the m samples (Glasserman 2003, sec. 1.1)."""
-        m = weights.size
-        var = ((values - means[:, None])**2 @ weights) * m / max(1, m - 1)
+    def standard_error(self, sums: np.ndarray, squares: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The i.i.d. standard error of each column's mean, from the sample set in chunks.
+
+        Row k holds chunk k: ``weights[k]`` its weight sum, ``sums[k]`` its
+        weighted sums and ``squares[k]`` its weighted squares about its own
+        means sums[k] / weights[k]. The chunks merge into the squares about the
+        mean of all samples (Chan, Golub & LeVeque 1983); over m - 1 and
+        divided by the m samples, that is the variance of the mean (Glasserman
+        2003, sec. 1.1). One chunk's squares are the merged ones.
+        """
+        m = self.samples
+        spread = sums / weights[:, None] - np.add.reduce(sums) / np.add.reduce(weights)
+        var = np.add.reduce(squares + weights[:, None] * spread * spread) * m / max(1, m - 1)
         return np.sqrt(var / m)
 
     def others_rows(self, dist: TypeDistribution, n: int, i: int, classes) -> SampleRows:
@@ -585,7 +594,8 @@ class MonteCarloEngine:
             del uniforms  # not held through the quantile
             return np.asarray(dist.quantile(others), dtype=float)
 
-        return SampleRows(dist, np.full(self.samples, 1.0 / self.samples), types, (self.samples, n - 1))
+        weights = np.broadcast_to(1.0 / self.samples, (self.samples,))
+        return SampleRows(dist, weights, types, (self.samples, n - 1))
 
 
 def make_engine(name: str, quad_order: int, mc_samples: int, seed: int):
@@ -725,16 +735,15 @@ def interim_curves(
 
     Users run in turn. ``threads`` > 1 opens one pool, of at most
     ``os.cpu_count()`` workers (live memory grows with the workers by one
-    chunk each), and each user maps its CG chunks, then its grid chunks, over
-    it, so the earliest chunk's SolverError is the one raised, as in a serial
+    chunk each), and each user maps its CG chunks over it once, so the
+    earliest chunk's CG SolverError is the one raised, as in a serial
     run. This is the one place that chunks a user and picks the pool: a CG
     chunk holds about ``_CHUNK_FLOATS`` floats of stack and at least one
     sample, and a user whose samples fit one CG chunk submits nothing: it runs
     on the calling thread. Each CG chunk reads its own rows of the sample set
-    (``others_rows``), solves their factors (``_rank2_factors``) and writes
-    their columns of the grid stage's stacks, so no (samples, n-1) array of
-    types or virtual values, and no per-sample factor of a whole user, is
-    built.
+    (``others_rows``), solves their factors (``_rank2_factors``), and takes
+    them through the grid stage to weighted sums over the whole grid, so no
+    array of a user's whole sample set is built.
 
     The first requested user of each of the engine's ``classes`` is computed
     and its rows are copied to the class's other requested users; ``threads``
@@ -742,11 +751,13 @@ def interim_curves(
     ``standard_error`` where it has one.
 
     Deterministic for a fixed engine configuration regardless of ``threads``:
-    every chunk's outputs land in preallocated rows or columns, chunk sizes
-    depend only on the problem, and every reduction runs in a fixed order.
-    Raises SolverError naming the user, the grid type and the quantity when a
-    solve breaks the M-matrix promises of Assumption 2 (det(I - phi S) > 0,
-    x_i > 0, g_i.x >= 0) or misses the residual tolerance.
+    every chunk's sums land in its own preallocated row, chunk sizes depend
+    only on the problem, and the rows are added in chunk order. Raises
+    SolverError naming the user, the grid type and the quantity when a solve
+    breaks the M-matrix promises of Assumption 2 (det(I - phi S) > 0,
+    x_i > 0, g_i.x >= 0) or misses the residual tolerance. Of the sign
+    breaks, the one named is at the lowest type; there, the first of det,
+    x_i and g_i.x that breaks; then the lowest sample, whatever the chunks.
     """
     if grid_size < MIN_GRID:
         raise ValueError(f"need grid_size >= {MIN_GRID}")
@@ -779,62 +790,80 @@ def interim_curves(
 
     def run_user(i, pool):
         rows = engine.others_rows(dist, n, i, classes)
-        weights = rows.weights
         # samples in one CG chunk: its (n, 2 samples) stack holds about _CHUNK_FLOATS floats
-        cg_chunk = max(1, _CHUNK_FLOATS // (2 * n))
-        if weights.size <= cg_chunk:
-            pool = None  # one CG chunk: the user, grid stage and all, runs on this thread
-        # (I - phi S) [g_i.x, x_i] = s by Cramer's rule: tr_dt = [tr, -dt], x_num = [ca, s1]
-        # and g_num = [cb, s0]; each CG chunk writes its own columns
-        tr_dt, x_num, g_num = np.empty((3, 2, weights.size))
+        chunks = list(_chunk_slices(rows.shape[0], max(1, _CHUNK_FLOATS // (2 * n))))
+        # per chunk and grid point, the weighted sums of x_i g_i.x, x_i and x_i^2 and, for a
+        # standard error, of (x_i g_i.x - the chunk's mean)^2; each chunk's weight sum
+        sums = np.empty((len(chunks), 3 if gamma_se is None else 4, grid_size))
+        weight_sums = np.empty(len(chunks))
+        # each chunk's first sign break: (grid index, guard, sample, value)
+        breaks = [None] * len(chunks)
 
-        def factor_chunk(sl):
+        def coefficients(sl):
+            # (I - phi S) [g_i.x, x_i] = s by Cramer's rule: tr_dt = [tr, -dt], x_num = [ca, s1]
+            # and g_num = [cb, s0], one column per sample of the chunk
             factors = _rank2_factors(sc, i, rows[sl], sl.start)
             (s0, s1), (s00, s01, s10, s11) = (f.reshape(len(f), -1).T for f in factors)
-            np.add(s00, s11, out=tr_dt[0, sl])
+            tr_dt, x_num, g_num = np.empty((3, 2, len(s0)))
+            np.add(s00, s11, out=tr_dt[0])
             # -dt = S01 S10 - S00 S11, the exact negation of S00 S11 - S01 S10
-            np.subtract(s01 * s10, s00 * s11, out=tr_dt[1, sl])
+            np.subtract(s01 * s10, s00 * s11, out=tr_dt[1])
             # ca = S10 s0 - S00 s1 and cb = S01 s1 - S11 s0
-            np.subtract(s10 * s0, s00 * s1, out=x_num[0, sl])
-            np.subtract(s01 * s1, s11 * s0, out=g_num[0, sl])
-            x_num[1, sl], g_num[1, sl] = s1, s0
+            np.subtract(s10 * s0, s00 * s1, out=x_num[0])
+            np.subtract(s01 * s1, s11 * s0, out=g_num[0])
+            x_num[1], g_num[1] = s1, s0
+            return tr_dt, x_num, g_num
 
-        _map(pool, factor_chunk, _chunk_slices(weights.size, cg_chunk))
+        def run_chunk(k):
+            sl = chunks[k]
+            weights = np.ascontiguousarray(rows.weights[sl])
+            weight_sums[k] = weights.sum()
+            tr_dt, x_num, g_num = coefficients(sl)
 
-        def grid_chunk(sl):
-            # det = 1 - [phi, phi^2] . [tr, -dt], x_i = [phi, 1] . x_num / det and
-            # g_i.x = [phi, 1] . g_num / det: three K=2 products
-            det = phi_det[sl] @ tr_dt
-            np.subtract(1.0, det, out=det)
-            xi = phi_num[sl] @ x_num
-            xi /= det
-            gx = phi_num[sl] @ g_num
-            gx /= det
-            for name, value, holds in (
-                ("det(I - phi S)", det, np.greater),
-                (f"x_{i}", xi, np.greater),
-                (f"g_{i}.x", gx, np.greater_equal),
-            ):
-                # one min-reduction: a NaN carries through min and fails the test too
-                if not holds(value.min(), 0.0):
-                    k, j = np.argwhere(~holds(value, 0.0))[0]
-                    raise SolverError(
-                        f"user {i} at theta {grid[sl][k]:.12g}: {name} = {value[k, j]:.6g} "
-                        f"at sample {j} breaks the sign that Assumption 2 promises"
-                    )
-            del det, value  # spent: the standard error's temporary takes its place
-            gamma_samples = np.multiply(xi, gx, out=gx)
-            gamma[i, sl] = gamma_samples @ weights
-            # V and C are quadratics in x_i: both come from E[x_i] and E[x_i^2]
-            mean = xi @ weights
-            xi *= xi
-            square = xi @ weights
-            v[i, sl] = (p.a - p.p) * mean - 0.5 * p.b * square
-            c[i, sl] = p.s * mean - 0.5 * p.t * square
-            if gamma_se is not None:
-                gamma_se[i, sl] = engine.standard_error(gamma_samples, gamma[i, sl], weights)
+            def grid_block(block):
+                # det = 1 - [phi, phi^2] . [tr, -dt], x_i = [phi, 1] . x_num / det and
+                # g_i.x = [phi, 1] . g_num / det: three K=2 products
+                det = phi_det[block] @ tr_dt
+                np.subtract(1.0, det, out=det)
+                xi = phi_num[block] @ x_num
+                xi /= det
+                gx = phi_num[block] @ g_num
+                gx /= det
+                guards = ((det, np.greater), (xi, np.greater), (gx, np.greater_equal))
+                # one min-reduction each: a NaN carries through min and fails the test too
+                if not all(holds(value.min(), 0.0) for value, holds in guards):
+                    # the lowest type, then the first guard in order, then the lowest sample
+                    bad = np.stack([~holds(value, 0.0) for value, holds in guards], axis=1)
+                    t, q, j = np.argwhere(bad)[0]
+                    return block.start + t, q, sl.start + j, guards[q][0][t, j]
+                gamma_samples = np.multiply(xi, gx, out=gx)
+                sums[k, 0, block] = gamma_samples @ weights
+                # V and C are quadratics in x_i: both come from E[x_i] and E[x_i^2]
+                sums[k, 1, block] = xi @ weights
+                xi *= xi
+                sums[k, 2, block] = xi @ weights
+                if gamma_se is not None:
+                    # the squares about the chunk's own mean, in det's place
+                    np.subtract(gamma_samples, (sums[k, 0, block] / weight_sums[k])[:, None], out=det)
+                    sums[k, 3, block] = np.square(det, out=det) @ weights
 
-        _map(pool, grid_chunk, _chunk_slices(grid_size, max(1, _CHUNK_FLOATS // weights.size)))
+            # block by block, each block's arrays freed before the next; a break ends the chunk
+            blocks = _chunk_slices(grid_size, max(1, _CHUNK_FLOATS // weights.size))
+            breaks[k] = next(filter(None, map(grid_block, blocks)), None)
+
+        # one CG chunk: the user runs on this thread
+        _map(pool if len(chunks) > 1 else None, run_chunk, range(len(chunks)))
+        if any(breaks):
+            t, q, j, value = min(b for b in breaks if b)
+            name = ("det(I - phi S)", f"x_{i}", f"g_{i}.x")[q]
+            raise SolverError(f"user {i} at theta {grid[t]:.12g}: {name} = {value:.6g} "
+                              f"at sample {j} breaks the sign that Assumption 2 promises")
+        # chunk by chunk, in order: a one-chunk user's sums are its own
+        gamma[i], mean, square = np.add.reduce(sums[:, :3])
+        v[i] = (p.a - p.p) * mean - 0.5 * p.b * square
+        c[i] = p.s * mean - 0.5 * p.t * square
+        if gamma_se is not None:
+            gamma_se[i] = engine.standard_error(sums[:, 0], sums[:, 3], weight_sums)
 
     workers = min(threads, os.cpu_count() or 1)
     # the pool starts a thread only when a chunk is submitted to it

@@ -103,6 +103,16 @@ def with_entry(factor, start, index, value):
     return factor
 
 
+def with_rows_negated(factor, start, rows):
+    """A copy of one chunk's factor array, its first sample numbered ``start``, negated at
+    each sample of ``rows`` that the chunk holds."""
+    factor = factor.copy()
+    for j in rows:
+        if start <= j < start + len(factor):
+            factor[j - start] *= -1.0
+    return factor
+
+
 def tamper_factors(monkeypatch, tamper):
     """Make ``_rank2_factors`` return ``tamper(s, S, start)`` of each chunk's factors, and
     return the dict that collects the returned factors by the chunk's first sample."""
@@ -175,6 +185,16 @@ class TestAgainstStackedSolve:
             sc = random_valid_scenario(rng, n=int(rng.integers(5, 21)))
             users = sorted(rng.choice(sc.n, size=3, replace=False).tolist())
         assert_matches_oracle(sc, 9, MonteCarloEngine(samples=300, seed=draw), users)
+
+    @pytest.mark.parametrize("draw", range(6))
+    def test_chunk_sums_merge(self, draw, monkeypatch):
+        """Chunks of 64 samples: each chunk's sums, and the standard error's squares about
+        each chunk's mean, merge into the whole set's."""
+        rng = np.random.default_rng(3000 + draw)
+        sc = random_valid_scenario(rng, n=int(rng.integers(2, 21)))
+        monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2 * sc.n * 64)
+        users = sorted(rng.choice(sc.n, size=min(2, sc.n), replace=False).tolist())
+        assert_matches_oracle(sc, 9, MonteCarloEngine(samples=700, seed=draw), users)
 
     def test_user_subset_case_study(self, hub5):
         assert_matches_oracle(hub5, 17, QuadratureEngine(order=6), [1, 3])
@@ -288,6 +308,12 @@ class TestGuards:
                      lambda s, big_s, start: (s, with_rows(big_s, start, {11: 1 / 0.65, 37: 1 / 0.45,
                                                                           200: 1 / 0.45})),
                      id="first-bad-after-sample-0"),
+        # sample 3's det breaks from theta 0.65 on, sample 200's x_2 at every type: the lowest
+        # type names x_2, whichever grid points and samples share a chunk
+        pytest.param("0.4", "x_2",
+                     lambda s, big_s, start: (with_rows_negated(s, start, [200]),
+                                              with_rows(big_s, start, {3: 1 / 0.45})),
+                     id="lowest-type-before-first-guard"),
     ])
     def test_m_matrix_signs(self, path5, monkeypatch, theta, quantity, tamper):
         chunks = tamper_factors(monkeypatch, tamper)
@@ -329,7 +355,8 @@ class TestGuards:
                                       f"breaks the sign that Assumption 2 promises")
 
     def test_grid_chunks_do_not_change_curves(self, hub5, monkeypatch):
-        """The grid stage never mixes grid points: one per chunk gives the default curves."""
+        """A budget of one user's sample count splits its samples into several CG chunks and
+        the grid into blocks; the merged sums give the default curves."""
         for engine in (QuadratureEngine(order=6), MonteCarloEngine(samples=1500, seed=4)):
             whole = interim_curves(hub5, 17, engine)
             samples = len(whole_samples(engine, hub5.dist, 5, 0)[1])
@@ -500,41 +527,32 @@ class TestChunkPath:
         assert submitted == []
         assert np.array_equal(got.gamma, want.gamma) and np.array_equal(got.v, want.v)
         # a CG chunk of 2303 samples: the hub's 1296 rows still fit it, the two other runs
-        # (users 1 and 2; 3 and 4 are their twins) each submit 2 CG chunks and 23 grid chunks
-        # of 23030 // 2304 = 9 grid points
+        # (users 1 and 2; 3 and 4 are their twins) each submit 2 CG chunks, which run the
+        # grid stage themselves
         monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2 * 5 * 2303)
         want = interim_curves(hub5, 201, engine)
         got = interim_curves(hub5, 201, engine, threads=2)
-        assert len(submitted) == 2 * (2 + 23)
+        assert len(submitted) == 2 * 2
         assert np.array_equal(got.gamma, want.gamma) and np.array_equal(got.v, want.v)
 
-    def test_pool_holds_one_user_at_a_time(self, hub5, monkeypatch):
-        """Two workers add one chunk each to one user's per-sample arrays, not a second user's."""
+    def test_user_peak_independent_of_the_sample_count(self, hub5, monkeypatch):
+        """Each CG chunk takes its samples through the grid stage to weighted sums, so one
+        user holds one chunk's arrays per worker at any sample count, and no array of its
+        samples: whole-user per-sample stacks would read 17.0 MiB at 200k samples and 76.3 MiB
+        at 1M."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        engine = MonteCarloEngine(samples=200_000, seed=3)
-        peaks = []
         for threads in (1, 2):
-            tracemalloc.start()
-            try:
-                interim_curves(hub5, 9, engine, users=[0, 1, 2], threads=threads)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        # about 1.3 here; two users' per-sample arrays at once would read about 2
-        assert peaks[1] <= 1.4 * peaks[0]
-
-    def test_user_peak_within_ten_and_a_half_floats_per_sample(self, hub5):
-        """One user's 1M Monte Carlo samples hold six rows of stacks and the weights, then the
-        grid stage's three chunk arrays of one float per sample: ten floats per sample. Whole-user
-        factors beside the stacks would read eleven."""
-        samples = 1_000_000
-        tracemalloc.start()
-        try:
-            interim_curves(hub5, 9, MonteCarloEngine(samples=samples, seed=3), users=[0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10.5 * 8 * samples + 2**20
+            peaks = []
+            for samples in (200_000, 1_000_000):
+                tracemalloc.start()
+                try:
+                    interim_curves(hub5, 9, MonteCarloEngine(samples=samples, seed=3), users=[0], threads=threads)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # about 6 MiB on one thread and 12 MiB on two
+            assert max(peaks) <= 16 * 2**20, (threads, peaks)
+            assert abs(peaks[1] - peaks[0]) <= 2**20, (threads, peaks)
 
     def test_pool_tasks_keep_the_callers_errstate(self, hub5, monkeypatch):
         """numpy's error state is a contextvar: a pool chunk runs under the caller's, so an

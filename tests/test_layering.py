@@ -225,6 +225,10 @@ def test_chunking_and_pooling_decided_in_interim_curves():
     assert referrers("_chunk_slices") == {"_multisets", "interim_curves"}
     assert not [path.stem for path in sorted(SRC.glob("*.py"))
                 if path.stem != "mechanism" and references(ast.parse(path.read_text())) & pooling]
+    # one pool map per user: its chunks take their samples through the grid stage
+    calls = [node for node in ast.walk(FUNCTIONS["interim_curves"])
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_map"]
+    assert len(calls) == 1
     arguments = FUNCTIONS["_rank2_factors"].args
     assert "pool" not in {a.arg for a in arguments.args + arguments.kwonlyargs}
 
