@@ -554,6 +554,34 @@ class TestChunkPath:
             assert max(peaks) <= 16 * 2**20, (threads, peaks)
             assert abs(peaks[1] - peaks[0]) <= 2**20, (threads, peaks)
 
+    def test_pool_holds_one_user_at_a_time(self, hub5, monkeypatch):
+        """Users run in turn and nothing of one outlives its turn: at two workers, three users
+        peak where user 0 alone does."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        engine = MonteCarloEngine(samples=200_000, seed=3)
+        peaks = []
+        for users in ([0], [0, 1, 2]):
+            tracemalloc.start()
+            try:
+                interim_curves(hub5, 9, engine, users=users, threads=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_user_peak_within_ten_and_a_half_floats_per_sample(self, hub5):
+        """One user's 1M Monte Carlo samples hold a chunk's arrays and no array of the samples,
+        so the peak is far inside the ten floats per sample that whole-user stacks and grid
+        arrays of a two-pass kernel would hold."""
+        samples = 1_000_000
+        tracemalloc.start()
+        try:
+            interim_curves(hub5, 9, MonteCarloEngine(samples=samples, seed=3), users=[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * 8 * samples + 2**20
+
     def test_pool_tasks_keep_the_callers_errstate(self, hub5, monkeypatch):
         """numpy's error state is a contextvar: a pool chunk runs under the caller's, so an
         inf in S raises FloatingPointError at any thread count, not a guard's SolverError."""
