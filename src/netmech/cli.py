@@ -187,13 +187,7 @@ def cmd_validate(args) -> int:
     sc, _ = _load_scenario(args)
     print(sc.regularity.summary())
     print(sc.assumption2.summary())
-    if not sc.valid:
-        if not sc.regularity.passed:
-            print("assumption 1 violated: hazard must be non-decreasing and "
-                  "virtual value nonnegative", file=sys.stderr)
-        if not sc.assumption2.passed:
-            print(f"assumption 2 violated: {sc.assumption2.failure_message()}", file=sys.stderr)
-        return 2
+    sc.require_valid()  # a failure is main's one error: line, naming each violated assumption
     return 0
 
 

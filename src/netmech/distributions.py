@@ -115,9 +115,13 @@ class TypeDistribution:
     # -- helpers ----------------------------------------------------------
 
     def _check_support(self, theta, allow_upper: bool = True):
+        """SupportError unless every value of ``theta`` lies in [lower, upper] ([lower, upper)
+        without ``allow_upper``); the one support test of a type, a profile's included."""
         arr = np.asarray(theta, dtype=float)
-        top_ok = arr <= self.upper if allow_upper else arr < self.upper
-        if not np.all((arr >= self.lower) & top_ok):
+        # a min and a max, no boolean temporaries: a NaN fails both comparisons, and an empty
+        # array passes (n = 1 Monte Carlo types are (m, 0))
+        lowest, highest = arr.min(initial=self.upper), arr.max(initial=self.lower)
+        if not (lowest >= self.lower and (highest <= self.upper if allow_upper else highest < self.upper)):
             interval = "[{}, {}{}".format(self.lower, self.upper, "]" if allow_upper else ")")
             raise SupportError(f"type value outside support {interval}")
         return theta

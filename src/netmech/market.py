@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (
-    RegularityReport,
-    SupportError,
-    TypeDistribution,
-    validate_regularity,
-)
+from .distributions import RegularityReport, TypeDistribution, validate_regularity
 
 
 # floats in a dense n x n weight matrix (128 MiB), refused before the matrix is built. A generator
@@ -36,8 +31,10 @@ from .distributions import (
 # it (random_k's bool adjacency) and 2 n^2 bytes before it (the adjacency and its transpose while
 # it is symmetrized); the comparison of G with G^T holds one panel's bools
 _MAX_NETWORK_FLOATS = 2**24
-# floats of a row panel of G (512 KiB, cache-sized); a symmetric G past it is read by panels
-_PANEL_FLOATS = 2**16
+# floats of one working array (512 KiB, cache-sized), the one such budget of the package: a row
+# panel of G here (a symmetric G past it is read by panels), and in the curve kernel a CG chunk's
+# stack or a grid block's arrays
+_CHUNK_FLOATS = 2**16
 
 
 class InvalidScenarioError(ValueError):
@@ -54,7 +51,7 @@ class Network:
     still write to it); anything else, a caller's writable array above all,
     is copied and the copy frozen, so the caller's array stays writable and
     the network does not follow it. ``symmetric`` is G == G^T exactly,
-    computed once with the frozen weights, a row panel of ``_PANEL_FLOATS``
+    computed once with the frozen weights, a row panel of ``_CHUNK_FLOATS``
     floats against its column panel at a time.
     """
 
@@ -77,7 +74,7 @@ class Network:
             raise ValueError("self-influence g_ii must be zero")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        rows = max(1, _PANEL_FLOATS // len(w))
+        rows = max(1, _CHUNK_FLOATS // len(w))
         object.__setattr__(self, "symmetric", all(
             np.array_equal(w[k:k + rows], w[:, k:k + rows].T) for k in range(0, len(w), rows)))
 
@@ -89,14 +86,15 @@ class Network:
         """v -> A(phi) v = tb v - phi o (G v) - G^T (phi o v) on (n,) or (n, k) stacks shaped like
         phi, one system per column, and ``spare`` more such stacks, from one allocation.
 
-        Two GEMMs while G holds at most ``_PANEL_FLOATS`` floats or is not ``symmetric``
-        (read here alone); otherwise G^T = G, and one GEMM per row panel of
-        ``_PANEL_FLOATS // n`` rows times the block [v | phi o v] gives both products
+        Two GEMMs while G holds at most ``_CHUNK_FLOATS`` floats, the one working-array
+        budget that also sizes the curve kernel's chunks, or is not ``symmetric`` (read here
+        alone); otherwise G^T = G, and one GEMM per row panel of
+        ``_CHUNK_FLOATS // n`` rows times the block [v | phi o v] gives both products
         from one read of G. The spares come first, then the product's output and two stacks
         of scratch (four by panels); each product overwrites the last. Returns (apply, spares).
         """
         g, n, size = self.weights, self.n, phi.size
-        by_panels = g.size > _PANEL_FLOATS and self.symmetric
+        by_panels = g.size > _CHUNK_FLOATS and self.symmetric
         work = np.empty((spare + (5 if by_panels else 3)) * size)
         stacks = [work[k * size:(k + 1) * size].reshape(phi.shape) for k in range(spare + 3)]
         q, u, w = stacks[spare:]
@@ -105,7 +103,7 @@ class Network:
             block, product = (work[k * size:(k + 2) * size].reshape((n, 2) + phi.shape[1:])
                               for k in (spare + 1, spare + 3))
             flat_block, flat_product = block.reshape(n, -1), product.reshape(n, -1)
-            panels = [slice(k, k + _PANEL_FLOATS // n) for k in range(0, n, _PANEL_FLOATS // n)]
+            panels = [slice(k, k + _CHUNK_FLOATS // n) for k in range(0, n, _CHUNK_FLOATS // n)]
 
             def apply(v):
                 np.copyto(block[:, 0], v)
@@ -196,10 +194,6 @@ class Assumption2Report:
     def passed(self) -> bool:
         return not self._messages()
 
-    def failure_message(self) -> str | None:
-        msgs = self._messages()
-        return "; ".join(msgs) if msgs else None
-
     def _messages(self) -> list[str]:
         """One message per violated inequality; a NaN slack counts as violated."""
         msgs = []
@@ -257,15 +251,12 @@ class Scenario:
         raise InvalidScenarioError("; ".join(problems))
 
     def check_profile(self, theta) -> np.ndarray:
-        """Validate a type profile against n and the support; returns an array."""
+        """Validate a type profile against n, then against the support by the law's own test
+        (SupportError); returns an array."""
         arr = np.asarray(theta, dtype=float)
         if arr.shape != (self.n,):
             raise ValueError(f"type profile must have shape ({self.n},), got {arr.shape}")
-        if not np.all((arr >= self.dist.lower) & (arr <= self.dist.upper)):
-            raise SupportError(
-                f"type profile leaves support [{self.dist.lower}, {self.dist.upper}]"
-            )
-        return arr
+        return self.dist._check_support(arr)
 
 
 def dominance_coupling(weights: np.ndarray) -> np.ndarray:

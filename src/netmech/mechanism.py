@@ -90,20 +90,21 @@ E[x_i g_i.x]; V and C are quadratics in x_i, so both come from E[x_i] and
 E[x_i^2], one product with the weights each.
 
 Memory is bounded by the float budget ``_CHUNK_FLOATS``, not by the sample
-count. A user's samples run in CG chunks, each stack about that many floats
-(at least one system), and each chunk takes its own samples all the way: it
-draws only its rows of the sample set, solves their s and S (one workspace
-allocated up front, so CG iterations allocate nothing of the stack's size),
-fills its own three stacks, and runs the grid stage on them in blocks of at
-least one grid point, each block's arrays at most ``_CHUNK_FLOATS`` floats
-and freed before the next. What leaves a chunk is its weighted sums of
-x_i g_i.x, x_i and x_i^2 at every grid point (and, for a standard error, of
-the squares about the chunk's mean), added chunk by chunk in order once all
-chunks are done. No array of a user's whole sample set is built, so
-live memory is one chunk's arrays per worker, at most ``os.cpu_count()`` of
-them, at any sample count. Users run in turn, and the pool's tasks are the
-chunks of one user; a user whose samples fit one CG chunk runs on the calling
-thread alone, and its sums are its values, bit for bit.
+count; it is market's one working-array budget, which also sizes the row
+panels of ``Network.operator``. A user's samples run in CG chunks, each stack
+about that many floats (at least one system), and each chunk takes its own
+samples all the way: it draws only its rows of the sample set, solves their s
+and S (one workspace allocated up front, so CG iterations allocate nothing of
+the stack's size), fills its own three stacks, and runs the grid stage on them
+in blocks of at least one grid point, each block's arrays at most
+``_CHUNK_FLOATS`` floats and freed before the next. What leaves a chunk is
+its weighted sums of x_i g_i.x, x_i and x_i^2 at every grid point (and, for a
+standard error, of the squares about the chunk's mean), added chunk by chunk
+in order once all chunks are done. No array of a user's whole sample set is
+built, so live memory is one chunk's arrays per worker, at most
+``os.cpu_count()`` of them, at any sample count. Users run in turn, and the
+pool's tasks are the chunks of one user; a user whose samples fit one CG chunk
+runs on the calling thread alone, and its sums are its values, bit for bit.
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -143,7 +144,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .distributions import SupportError, TypeDistribution
-from .market import Network, Scenario, twin_classes
+from .market import _CHUNK_FLOATS, Network, Scenario, twin_classes
 
 
 class SolverError(RuntimeError):
@@ -172,10 +173,6 @@ _MAX_QUADRATURE_NODES = 2**20
 # samples * n uniforms a Monte Carlo set draws, or the (rows, n-1) types of a quadrature
 # rule; the curve kernel reads either in row chunks, so neither is held whole
 _MAX_MC_FLOATS = 2**24
-# floats per array in one chunk of the curve kernel (512 KiB, cache-sized): the
-# (n, 2 samples) CG stack of a chunk of samples, or the (grid points, samples)
-# arrays of one grid block of that chunk, which has at least one grid point
-_CHUNK_FLOATS = 2**16
 
 
 def _assemble(sc: Scenario, phis: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 from netmech import cli
 from netmech.cli import main
 from netmech.config import ConfigError, load_config, scenario_from_config
-from netmech.experiments import Check, ExperimentResult
+from netmech.experiments import TABLE2_SIZES, Check, ExperimentResult
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 COMPLETE5 = str(CONFIG_DIR / "complete5.json")
@@ -97,6 +97,9 @@ class TestSolveVerb:
 
     def test_profile_outside_support(self, capsys):
         assert main(["solve", "--config", COMPLETE5, "--theta", "0.9,0.6,0.6,0.6,0.6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: type value outside support [0.4, 0.8]\n"
+        assert captured.out == ""
 
     def test_nan_profile_refused(self, capsys):
         assert main(["solve", "--config", COMPLETE5, "--theta", "nan,0.6,0.6,0.6,0.6"]) == 2
@@ -170,6 +173,27 @@ class TestValidateVerb:
         captured = capsys.readouterr()
         assert "t+b > theta_bar*sum(g_ij+g_ji)" in captured.err
         assert "7 <= 16" in captured.err
+        # the summaries go to stdout; the failure is the one error: line every verb prints
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+            "regularity PASS", "assumption 2 FAIL"]
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: user 0: t+b > theta_bar*sum(g_ij+g_ji) fails: 7 <= 16")
+
+    @pytest.mark.parametrize("verb", ["validate", "solve"])
+    def test_irregular_law_names_assumption_1(self, tmp_path, capsys, verb):
+        # uniform on [0.1, 0.8]: the virtual value 2 theta - 0.8 is negative below 0.4
+        cfg = json.loads(Path(COMPLETE5).read_text())
+        cfg["distribution"]["lower"] = 0.1
+        args = [verb, "--config", write_config(tmp_path, cfg)]
+        if verb == "solve":
+            args += ["--theta", "0.6,0.6,0.6,0.6,0.6"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: assumption 1 (regular distribution): regularity FAIL")
+        assert "x[" not in captured.out
+        if verb == "validate":
+            assert captured.out.startswith("regularity FAIL")
 
 
 class TestVerifyVerb:
@@ -278,6 +302,10 @@ class TestBenchVerb:
 
     def test_bad_sizes(self, capsys):
         assert main(["bench", "--sizes", "ten"]) == 2
+
+    def test_empty_sizes_are_the_default(self):
+        assert cli._sizes("") == TABLE2_SIZES
+        assert cli.build_parser().parse_args(["bench", "--sizes", ""]).sizes == TABLE2_SIZES
 
 
 class TestDeterminism:
@@ -467,6 +495,10 @@ class TestMalformedConfig:
         ("network", {"kind": "edges", "n": 3, "edges": [[0, 1, True]]}, "edge entry [0, 1, True]"),
         ("params", {"a": 0.5, "b": True, "s": 1, "t": 1, "p": 0.1},
          "params block: key 'b' must be a number, got True"),
+        ("network", {"kind": "edges", "n": 3}, "network kind 'edges' needs an 'edges' list"),
+        ("network", {"kind": "edges", "n": 3, "edges": {"0": 1}}, "network kind 'edges' needs an 'edges' list"),
+        ("distribution", {"family": "uniform", "lower": 0.4, "upper": 0.8, "params": [0.5]},
+         "distribution params must be an object with keys from []"),
     ])
     def test_exit_two_and_key_named(self, tmp_path, capsys, monkeypatch, block, value, named):
         monkeypatch.delenv("NETMECH_SEED", raising=False)
@@ -480,6 +512,14 @@ class TestMalformedConfig:
         if block != "seed":
             with pytest.raises(ConfigError):
                 scenario_from_config(cfg)
+
+    def test_config_that_is_no_object_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, [{"params": {}}])
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            load_config(path)
+        assert main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and "must be a JSON object" in err
 
 
 # the flags each verb defines, as parser dests: 34 settable values in all

@@ -648,7 +648,7 @@ class TestChunkPath:
         rhs = np.zeros((n, 2 * m))
         rhs[0, :m] = 1.0
         rhs[:, m:] = sc.network.weights[0][:, None]
-        assert sc.network.weights.size <= market._PANEL_FLOATS  # the two-GEMM path
+        assert sc.network.weights.size <= market._CHUNK_FLOATS  # the two-GEMM path
         tracemalloc.start()
         try:
             x, iterations, _, _ = mechanism._solve(sc, phi, rhs, "base system")

@@ -72,6 +72,25 @@ class TestVirtualValue:
             dist.hazard(0.8)  # hazard pole at the upper endpoint
 
     @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=lambda d: type(d).__name__)
+    def test_support_test_by_reductions(self, dist):
+        # n = 1 Monte Carlo types are (m, 0): an empty array passes
+        assert dist.virtual_value(np.empty((3, 0))).shape == (3, 0)
+        assert dist.hazard(np.empty(0)).shape == (0,)
+        inside = np.linspace(dist.lower, dist.upper, 5)
+        for bad in (np.nan, -np.inf, np.inf, np.nextafter(dist.lower, -1.0), np.nextafter(dist.upper, 2.0)):
+            for at in (0, 2, 4):
+                theta = inside.copy()
+                theta[at] = bad
+                with pytest.raises(SupportError, match=r"type value outside support \["):
+                    dist.virtual_value(theta)
+                with pytest.raises(SupportError):
+                    dist.virtual_value(theta.reshape(5, 1))
+        assert np.all(np.isfinite(dist.virtual_value(inside)))
+        assert np.all(np.isfinite(dist.hazard(inside[:-1])))
+        with pytest.raises(SupportError, match=r"\)$"):
+            dist.hazard(inside)
+
+    @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=lambda d: type(d).__name__)
     def test_slope_matches_differences(self, dist):
         grid = np.linspace(dist.lower + 0.01, dist.upper - 0.01, 21)
         h = 1e-6 * (dist.upper - dist.lower)

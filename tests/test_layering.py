@@ -339,3 +339,46 @@ def test_sample_variance_spelled_once_on_the_monte_carlo_engine():
             homes += [(path.stem, owner, fn.name) for fn in (top.body if owner else [top])
                       if isinstance(fn, ast.FunctionDef) and any(map(is_dof, ast.walk(fn)))]
     assert homes == [("mechanism", "MonteCarloEngine", "standard_error")]
+
+
+def module_constants(tree: ast.Module) -> dict:
+    """Names a module assigns at its top level, with the source of each value."""
+    return {target.id: ast.unparse(node.value) for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_working_array_budget_assigned_in_market_alone():
+    """One cache-sized budget sizes G's row panels and the curve kernel's chunks and blocks;
+    mechanism imports it under the name it reads."""
+    homes = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
+             for name, value in module_constants(ast.parse(path.read_text())).items()
+             if name in {"_CHUNK_FLOATS", "_PANEL_FLOATS"} or value == "2 ** 16"}
+    assert homes == {("market", "_CHUNK_FLOATS")}
+    imported = {alias.name for node in MECHANISM.body if isinstance(node, ast.ImportFrom)
+                and node.module == "market" for alias in node.names}
+    assert "_CHUNK_FLOATS" in imported
+
+
+def test_profile_support_left_to_the_type_law():
+    """Scenario.check_profile checks the shape and calls the law's own support test; it
+    compares nothing with the law's bounds."""
+    market = ast.parse((SRC / "market.py").read_text())
+    scenario = next(node for node in market.body if isinstance(node, ast.ClassDef) and node.name == "Scenario")
+    check = next(node for node in scenario.body if isinstance(node, ast.FunctionDef) and node.name == "check_profile")
+    assert "_check_support" in references(check)
+    for compare in (node for node in ast.walk(check) if isinstance(node, ast.Compare)):
+        assert not references(compare) & {"lower", "upper"}, ast.unparse(compare)
+    assert not references(check) & {"lower", "upper", "SupportError"}
+
+
+def test_cli_states_no_assumption_failure_of_its_own():
+    """validate reports a violated assumption through Scenario.require_valid, as every verb does."""
+    cli = ast.parse((SRC / "cli.py").read_text())
+    assert not references(cli) & {"failure_message", "_messages"}
+    printed = [node.value for call in ast.walk(cli) if isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "print" for node in ast.walk(call)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert printed and not [text for text in printed if "assumption" in text or "violated" in text]
+    validate = top_level_functions(cli)["cmd_validate"]
+    assert "require_valid" in references(validate)
+    assert "stderr" not in references(validate)

@@ -90,13 +90,15 @@ class TestAssumption2:
         sc = Scenario(complete_network(5), case_params, Uniform(1.0, 2.0))
         report = validate_assumption2(sc)
         assert not report.passed
-        assert "7 <= 16" in report.failure_message()
+        with pytest.raises(InvalidScenarioError, match="7 <= 16"):
+            sc.require_valid()
 
     def test_price_slack_fails(self, uniform_dist):
         params = MarketParams(a=0.5, b=6.0, s=1.0, t=1.0, p=2.0)
         sc = Scenario(zero_network(3), params, uniform_dist)
         assert not sc.assumption2.passed
-        assert "s+a > p fails" in sc.assumption2.failure_message()
+        with pytest.raises(InvalidScenarioError, match=r"s\+a > p fails"):
+            sc.require_valid()
 
     def test_require_valid_raises(self, case_params):
         sc = Scenario(complete_network(5), case_params, Uniform(1.0, 2.0))
@@ -108,14 +110,14 @@ class TestAssumption2:
             row_slack=np.array([0.6, np.nan]), price_slack=np.nan, theta_max=0.8, tb=7.0, price_sum=1.5
         )
         assert not report.passed
-        message = report.failure_message()
+        object.__setattr__(complete5, "assumption2", report)
+        assert not complete5.valid
+        with pytest.raises(InvalidScenarioError) as refused:
+            complete5.require_valid()
+        message = str(refused.value)
         assert "user 1: t+b > theta_bar" in message
         assert "user 0" not in message
         assert "s+a > p fails" in message
-        object.__setattr__(complete5, "assumption2", report)
-        assert not complete5.valid
-        with pytest.raises(InvalidScenarioError, match="user 1"):
-            complete5.require_valid()
 
 
 class TestTypeValidation:
@@ -130,6 +132,10 @@ class TestTypeValidation:
     def test_network_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             Network(np.zeros((2, 3)))
+
+    def test_network_rejects_zero_users(self):
+        with pytest.raises(ValueError, match="need at least one user"):
+            Network(np.zeros((0, 0)))
 
     def test_network_freezes_its_own_copy(self):
         w = np.zeros((3, 3))
@@ -157,7 +163,7 @@ class TestTypeValidation:
 
     @pytest.mark.parametrize("n", [1, 2, 256, 300, 513])
     def test_symmetry_by_panels_is_the_whole_comparison(self, n):
-        # past 256 users the row panels of _PANEL_FLOATS // n rows are compared in turn
+        # past 256 users the row panels of _CHUNK_FLOATS // n rows are compared in turn
         # with their column panels: one asymmetric entry in any of them is seen
         w = np.random.default_rng(n).random((n, n))
         w += w.T
@@ -194,6 +200,23 @@ class TestTypeValidation:
     def test_profile_nan_rejected(self, complete5):
         with pytest.raises(SupportError):
             complete5.check_profile(np.array([0.5, 0.5, np.nan, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("theta", [np.full(4, 0.5), np.full((5, 1), 0.5), 0.5],
+                             ids=["short", "column", "scalar"])
+    def test_profile_wrong_shape(self, complete5, theta):
+        with pytest.raises(ValueError, match=r"type profile must have shape \(5,\), got"):
+            complete5.check_profile(theta)
+
+    @pytest.mark.parametrize("value", [0.39, 0.81, -np.inf])
+    def test_profile_refused_by_the_laws_own_test(self, complete5, value):
+        profile = np.array([0.5, 0.5, 0.5, value, 0.8])
+        with pytest.raises(SupportError) as by_law:
+            complete5.dist.virtual_value(profile)
+        with pytest.raises(SupportError) as by_profile:
+            complete5.check_profile(profile)
+        assert str(by_profile.value) == str(by_law.value) == "type value outside support [0.4, 0.8]"
+        assert np.array_equal(complete5.check_profile(np.array([0.4, 0.5, 0.6, 0.7, 0.8])),
+                              [0.4, 0.5, 0.6, 0.7, 0.8])
 
 
 class TestQuadraticStructure:
@@ -383,7 +406,7 @@ class TestConstruction:
         lambda n: network_from_config({"kind": "edges", "n": n, "weight": 0.5, "edges": [[0, 1], [2, 1, 0.25]]}),
     ], ids=["complete", "star", "hub_plus_edge", "edges", "config-complete", "config-edges"])
     def test_no_n_by_n_temporary_without_an_adjacency(self, build):
-        # G is compared with G^T a panel of _PANEL_FLOATS bools at a time, so a kind with no
+        # G is compared with G^T a panel of _CHUNK_FLOATS bools at a time, so a kind with no
         # bool adjacency holds nothing of size n^2 beside its float array
         n = 512
         _, peak = traced_build(build, n)

@@ -341,7 +341,7 @@ class TestPanelProduct:
     @pytest.mark.parametrize("shape", [(300,), (300, 4)], ids=["vector", "stack"])
     def test_solve_matches_lu(self, symmetric, shape):
         sc = large_scenario(symmetric)
-        assert sc.network.symmetric is symmetric and sc.network.weights.size > market._PANEL_FLOATS
+        assert sc.network.symmetric is symmetric and sc.network.weights.size > market._CHUNK_FLOATS
         phi, rhs = self.system(shape)
         x, iterations, _, _ = mechanism._solve(sc, phi, rhs, "test system")
         assert x.shape == shape and iterations > 3
@@ -364,7 +364,7 @@ class TestPanelProduct:
         phi, _ = self.system(shape)
         v = np.random.default_rng(2).standard_normal(shape)
         got = self.product(sc, phi, 6)(v).copy()
-        monkeypatch.setattr(market, "_PANEL_FLOATS", sc.network.weights.size)  # the two-GEMM path
+        monkeypatch.setattr(market, "_CHUNK_FLOATS", sc.network.weights.size)  # the two-GEMM path
         want = self.product(sc, phi, 4)(v)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         dense = self.dense(sc, phi, v)
@@ -438,6 +438,11 @@ class TestInterimCurves:
     def test_grid_size_minimum(self, complete5):
         with pytest.raises(ValueError, match="grid_size"):
             interim_curves(complete5, 8, QuadratureEngine())
+
+    @pytest.mark.parametrize("users", [[5], [-1], [0, 7]])
+    def test_user_out_of_range(self, complete5, users):
+        with pytest.raises(IndexError, match="user index out of range"):
+            interim_curves(complete5, 9, QuadratureEngine(order=2), users=users)
 
     def test_quadrature_size_limit(self, case_params, uniform_dist):
         # the complete graph's rule is C(8 + 7, 8) = 6435 multisets of the 8 others

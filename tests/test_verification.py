@@ -315,6 +315,12 @@ class TestUntruthfulImpact:
         at_truth = row.cp_utilities[np.argmin(np.abs(row.reports - 0.6))]
         assert at_truth == pytest.approx(row.baseline_cp_utility, abs=1e-12)
 
+    @pytest.mark.parametrize("deviator", [5, -1])
+    def test_deviator_out_of_range(self, complete5_certified, deviator):
+        sc, _, rewards = complete5_certified
+        with pytest.raises(IndexError, match=f"deviator index {deviator} out of range"):
+            untruthful_impact(sc, np.full(5, 0.6), deviator, 9, rewards=rewards)
+
     def test_zero_network_no_impact(self, zero5_certified):
         sc, curves, rewards = zero5_certified
         row = untruthful_impact(sc, np.full(5, 0.6), 0, 33, rewards=rewards)
