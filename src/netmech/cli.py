@@ -57,7 +57,7 @@ from .mechanism import (
     reward_schedule,
 )
 from .csvio import write_csv
-from .verification import MAX_SWEEP_FLOATS, report_csv_rows, verify_all
+from .verification import MAX_SWEEP_FLOATS, verify_all
 
 
 def _at_least(low: int):
@@ -233,7 +233,7 @@ def cmd_verify(args) -> int:
     write_csv(
         out / "verify_report.csv",
         ("property", "value", "tolerance", "status", "worst_user", "worst_theta", "worst_report"),
-        report_csv_rows(reports),
+        [row for report in reports for row in report.csv_rows()],
     )
     export_interim_csv(curves, rewards, out / "verify_curves.csv")
     for line in lines:

@@ -12,11 +12,6 @@ def _conversion(kind: type) -> str:
     return "%.12g" if issubclass(kind, float) else "%s"
 
 
-def fmt(value) -> str:
-    """Format a cell; floats get 12 significant digits."""
-    return _conversion(type(value)) % (value,)
-
-
 @lru_cache(maxsize=None)
 def _row_format(kinds: tuple) -> str:
     """One %-string that formats a whole row of cells of these types, newline included."""

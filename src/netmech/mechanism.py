@@ -40,7 +40,8 @@ independent noise. Both engines are plain values:
 rule, or reseeds the generator, on each call, and hands out the sample set a
 slice of rows at a time: quadrature computes the rows' node indices, and Monte
 Carlo advances the generator past the earlier rows, so any slicing gives the
-rows of the one (samples, n) uniform draw. Users share their common columns,
+rows of the one (samples, n) uniform draw; ``sample_count(n, i, classes)``
+counts those rows without building any. Users share their common columns,
 and threads share an engine without a lock. Each engine also states its own
 error: ``standard_error(sums, squares, weights)`` is Monte Carlo's i.i.d.
 standard error of the means, merged from chunks of the samples, and None for
@@ -171,7 +172,8 @@ MIN_GRID = 9
 _MAX_QUADRATURE_NODES = 2**20
 # floats of one user's sample set (128 MiB), refused before any draw or multiset: the
 # samples * n uniforms a Monte Carlo set draws, or the (rows, n-1) types of a quadrature
-# rule; the curve kernel reads either in row chunks, so neither is held whole
+# rule; the curve kernel reads either in row chunks, so neither is held whole. It also
+# bounds the kernel's curves and per-chunk sums, refused before any grid array
 _MAX_MC_FLOATS = 2**24
 
 
@@ -492,6 +494,19 @@ class QuadratureEngine:
         self._refuse_over_budget(n, math.comb(self.order + n - 2, n - 1), "at least ")
         return twin_classes(network)
 
+    def _class_columns(self, i: int, classes) -> tuple[list, list]:
+        """Per class of the others: its columns (user u's is u, or u - 1 past i) and its
+        number of multisets, counted before any is built."""
+        columns = [[u - (u > i) for u in members if u != i] for members in classes]
+        columns = [c for c in columns if c]
+        return columns, [math.comb(self.order + len(c) - 1, len(c)) for c in columns]
+
+    def sample_count(self, n: int, i: int, classes) -> int:
+        """The rows of user i's rule, after refusing a rule over budget."""
+        count = math.prod(self._class_columns(i, classes)[1])
+        self._refuse_over_budget(n, count)
+        return count
+
     def _refuse_over_budget(self, n: int, count: int, least: str = "") -> None:
         floats = count * (n - 1)
         if count > _MAX_QUADRATURE_NODES or floats > _MAX_MC_FLOATS:
@@ -512,12 +527,8 @@ class QuadratureEngine:
         ``classes``, the last the fastest. With every class a single user, in
         user order, this is the order**(n-1) tensor in C order, row k's
         weight the product of its nodes' weights, left to right."""
-        # per class of the others: its columns (user u's is u, or u - 1 past i) and its
-        # number of multisets, counted before any is built
-        columns = [[u - (u > i) for u in members if u != i] for members in classes]
-        columns = [c for c in columns if c]
-        radices = [math.comb(self.order + len(c) - 1, len(c)) for c in columns]
-        self._refuse_over_budget(n, math.prod(radices))
+        self.sample_count(n, i, classes)
+        columns, radices = self._class_columns(i, classes)
         x, w = _gauss_legendre(self.order)
         half = 0.5 * (dist.upper - dist.lower)
         nodes = dist.lower + (x + 1.0) * half
@@ -575,12 +586,17 @@ class MonteCarloEngine:
         var = np.add.reduce(squares + weights[:, None] * spread * spread) * m / max(1, m - 1)
         return np.sqrt(var / m)
 
-    def others_rows(self, dist: TypeDistribution, n: int, i: int, classes) -> SampleRows:
+    def sample_count(self, n: int, i: int, classes) -> int:
+        """``samples``, after refusing a set that draws more than ``_MAX_MC_FLOATS`` floats."""
         if self.samples * n > _MAX_MC_FLOATS:
             raise EngineError(
                 f"Monte Carlo with {self.samples} samples at n={n} draws {self.samples * n} "
                 f"floats, over the budget of {_MAX_MC_FLOATS}; lower the sample count"
             )
+        return self.samples
+
+    def others_rows(self, dist: TypeDistribution, n: int, i: int, classes) -> SampleRows:
+        self.sample_count(n, i, classes)
 
         def types(rows):
             # a float takes one 64-bit draw, so rows.start rows take rows.start * n of them
@@ -745,7 +761,11 @@ def interim_curves(
     The first requested user of each of the engine's ``classes`` is computed
     and its rows are copied to the class's other requested users; ``threads``
     then applies to the computed users. ``gamma_se`` is filled by the engine's
-    ``standard_error`` where it has one.
+    ``standard_error`` where it has one. Before any array of the grid, an
+    EngineError refuses a grid whose curves (3 per user, 4 with a standard
+    error, ``grid_size`` floats each) and per-chunk sums (as many per CG chunk
+    of the user with the most, counted by the engine's ``sample_count``) hold
+    more than ``_MAX_MC_FLOATS`` floats.
 
     Deterministic for a fixed engine configuration regardless of ``threads``:
     every chunk's sums land in its own preallocated row, chunk sizes depend
@@ -767,6 +787,23 @@ def interim_curves(
         raise ValueError("need at least one user")
     dist = sc.dist
     p = sc.params
+    classes = engine.classes(sc.network)
+    copies = {}
+    for members in classes:
+        requested = [u for u in members if u in user_list]
+        if requested:
+            copies[requested[0]] = requested[1:]
+    runs = sorted(copies)
+    # samples in one CG chunk: its (n, 2 samples) stack holds about _CHUNK_FLOATS floats
+    chunk = max(1, _CHUNK_FLOATS // (2 * n))
+    # per grid point, the sums of x_i g_i.x, x_i and x_i^2 and, for a standard error, of
+    # squares: one curve of each per user, and one sum of each per CG chunk of a user
+    quantities = 3 if engine.standard_error is None else 4
+    most_chunks = max(-(-engine.sample_count(n, i, classes) // chunk) for i in runs)
+    floats = quantities * grid_size * (n + most_chunks)
+    if floats > _MAX_MC_FLOATS:
+        raise EngineError(f"a curve grid of {grid_size} points holds {floats} floats of curves and "
+                          f"chunk sums, over the budget of {_MAX_MC_FLOATS}; lower the grid size")
     grid = np.linspace(dist.lower, dist.upper, grid_size)
     phi_grid = np.asarray(dist.virtual_value(grid), dtype=float)
     # the (grid, 2) left factors of the grid stage's products: [phi, phi^2] and [phi, 1]
@@ -777,21 +814,13 @@ def interim_curves(
     v = np.full((n, grid_size), np.nan)
     c = np.full((n, grid_size), np.nan)
     gamma_se = None if engine.standard_error is None else np.full((n, grid_size), np.nan)
-    classes = engine.classes(sc.network)
-    copies = {}
-    for members in classes:
-        requested = [u for u in members if u in user_list]
-        if requested:
-            copies[requested[0]] = requested[1:]
-    runs = sorted(copies)
 
     def run_user(i, pool):
         rows = engine.others_rows(dist, n, i, classes)
-        # samples in one CG chunk: its (n, 2 samples) stack holds about _CHUNK_FLOATS floats
-        chunks = list(_chunk_slices(rows.shape[0], max(1, _CHUNK_FLOATS // (2 * n))))
+        chunks = list(_chunk_slices(rows.shape[0], chunk))
         # per chunk and grid point, the weighted sums of x_i g_i.x, x_i and x_i^2 and, for a
         # standard error, of (x_i g_i.x - the chunk's mean)^2; each chunk's weight sum
-        sums = np.empty((len(chunks), 3 if gamma_se is None else 4, grid_size))
+        sums = np.empty((len(chunks), quantities, grid_size))
         weight_sums = np.empty(len(chunks))
         # each chunk's first sign break: (grid index, guard, sample, value)
         breaks = [None] * len(chunks)

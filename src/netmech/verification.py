@@ -12,14 +12,17 @@ one call per user. The checks:
 
   * incentive compatibility: no report beats the truthful one, for every user,
     every true type on one grid, every report on another; the best report must
-    also sit within one report-grid step of the truth;
+    also sit within one report-grid step of the truth, and of reports that tie
+    the maximum exactly (a user whose utility is flat) the best is the one
+    nearest the truth;
   * individual rationality: truthful interim utility is nonnegative everywhere
     and exactly zero at the lowest type (the binding participation constraint);
   * monotonicity: gamma_i is non-decreasing along the grid.
 
-All three return a ``VerificationReport`` carrying one worst-case witness: the
-first entry in (user, grid index) order within rounding of the extremum, so
-users that tie always name the lowest one. On quadrature curves twins
+Each returns its own ``VerificationReport`` (``ICReport``, ``IRReport``,
+``MonotonicityReport``) carrying one worst-case witness: the first entry in
+(user, grid index) order within rounding of the extremum, so users that tie
+always name the lowest one. On quadrature curves twins
 (``market.twin_classes``) tie exactly, since one twin's rows are copied to
 the others, and users related by another symmetry of the network tie up to
 the last bits. The reported value is the exact extremum. A failed check is
@@ -28,7 +31,7 @@ report content, never an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +46,8 @@ TOL_IR = 1e-8
 TOL_MONO = 1e-8
 # witness ties: within this many eps of the swept quantity's largest magnitude
 WITNESS_ULPS = 64
-# floats in verify_ic's (user, true type, report) utility array; callers refuse
-# larger sweeps before computing anything
+# floats of verify_ic's (user, true type, report) utilities, swept one user at a
+# time; callers refuse larger sweeps before computing anything
 MAX_SWEEP_FLOATS = 2**24
 
 
@@ -58,58 +61,80 @@ class WorstCase:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Worst-case certification outcome; fields are None when not checked."""
+    """One certification check's outcome: its worst-case ``witness`` and its ``tolerance``.
 
-    ic_max_gain: float | None = None
-    ic_argmax_within_step: bool | None = None
-    ir_min: float | None = None
-    ir_binding_gap: float | None = None
-    gamma_min_slope: float | None = None
-    witness: WorstCase | None = None
-    tolerances: dict = field(default_factory=dict)
+    Each check is a subclass (``ICReport``, ``IRReport``, ``MonotonicityReport``)
+    that adds the values it measured and states its own ``passed``, its
+    summary ``headline()`` and ``csv_fields``, the values written as CSV rows,
+    each under its field name.
+    """
 
-    def _verdicts(self) -> dict:
-        """Pass/fail of each checked property, keyed by tolerance name."""
-        tol = self.tolerances
-        out = {}
-        if self.ic_max_gain is not None:
-            out["ic"] = self.ic_max_gain <= tol["ic"] and bool(self.ic_argmax_within_step)
-        if self.ir_min is not None:
-            out["ir"] = self.ir_min >= -tol["ir"] and self.ir_binding_gap <= tol["ir"]
-        if self.gamma_min_slope is not None:
-            out["mono"] = self.gamma_min_slope >= -tol["mono"]
-        return out
+    witness: WorstCase
+    tolerance: float
+
+    @property
+    def status(self) -> str:
+        return "PASS" if self.passed else "FAIL"
+
+    def summary_lines(self) -> list[str]:
+        w = self.witness
+        return [
+            self.headline(),
+            f"  worst case user {w.user}: theta {w.theta_true:.6g} -> "
+            f"report {w.theta_hat:.6g}, value {w.value:.3e}",
+            f"overall: {self.status}",
+        ]
+
+    def csv_rows(self) -> list[tuple]:
+        """One (property, value, tolerance, status, witness user, theta, report) row per value."""
+        w = self.witness
+        return [(prop, float(getattr(self, prop)), float(self.tolerance), self.status,
+                 w.user, w.theta_true, w.theta_hat) for prop in self.csv_fields]
+
+
+@dataclass(frozen=True)
+class ICReport(VerificationReport):
+    ic_max_gain: float
+    ic_argmax_within_step: bool
+    csv_fields = ("ic_max_gain",)
 
     @property
     def passed(self) -> bool:
-        return all(self._verdicts().values())
+        return self.ic_max_gain <= self.tolerance and self.ic_argmax_within_step
 
-    def summary_lines(self) -> list[str]:
-        status = {k: "PASS" if ok else "FAIL" for k, ok in self._verdicts().items()}
-        lines = []
-        if self.ic_max_gain is not None:
-            lines.append(
-                f"IC {status['ic']}: max misreport gain {self.ic_max_gain:.3e} "
-                f"(tol {self.tolerances['ic']:.1e}), best report at truth: "
-                f"{'yes' if self.ic_argmax_within_step else 'NO'}"
-            )
-        if self.ir_min is not None:
-            lines.append(
-                f"IR {status['ir']}: min truthful utility {self.ir_min:.3e}, "
-                f"binding gap {self.ir_binding_gap:.3e} (tol {self.tolerances['ir']:.1e})"
-            )
-        if self.gamma_min_slope is not None:
-            lines.append(
-                f"monotonicity {status['mono']}: min gamma slope "
-                f"{self.gamma_min_slope:.3e} (tol {self.tolerances['mono']:.1e})"
-            )
-        w = self.witness
-        lines.append(
-            f"  worst case user {w.user}: theta {w.theta_true:.6g} -> "
-            f"report {w.theta_hat:.6g}, value {w.value:.3e}"
-        )
-        lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
-        return lines
+    def headline(self) -> str:
+        return (f"IC {self.status}: max misreport gain {self.ic_max_gain:.3e} "
+                f"(tol {self.tolerance:.1e}), best report at truth: "
+                f"{'yes' if self.ic_argmax_within_step else 'NO'}")
+
+
+@dataclass(frozen=True)
+class IRReport(VerificationReport):
+    ir_min: float
+    ir_binding_gap: float
+    csv_fields = ("ir_min", "ir_binding_gap")
+
+    @property
+    def passed(self) -> bool:
+        return self.ir_min >= -self.tolerance and self.ir_binding_gap <= self.tolerance
+
+    def headline(self) -> str:
+        return (f"IR {self.status}: min truthful utility {self.ir_min:.3e}, "
+                f"binding gap {self.ir_binding_gap:.3e} (tol {self.tolerance:.1e})")
+
+
+@dataclass(frozen=True)
+class MonotonicityReport(VerificationReport):
+    gamma_min_slope: float
+    csv_fields = ("gamma_min_slope",)
+
+    @property
+    def passed(self) -> bool:
+        return self.gamma_min_slope >= -self.tolerance
+
+    def headline(self) -> str:
+        return (f"monotonicity {self.status}: min gamma slope "
+                f"{self.gamma_min_slope:.3e} (tol {self.tolerance:.1e})")
 
 
 def interim_utility(
@@ -163,7 +188,7 @@ def verify_ic(
     rewards: RewardSchedule,
     true_grid: int,
     report_grid: int,
-) -> VerificationReport:
+) -> ICReport:
     """Sweep (true type, report) pairs and record the worst misreport gain."""
     if true_grid < MIN_GRID or report_grid < MIN_GRID:
         raise ValueError(f"need grids of at least {MIN_GRID} points")
@@ -173,19 +198,28 @@ def verify_ic(
     step = reports[1] - reports[0]
 
     users = curves.users
-    # (user, truth, report) utilities and the (user, truth) truthful ones
-    u = np.stack([interim_utility(curves, rewards, i, truths[:, None], reports) for i in users])
-    u_truth = np.stack([interim_utility(curves, rewards, i, truths, truths) for i in users])
-    best = np.argmax(u, axis=2)
-    gains = np.take_along_axis(u, best[..., None], axis=2)[..., 0] - u_truth
+    distance = np.abs(reports - truths[:, None])
+
+    def sweep(i):
+        """User i's best report of each truth, its gain over the truthful one, and max |U_i|."""
+        u = interim_utility(curves, rewards, i, truths[:, None], reports)
+        # of reports whose utility equals the maximum exactly, the one nearest the truth
+        # (a NaN counts as a maximum, so it carries into the gain)
+        ties = (u == np.max(u, axis=1, keepdims=True)) | np.isnan(u)
+        best = np.argmin(np.where(ties, distance, np.inf), axis=1)
+        gains = u[np.arange(truths.size), best] - interim_utility(curves, rewards, i, truths, truths)
+        return best, gains, np.max(np.abs(u))
+
+    # one user's (truth, report) utilities at a time; (user, truth) bests and gains
+    best, gains, scales = (np.array(part) for part in zip(*map(sweep, users)))
     argmax_ok = not np.any(np.abs(reports[best] - truths) > step * (1 + 1e-9))
     gain = float(np.max(gains))
-    row, t = _witness(gains, gain, np.max(np.abs(u)))
-    return VerificationReport(
+    row, t = _witness(gains, gain, np.max(scales))
+    return ICReport(
+        witness=WorstCase(users[row], float(truths[t]), float(reports[best[row, t]]), gain),
+        tolerance=_ic_tolerance(curves),
         ic_max_gain=gain,
         ic_argmax_within_step=argmax_ok,
-        witness=WorstCase(users[row], float(truths[t]), float(reports[best[row, t]]), gain),
-        tolerances={"ic": _ic_tolerance(curves)},
     )
 
 
@@ -194,31 +228,31 @@ def verify_ir(
     curves: InterimCurves,
     rewards: RewardSchedule,
     true_grid: int,
-) -> VerificationReport:
+) -> IRReport:
     """Truthful interim utility nonnegative; binding (zero) at the lowest type."""
     truths = np.linspace(sc.dist.lower, sc.dist.upper, true_grid)
     values = np.stack([interim_utility(curves, rewards, i, truths, truths) for i in curves.users])
     ir_min = float(np.min(values))
     row, k = _witness(values, ir_min, np.max(np.abs(values)))
-    return VerificationReport(
+    return IRReport(
+        witness=WorstCase(curves.users[row], float(truths[k]), float(truths[k]), ir_min),
+        tolerance=TOL_IR,
         ir_min=ir_min,
         # truths[0] is the lowest type exactly, where participation binds
         ir_binding_gap=float(np.max(np.abs(values[:, 0]))),
-        witness=WorstCase(curves.users[row], float(truths[k]), float(truths[k]), ir_min),
-        tolerances={"ir": TOL_IR},
     )
 
 
-def verify_monotonicity(curves: InterimCurves) -> VerificationReport:
+def verify_monotonicity(curves: InterimCurves) -> MonotonicityReport:
     """Forward differences of gamma_i must be nonnegative along the grid."""
     gamma = curves.gamma[list(curves.users)]
     diffs = np.diff(gamma, axis=1)
     slope = float(np.min(diffs))
     row, col = _witness(diffs, slope, np.max(np.abs(gamma)))
-    return VerificationReport(
-        gamma_min_slope=slope,
+    return MonotonicityReport(
         witness=WorstCase(curves.users[row], float(curves.grid[col]), float(curves.grid[col + 1]), slope),
-        tolerances={"mono": TOL_MONO},
+        tolerance=TOL_MONO,
+        gamma_min_slope=slope,
     )
 
 
@@ -234,32 +268,6 @@ def verify_all(
         verify_ir(sc, curves, rewards, true_grid),
         verify_monotonicity(curves),
     ]
-
-
-def report_csv_rows(reports) -> list[tuple]:
-    """Flatten reports into (property, value, tolerance, passed, witness...) rows."""
-    rows = []
-    for rep in reports:
-        for prop, value, tol_key in (
-            ("ic_max_gain", rep.ic_max_gain, "ic"),
-            ("ir_min", rep.ir_min, "ir"),
-            ("ir_binding_gap", rep.ir_binding_gap, "ir"),
-            ("gamma_min_slope", rep.gamma_min_slope, "mono"),
-        ):
-            if value is None:
-                continue
-            rows.append(
-                (
-                    prop,
-                    float(value),
-                    float(rep.tolerances[tol_key]),
-                    "PASS" if rep.passed else "FAIL",
-                    rep.witness.user,
-                    rep.witness.theta_true,
-                    rep.witness.theta_hat,
-                )
-            )
-    return rows
 
 
 # ---------------------------------------------------------------------------

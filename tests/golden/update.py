@@ -3,10 +3,10 @@
     python tests/golden/update.py                        # rewrite tests/golden/ from src
     python tests/golden/update.py --out DIR --threads 2  # write the same files to DIR
 
-Each fixture is one CLI run at ``--seed 3``; its CSV files go to
-``<fixture>/<file>``. ``solve_n800.json`` holds, per seed, the SHA-256 of the
-300 guarded ``demand_solve`` solutions at n = 800 that perfbench's solve-n800
-workload computes. ``host.json`` records the numpy version and the BLAS
+Each fixture is one CLI run at ``--seed 3``; its CSV files, and a verify
+run's ``verify_summary.txt``, go to ``<fixture>/<file>``. ``solve_n800.json``
+holds, per seed, the SHA-256 of the 300 guarded ``demand_solve`` solutions at
+n = 800 that perfbench's solve-n800 workload computes. ``host.json`` records the numpy version and the BLAS
 (name, version and the OpenBLAS core kernel it picked) of the run, since only
 the same numbers in the same library give the same bits.
 ``tests/test_golden.py`` regenerates every file and compares. A change that
@@ -92,7 +92,8 @@ def host() -> dict:
 
 
 def generate(out: Path, threads: int) -> None:
-    """Every fixture's CSV files, the solve digests and the host record, under ``out``."""
+    """Every fixture's CSV files and verify summary, the solve digests and the host record,
+    under ``out``."""
     for name, argv in FIXTURES.items():
         run = out / name
         with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
@@ -101,8 +102,8 @@ def generate(out: Path, threads: int) -> None:
         if code != 0:
             raise SystemExit(f"{name}: exit {code}")
         for extra in sorted(run.iterdir()):
-            if extra.suffix != ".csv":
-                extra.unlink()  # summaries name the output directory
+            if extra.suffix != ".csv" and extra.name != "verify_summary.txt":
+                extra.unlink()  # the other summaries name the output directory
     digests = {str(seed): solve_digest(seed) for seed in SOLVE_SEEDS}
     (out / "solve_n800.json").write_text(json.dumps(digests, indent=1) + "\n")
     (out / "host.json").write_text(json.dumps(host(), indent=1) + "\n")

@@ -236,6 +236,19 @@ class TestVerifyVerb:
         assert main(["verify", "--config", config, "--report-grid", "33", "--out", str(tmp_path)]) == 0
         assert "IC PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("network", [{"kind": "edges", "n": 4, "edges": [[0, 1], [1, 2]]},
+                                         {"kind": "edges", "n": 1, "edges": []}],
+                             ids=["isolated-user", "one-user"])
+    @pytest.mark.parametrize("engine", [[], ["--engine", "mc", "--mc-samples", "2000"]],
+                             ids=["quadrature", "mc"])
+    def test_flat_utility_is_truthful(self, tmp_path, capsys, network, engine):
+        """A user without neighbours has utility exactly 0 at every report; the tie goes to the truth."""
+        cfg = json.loads(Path(HUB5).read_text())
+        cfg["network"] = network
+        argv = ["verify", "--config", write_config(tmp_path, cfg), *engine, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert "IC PASS: max misreport gain 0.000e+00" in capsys.readouterr().out
+
 
 class TestHelpAndErrors:
     def test_help_lists_verbs(self, capsys):
@@ -386,6 +399,13 @@ class TestBadValuesExitTwo:
         (["bench", "--sizes", "10,5000"], None,
          "argument --sizes: a dense network of n=5000 users holds 25000000 weights, "
          "over the budget of 16777216 floats"),
+        # curves of 3 x 5 users and the sums of 1 chunk, refused before the grid is built
+        (["rewards", "--config", HUB5, "--report-grid", "200000000"], None,
+         "a curve grid of 200000000 points holds 3600000000 floats of curves and chunk sums, "
+         "over the budget of 16777216"),
+        # at the full sample budget the 4 x 513 chunk sums outweigh the 4 x 5 curves
+        (["rewards", "--config", HUB5, "--engine", "mc", "--mc-samples", "3355443",
+          "--report-grid", "8200"], None, "a curve grid of 8200 points holds 16990400 floats"),
     ])
     def test_exit_two_and_name(self, tmp_path, capsys, monkeypatch, argv, env, named):
         if env is None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netmech import MonteCarloEngine, QuadratureEngine, interim_curves, mechanism, reward_schedule
-from netmech.csvio import fmt, write_csv
+from netmech.csvio import write_csv
 
 CELLS = [-0.0, float("nan"), float("inf"), float("-inf"), 1e-320, 1e16, 0.1 + 0.2, 7, True, "x y",
          np.float64(2.0 / 3.0), np.int64(-12)]
@@ -22,10 +22,11 @@ def per_cell_csv(path, header, rows) -> None:
             fh.write(",".join(cell(v) for v in row) + "\n")
 
 
-def test_fmt_pins_the_cell_rule():
-    assert [fmt(v) for v in CELLS] == ["-0", "nan", "inf", "-inf", "9.99988867183e-321", "1e+16",
-                                       "0.3", "7", "True", "x y", "0.666666666667", "-12"]
-    assert [fmt(v) for v in CELLS] == [cell(v) for v in CELLS]
+def test_write_csv_pins_the_cell_rule(tmp_path):
+    write_csv(tmp_path / "cells.csv", ("cell",), [(v,) for v in CELLS])
+    assert (tmp_path / "cells.csv").read_text().split("\n")[1:-1] == [
+        "-0", "nan", "inf", "-inf", "9.99988867183e-321", "1e+16",
+        "0.3", "7", "True", "x y", "0.666666666667", "-12"]
 
 
 def test_rows_byte_identical_to_the_per_cell_writer(tmp_path):

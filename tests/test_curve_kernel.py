@@ -380,6 +380,9 @@ class TensorRule:
     def classes(self, network):
         return alone(network.n)
 
+    def sample_count(self, n, i, classes):
+        return self.order ** (n - 1)
+
     def others_rows(self, dist, n, i, classes):
         types, weights = tensor_rule(dist, n, self.order)
         return SampleRows(dist, weights, lambda rows: types[rows], types.shape)

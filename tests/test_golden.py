@@ -2,14 +2,16 @@
 
 ``tests/golden/update.py`` regenerates every fixture at ``--threads`` 1 and 2
 in a child process. Two comparisons follow. On any host, every numeric column
-of every CSV is within ``RTOL`` of its largest stored magnitude, and every
-other column is equal. Where numpy and the BLAS match the recorded
-``host.json``, every file is byte-identical, the solve digests included.
+of every CSV is within ``RTOL`` of its largest stored magnitude, every other
+column is equal, and each verify summary has the same text once its numbers
+are masked. Where numpy and the BLAS match the recorded ``host.json``, every
+file is byte-identical, the verify summaries and solve digests included.
 """
 
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,10 +22,18 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # relative to a column's largest magnitude; the outputs under four OpenBLAS core kernels
 # (SkylakeX, Haswell, Sandybridge, Katmai) on one host differ by at most 1.2e-12 of it
 RTOL = 1e-10
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def golden_files() -> list:
-    return sorted(p.relative_to(GOLDEN) for p in GOLDEN.rglob("*.csv"))
+def golden_files(root: Path = GOLDEN) -> list:
+    """The CSV files and verify summaries under ``root``, relative to it."""
+    return sorted(p.relative_to(root) for pattern in ("*.csv", "verify_summary.txt")
+                  for p in root.rglob(pattern))
+
+
+def masked(path: Path) -> str:
+    """The text of ``path`` with every number replaced by ``#``: its non-numeric tokens."""
+    return NUMBER.sub("#", path.read_text())
 
 
 def column_differences(got: Path, want: Path) -> dict:
@@ -57,9 +67,12 @@ def regenerated(request, tmp_path_factory):
 
 def test_fixtures_within_tolerance_on_any_host(regenerated):
     files = golden_files()
-    assert len(files) == 18
-    assert golden_files() == sorted(p.relative_to(regenerated) for p in regenerated.rglob("*.csv"))
+    assert len(files) == 22
+    assert files == golden_files(regenerated)
     for name in files:
+        if name.suffix != ".csv":
+            assert masked(regenerated / name) == masked(GOLDEN / name), str(name)
+            continue
         for label, moved in column_differences(regenerated / name, GOLDEN / name).items():
             assert moved is not None and moved <= RTOL, (str(name), label, moved)
 

@@ -25,10 +25,9 @@ from netmech import (
     verify_ic,
     verify_ir,
 )
-from netmech.csvio import fmt
 from netmech import experiments
 from netmech.experiments import ExperimentSpec, run_fig3
-from netmech.verification import TOL_IR, VerificationReport, WorstCase, _ic_tolerance
+from netmech.verification import TOL_IR, ICReport, IRReport, WorstCase, _ic_tolerance
 from conftest import CASE_PARAMS, UNIFORM, complete_network, zero_network
 
 
@@ -81,18 +80,20 @@ def oracle_ic(sc, curves, rewards, true_grid, report_grid):
         for theta in truths:
             u_reports = np.array([scalar_utility(curves, rewards, i, theta, m) for m in reports])
             u_truth = scalar_utility(curves, rewards, i, theta, theta)
-            best = int(np.argmax(u_reports))
+            # of the reports of maximal utility, exactly, the one nearest the truth
+            ties = np.flatnonzero(u_reports == np.max(u_reports))
+            best = int(ties[np.argmin(np.abs(reports[ties] - theta))])
             if abs(reports[best] - theta) > step * (1 + 1e-9):
                 argmax_ok = False
             gain = float(u_reports[best] - u_truth)
             if gain > max_gain:
                 max_gain = gain
                 worst = WorstCase(i, float(theta), float(reports[best]), gain)
-    return VerificationReport(
+    return ICReport(
+        witness=worst,
+        tolerance=_ic_tolerance(curves),
         ic_max_gain=max_gain,
         ic_argmax_within_step=argmax_ok,
-        witness=worst,
-        tolerances={"ic": _ic_tolerance(curves)},
     )
 
 
@@ -109,11 +110,11 @@ def oracle_ir(sc, curves, rewards, true_grid):
             ir_min = float(values[k])
             worst = WorstCase(i, float(truths[k]), float(truths[k]), float(values[k]))
         binding_gap = max(binding_gap, abs(scalar_utility(curves, rewards, i, lo, lo)))
-    return VerificationReport(
+    return IRReport(
+        witness=worst,
+        tolerance=TOL_IR,
         ir_min=ir_min,
         ir_binding_gap=float(binding_gap),
-        witness=worst,
-        tolerances={"ir": TOL_IR},
     )
 
 
@@ -233,6 +234,6 @@ def test_fig3_matches_scalar_loop_on_all_user_curves(tmp_path, engine, monkeypat
         scale = 1e-12 * np.max(np.abs(own)) if engine == "quadrature" else 0.0
         assert np.max(np.abs(got - own)) <= scale, field
     rewards = reward_schedule(curves)
-    want = [[fmt(t), fmt(float(m)), fmt(scalar_utility(curves, rewards, 4, t, float(m)))]
+    want = [[f"{t:.12g}", f"{m:.12g}", f"{scalar_utility(curves, rewards, 4, t, float(m)):.12g}"]
             for t in experiments.FIG3_TRUTHS for m in curves.grid]
     assert rows == want
