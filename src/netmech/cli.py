@@ -20,7 +20,8 @@ and an --out that cannot be a directory is such an error.
 All randomness flows from one nonnegative seed. Precedence: --seed flag, then
 the NETMECH_SEED environment variable, then a "seed" key in the config file,
 then 0. Identical invocations produce byte-identical CSV output, including
-under different --threads.
+under different --threads, except the wall-clock times of table2.csv, which
+bench, experiment --name table2 and experiment --name all write.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .experiments import (
     run_table2,
     write_summary,
 )
-from .market import InvalidScenarioError, Scenario, check_dense_size
+from .market import MAX_ARRAY_FLOATS, InvalidScenarioError, Scenario, check_dense_size
 from .mechanism import (
     MIN_GRID,
     EngineError,
@@ -57,7 +58,7 @@ from .mechanism import (
     reward_schedule,
 )
 from .csvio import write_csv
-from .verification import MAX_SWEEP_FLOATS, verify_all
+from .verification import verify_all
 
 
 def _at_least(low: int):
@@ -220,9 +221,9 @@ def cmd_rewards(args) -> int:
 def cmd_verify(args) -> int:
     sc, cfg = _load_scenario(args)
     floats = sc.n * args.grid * args.report_grid
-    if floats > MAX_SWEEP_FLOATS:
+    if floats > MAX_ARRAY_FLOATS:
         raise ConfigError(f"the IC sweep of {sc.n} users x --grid {args.grid} x --report-grid "
-                          f"{args.report_grid} holds {floats} floats, over the budget of {MAX_SWEEP_FLOATS}")
+                          f"{args.report_grid} holds {floats} floats, over the budget of {MAX_ARRAY_FLOATS}")
     out = _output_dir(args)
     curves, rewards = _curves_and_rewards(args, sc, cfg)
     reports = verify_all(sc, curves, rewards, args.grid, args.report_grid)

@@ -30,7 +30,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .distributions import TruncatedExponential, TruncatedNormal, TypeDistribution, Uniform
-from .market import MarketParams, Network, Scenario, check_dense_size, make_network
+from .market import MarketParams, Network, Scenario, make_network
 
 _FAMILIES = {
     "uniform": Uniform,
@@ -103,7 +103,6 @@ def network_from_config(cfg: dict) -> Network:
     n = _value("network block", cfg, "n", as_int, "an integer")
     if n < 1:
         raise ConfigError(f"network block: key 'n' must be at least 1, got {n}")
-    _checked(check_dense_size, "network block", n)
     edges = []
     if kind == "edges":
         if not isinstance(cfg.get("edges"), list):
@@ -115,7 +114,7 @@ def network_from_config(cfg: dict) -> Network:
             except (TypeError, ValueError):
                 raise ConfigError(f"edge entry {entry!r} must be [i, j] or [i, j, weight]") from None
     seed = _value("network block", cfg, "seed", as_int, "an integer") if "seed" in cfg else None
-    # market builds, scales and checks the one weight array
+    # market refuses an n over the dense budget, then builds, scales and checks the one weight array
     return _checked(make_network, "network block", kind, n, seed, edges=edges, weight=weight)
 
 

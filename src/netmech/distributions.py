@@ -40,7 +40,7 @@ class RegularityReport:
     grid_points: int
     min_hazard_step: float
     min_virtual_value: float
-    tolerance: float = 1e-12
+    tolerance = 1e-12
 
     @property
     def hazard_monotone(self) -> bool:

@@ -26,11 +26,18 @@ import numpy as np
 from .distributions import RegularityReport, TypeDistribution, validate_regularity
 
 
-# floats in a dense n x n weight matrix (128 MiB), refused before the matrix is built. A generator
-# builds, checks and freezes each network in that one float array, with at most n^2 bytes beside
-# it (random_k's bool adjacency) and 2 n^2 bytes before it (the adjacency and its transpose while
-# it is symmetrized); the comparison of G with G^T holds one panel's bools
-_MAX_NETWORK_FLOATS = 2**24
+# floats (128 MiB), the one refusal budget of the package: each array below is refused where it
+# is sized, naming its count and this budget, before it is allocated
+#   - a dense network's n x n weights (check_dense_size, and bench's --sizes). A generator builds,
+#     checks and freezes each network in that one float array, with at most n^2 bytes beside it
+#     (random_k's bool adjacency) and 2 n^2 bytes before it (the adjacency and its transpose
+#     while it is symmetrized); the comparison of G with G^T holds one panel's bools
+#   - a Monte Carlo draw, samples x n uniforms (mechanism.MonteCarloEngine)
+#   - a quadrature rule's (rows, n-1) types (mechanism.QuadratureEngine)
+#   - the order x order Gauss-Legendre eigenproblem (mechanism.QuadratureEngine)
+#   - the curve kernel's curves and per-chunk sums (mechanism.interim_curves)
+#   - verify's IC sweep, users x --grid x --report-grid utilities (cli.cmd_verify)
+MAX_ARRAY_FLOATS = 2**24
 # floats of one working array (512 KiB, cache-sized), the one such budget of the package: a row
 # panel of G here (a symmetric G past it is read by panels), and in the curve kernel a CG chunk's
 # stack or a grid block's arrays
@@ -123,10 +130,10 @@ class Network:
 
 def check_dense_size(n: int) -> None:
     """ValueError naming n, its n^2 floats and the budget if a dense network of n users is too large."""
-    if n * n > _MAX_NETWORK_FLOATS:
+    if n * n > MAX_ARRAY_FLOATS:
         raise ValueError(
             f"a dense network of n={n} users holds {n * n} weights, "
-            f"over the budget of {_MAX_NETWORK_FLOATS} floats"
+            f"over the budget of {MAX_ARRAY_FLOATS} floats"
         )
 
 

@@ -145,7 +145,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .distributions import SupportError, TypeDistribution
-from .market import _CHUNK_FLOATS, Network, Scenario, twin_classes
+from .market import _CHUNK_FLOATS, MAX_ARRAY_FLOATS, Network, Scenario, twin_classes
 
 
 class SolverError(RuntimeError):
@@ -170,11 +170,6 @@ MIN_GRID = 9
 # rows of one user's quadrature rule, prod_c C(order+k_c-1, k_c) over the classes of the
 # other users (order**(n-1) on a twin-free network); beyond these, use Monte Carlo
 _MAX_QUADRATURE_NODES = 2**20
-# floats of one user's sample set (128 MiB), refused before any draw or multiset: the
-# samples * n uniforms a Monte Carlo set draws, or the (rows, n-1) types of a quadrature
-# rule; the curve kernel reads either in row chunks, so neither is held whole. It also
-# bounds the kernel's curves and per-chunk sums, refused before any grid array
-_MAX_MC_FLOATS = 2**24
 
 
 def _assemble(sc: Scenario, phis: np.ndarray) -> np.ndarray:
@@ -470,21 +465,24 @@ class QuadratureEngine:
 
     User i's rule has prod_c C(order+k_c-1, k_c) rows over the classes of the
     other users; refuse more than ``_MAX_QUADRATURE_NODES`` rows, or a
-    (rows, n-1) set of types over ``_MAX_MC_FLOATS`` floats, before any
-    multiset is built, and point to the Monte Carlo engine instead. The types
-    are i.i.d. and the rule is symmetric in its coordinates, so nodes that
-    differ by a permutation within a class of twins give equal integrands,
-    and twin users get equal curves: ``classes`` are the twin classes. A
-    deterministic rule, it states no ``standard_error``.
+    (rows, n-1) set of types over the refusal budget
+    ``market.MAX_ARRAY_FLOATS``, before any multiset is built, and point to
+    the Monte Carlo engine instead. An order whose order x order
+    Gauss-Legendre eigenproblem is over that budget is refused when the
+    engine is built. The types are i.i.d. and the rule is symmetric in its
+    coordinates, so nodes that differ by a permutation within a class of
+    twins give equal integrands, and twin users get equal curves:
+    ``classes`` are the twin classes. A deterministic rule, it states no
+    ``standard_error``.
     """
 
     order: int = 8
     standard_error = None
 
     def __post_init__(self):
-        if self.order < 1 or self.order**2 > _MAX_MC_FLOATS:
+        if self.order < 1 or self.order**2 > MAX_ARRAY_FLOATS:
             raise EngineError(f"quadrature order {self.order} needs order >= 1 and an order x order "
-                              f"eigenproblem of {self.order**2} floats within the budget of {_MAX_MC_FLOATS}")
+                              f"eigenproblem of {self.order**2} floats within the budget of {MAX_ARRAY_FLOATS}")
 
     def classes(self, network: Network) -> tuple:
         """``twin_classes(network)``, after refusing n users before their classes are known:
@@ -509,11 +507,11 @@ class QuadratureEngine:
 
     def _refuse_over_budget(self, n: int, count: int, least: str = "") -> None:
         floats = count * (n - 1)
-        if count > _MAX_QUADRATURE_NODES or floats > _MAX_MC_FLOATS:
+        if count > _MAX_QUADRATURE_NODES or floats > MAX_ARRAY_FLOATS:
             raise EngineError(
                 f"quadrature of order {self.order} at n={n} needs {least}{count} nodes "
                 f"(budget {_MAX_QUADRATURE_NODES}) and {least}{floats} floats of types "
-                f"(budget {_MAX_MC_FLOATS}); lower the order or use MonteCarloEngine"
+                f"(budget {MAX_ARRAY_FLOATS}); lower the order or use MonteCarloEngine"
             )
 
     def others_rows(self, dist: TypeDistribution, n: int, i: int, classes) -> SampleRows:
@@ -557,8 +555,9 @@ class MonteCarloEngine:
     quantile function, so they are identical across grid points and shared
     between users. A slice of rows is drawn alone, from the generator
     advanced past the rows before it, so the matrix is never held whole.
-    Refuse a set that draws more than ``_MAX_MC_FLOATS`` floats, before any
-    draw. Twins see different columns, so every user is its own class.
+    Refuse a set that draws more floats than the refusal budget
+    ``market.MAX_ARRAY_FLOATS``, before any draw. Twins see different
+    columns, so every user is its own class.
     """
 
     samples: int = 20_000
@@ -587,11 +586,11 @@ class MonteCarloEngine:
         return np.sqrt(var / m)
 
     def sample_count(self, n: int, i: int, classes) -> int:
-        """``samples``, after refusing a set that draws more than ``_MAX_MC_FLOATS`` floats."""
-        if self.samples * n > _MAX_MC_FLOATS:
+        """``samples``, after refusing a set that draws more than ``MAX_ARRAY_FLOATS`` floats."""
+        if self.samples * n > MAX_ARRAY_FLOATS:
             raise EngineError(
                 f"Monte Carlo with {self.samples} samples at n={n} draws {self.samples * n} "
-                f"floats, over the budget of {_MAX_MC_FLOATS}; lower the sample count"
+                f"floats, over the budget of {MAX_ARRAY_FLOATS}; lower the sample count"
             )
         return self.samples
 
@@ -765,7 +764,7 @@ def interim_curves(
     EngineError refuses a grid whose curves (3 per user, 4 with a standard
     error, ``grid_size`` floats each) and per-chunk sums (as many per CG chunk
     of the user with the most, counted by the engine's ``sample_count``) hold
-    more than ``_MAX_MC_FLOATS`` floats.
+    more floats than the refusal budget ``market.MAX_ARRAY_FLOATS``.
 
     Deterministic for a fixed engine configuration regardless of ``threads``:
     every chunk's sums land in its own preallocated row, chunk sizes depend
@@ -801,9 +800,9 @@ def interim_curves(
     quantities = 3 if engine.standard_error is None else 4
     most_chunks = max(-(-engine.sample_count(n, i, classes) // chunk) for i in runs)
     floats = quantities * grid_size * (n + most_chunks)
-    if floats > _MAX_MC_FLOATS:
+    if floats > MAX_ARRAY_FLOATS:
         raise EngineError(f"a curve grid of {grid_size} points holds {floats} floats of curves and "
-                          f"chunk sums, over the budget of {_MAX_MC_FLOATS}; lower the grid size")
+                          f"chunk sums, over the budget of {MAX_ARRAY_FLOATS}; lower the grid size")
     grid = np.linspace(dist.lower, dist.upper, grid_size)
     phi_grid = np.asarray(dist.virtual_value(grid), dtype=float)
     # the (grid, 2) left factors of the grid stage's products: [phi, phi^2] and [phi, 1]

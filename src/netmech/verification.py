@@ -46,9 +46,6 @@ TOL_IR = 1e-8
 TOL_MONO = 1e-8
 # witness ties: within this many eps of the swept quantity's largest magnitude
 WITNESS_ULPS = 64
-# floats of verify_ic's (user, true type, report) utilities, swept one user at a
-# time; callers refuse larger sweeps before computing anything
-MAX_SWEEP_FLOATS = 2**24
 
 
 @dataclass(frozen=True)

@@ -359,6 +359,21 @@ def test_working_array_budget_assigned_in_market_alone():
     assert "_CHUNK_FLOATS" in imported
 
 
+def test_refusal_budget_assigned_in_market_alone():
+    """One 2**24-float budget refuses every oversized array; mechanism and cli import it under
+    its own name, and config leaves the dense-network refusal to the generator that allocates."""
+    homes = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
+             for name, value in module_constants(ast.parse(path.read_text())).items()
+             if value == "2 ** 24"}
+    assert homes == {("market", "MAX_ARRAY_FLOATS")}
+    for module in ("mechanism", "cli"):
+        imported = {alias.name for node in ast.parse((SRC / f"{module}.py").read_text()).body
+                    if isinstance(node, ast.ImportFrom) and node.module == "market"
+                    for alias in node.names}
+        assert "MAX_ARRAY_FLOATS" in imported, module
+    assert "check_dense_size" not in (SRC / "config.py").read_text()
+
+
 def test_profile_support_left_to_the_type_law():
     """Scenario.check_profile checks the shape and calls the law's own support test; it
     compares nothing with the law's bounds."""

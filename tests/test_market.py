@@ -299,7 +299,7 @@ class TestDenseBudget:
             make_network("complete", 30000)
 
     def test_budget_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(market, "_MAX_NETWORK_FLOATS", 25)
+        monkeypatch.setattr(market, "MAX_ARRAY_FLOATS", 25)
         assert make_network("star", 5).n == 5
         with pytest.raises(ValueError, match="n=6 users holds 36 weights, over the budget of 25"):
             make_network("star", 6)
@@ -307,7 +307,7 @@ class TestDenseBudget:
     def test_budget_admits_the_largest_size_in_use(self):
         # table2 and the solve-n800 benchmark build dense networks of 800 users
         market.check_dense_size(800)
-        assert 4096**2 <= market._MAX_NETWORK_FLOATS
+        assert 4096**2 <= market.MAX_ARRAY_FLOATS
 
 
 SIZES = [1, 2, 3, 4, 5, 64, 257]

@@ -538,7 +538,7 @@ class TestStatelessEngines:
         # (2**22 + 1) x 4 floats are refused before the draw, so nothing is allocated
         with pytest.raises(EngineError, match="draws 16777220 floats, over the budget of 16777216"):
             whole_samples(MonteCarloEngine(samples=2**22 + 1), UNIFORM, 4, 0)
-        monkeypatch.setattr(mechanism, "_MAX_MC_FLOATS", 12)
+        monkeypatch.setattr(mechanism, "MAX_ARRAY_FLOATS", 12)
         assert whole_samples(MonteCarloEngine(samples=4), UNIFORM, 3, 0)[0].shape == (4, 2)
         with pytest.raises(EngineError, match="13 floats, over the budget of 12"):
             MonteCarloEngine(samples=13).others_rows(UNIFORM, 1, 0, alone(1))
