@@ -220,10 +220,12 @@ def cmd_rewards(args) -> int:
 
 def cmd_verify(args) -> int:
     sc, cfg = _load_scenario(args)
-    floats = sc.n * args.grid * args.report_grid
+    # one user's (truth, report) utilities, and every user's (truth,) bests and gains
+    floats = args.grid * args.report_grid + 2 * sc.n * args.grid
     if floats > MAX_ARRAY_FLOATS:
-        raise ConfigError(f"the IC sweep of {sc.n} users x --grid {args.grid} x --report-grid "
-                          f"{args.report_grid} holds {floats} floats, over the budget of {MAX_ARRAY_FLOATS}")
+        raise ConfigError(f"the IC sweep of --grid {args.grid} x --report-grid {args.report_grid} "
+                          f"utilities per user and 2 x {sc.n} users x --grid {args.grid} bests and gains "
+                          f"holds {floats} floats, over the budget of {MAX_ARRAY_FLOATS}")
     out = _output_dir(args)
     curves, rewards = _curves_and_rewards(args, sc, cfg)
     reports = verify_all(sc, curves, rewards, args.grid, args.report_grid)

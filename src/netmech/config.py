@@ -101,8 +101,6 @@ def network_from_config(cfg: dict) -> Network:
         kind = "hub_plus_edge"
     weight = _value("network block", cfg, "weight") if "weight" in cfg else 1.0
     n = _value("network block", cfg, "n", as_int, "an integer")
-    if n < 1:
-        raise ConfigError(f"network block: key 'n' must be at least 1, got {n}")
     edges = []
     if kind == "edges":
         if not isinstance(cfg.get("edges"), list):
@@ -114,7 +112,8 @@ def network_from_config(cfg: dict) -> Network:
             except (TypeError, ValueError):
                 raise ConfigError(f"edge entry {entry!r} must be [i, j] or [i, j, weight]") from None
     seed = _value("network block", cfg, "seed", as_int, "an integer") if "seed" in cfg else None
-    # market refuses an n over the dense budget, then builds, scales and checks the one weight array
+    # market refuses an n under 1 or over the dense budget, then builds, scales and checks the one
+    # weight array
     return _checked(make_network, "network block", kind, n, seed, edges=edges, weight=weight)
 
 

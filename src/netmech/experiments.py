@@ -299,7 +299,7 @@ def run_fig6(spec: ExperimentSpec) -> ExperimentResult:
     """Truthful interim utility of a representative user vs network size.
 
     Monte Carlo engine: random-half networks have no twins, so a quadrature
-    rule would be the full order**(n-1) tensor, far over its node budget at
+    rule would be the full order**(n-1) tensor, far over the refusal budget at
     these sizes. The pointwise increase across sizes is asserted within three
     standard errors.
     """

@@ -32,11 +32,20 @@ from .distributions import RegularityReport, TypeDistribution, validate_regulari
 #     checks and freezes each network in that one float array, with at most n^2 bytes beside it
 #     (random_k's bool adjacency) and 2 n^2 bytes before it (the adjacency and its transpose
 #     while it is symmetrized); the comparison of G with G^T holds one panel's bools
-#   - a Monte Carlo draw, samples x n uniforms (mechanism.MonteCarloEngine)
-#   - a quadrature rule's (rows, n-1) types (mechanism.QuadratureEngine)
+#   - a quadrature rule's (rows,) weights, rows = prod_c C(order+k_c-1, k_c) over the classes of
+#     the other users, plus each class's (C(order+k_c-1, k_c), k_c) multiset table
+#     (mechanism.QuadratureEngine); its types are made one CG chunk at a time
 #   - the order x order Gauss-Legendre eigenproblem (mechanism.QuadratureEngine)
-#   - the curve kernel's curves and per-chunk sums (mechanism.interim_curves)
-#   - verify's IC sweep, users x --grid x --report-grid utilities (cli.cmd_verify)
+#   - the curve kernel's curves, 3 x n x grid (4 with a standard error), plus as many per-chunk
+#     sums per CG chunk of the user with the most (mechanism.interim_curves). Monte Carlo draws
+#     one chunk at a time, so this is the refusal that bounds its sample count. Each chunk also
+#     holds bookkeeping that no refusal counts: about 0.15 KB serially and 2 KB with the pool
+#     (hub5, user 0, grid 9, by tracemalloc), against 4 x grid floats of sums (288 B there), so
+#     it outweighs the sums only under about 60 grid points, and reaches the budget only past
+#     about 4 x 10^8 samples at n = 5
+#   - verify's IC sweep, --grid x --report-grid utilities of one user at a time plus 2 x n x
+#     --grid bests and gains of every user (cli.cmd_verify); the sweep of a user holds a few
+#     transients of the utilities' shape beside them (the distances to the truth, the ties)
 MAX_ARRAY_FLOATS = 2**24
 # floats of one working array (512 KiB, cache-sized), the one such budget of the package: a row
 # panel of G here (a symmetric G past it is read by panels), and in the curve kernel a CG chunk's
@@ -321,7 +330,7 @@ def make_network(kind: str, n: int, seed: int | None = None, *, edges=(), weight
 def _zeros(n: int, dtype=float) -> np.ndarray:
     """An n x n array of zeros, after refusing n < 1 and a network over the dense budget."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ValueError(f"n must be at least 1, got {n}")
     check_dense_size(n)
     return np.zeros((n, n), dtype)
 

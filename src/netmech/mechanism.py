@@ -32,7 +32,7 @@ of one user's own reported type v:
     C_i(v)     = E[ s x_i - (t/2) x_i^2 ]
 
 estimated either by Gauss-Legendre quadrature over the other users' twin
-classes (tight, while the rule fits its budgets) or by Monte Carlo with common
+classes (tight, while the rule fits the budget) or by Monte Carlo with common
 random numbers: one sample set of the other users' types is reused across the
 whole type grid so the grid structure of the curves is not drowned by
 independent noise. Both engines are plain values:
@@ -90,8 +90,8 @@ and two divisions), then each sign guard one min-reduction. gamma is
 E[x_i g_i.x]; V and C are quadratics in x_i, so both come from E[x_i] and
 E[x_i^2], one product with the weights each.
 
-Memory is bounded by the float budget ``_CHUNK_FLOATS``, not by the sample
-count; it is market's one working-array budget, which also sizes the row
+Working memory is bounded by the float budget ``_CHUNK_FLOATS``, not by the
+sample count; it is market's one working-array budget, which also sizes the row
 panels of ``Network.operator``. A user's samples run in CG chunks, each stack
 about that many floats (at least one system), and each chunk takes its own
 samples all the way: it draws only its rows of the sample set, solves their s
@@ -101,11 +101,14 @@ in blocks of at least one grid point, each block's arrays at most
 ``_CHUNK_FLOATS`` floats and freed before the next. What leaves a chunk is
 its weighted sums of x_i g_i.x, x_i and x_i^2 at every grid point (and, for a
 standard error, of the squares about the chunk's mean), added chunk by chunk
-in order once all chunks are done. No array of a user's whole sample set is
-built, so live memory is one chunk's arrays per worker, at most
-``os.cpu_count()`` of them, at any sample count. Users run in turn, and the
-pool's tasks are the chunks of one user; a user whose samples fit one CG chunk
-runs on the calling thread alone, and its sums are its values, bit for bit.
+in order once all chunks are done: a few floats per grid point and chunk,
+which ``interim_curves`` refuses beyond the refusal budget
+``market.MAX_ARRAY_FLOATS``. Beside those sums and a quadrature rule (its
+weights and multiset tables), no array grows with the sample count: live
+memory is one chunk's arrays per worker, at most ``os.cpu_count()`` of them.
+Users run in turn, and the pool's tasks are the chunks of one user; a user
+whose samples fit one CG chunk runs on the calling thread alone, and its sums
+are its values, bit for bit.
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -167,9 +170,6 @@ _COND_LIMIT = 1e12
 _RESIDUAL_TOL = 1e-10
 # the smallest type grid of the interim curves and the IC sweeps
 MIN_GRID = 9
-# rows of one user's quadrature rule, prod_c C(order+k_c-1, k_c) over the classes of the
-# other users (order**(n-1) on a twin-free network); beyond these, use Monte Carlo
-_MAX_QUADRATURE_NODES = 2**20
 
 
 def _assemble(sc: Scenario, phis: np.ndarray) -> np.ndarray:
@@ -464,12 +464,13 @@ class QuadratureEngine:
     """Gauss-Legendre expectation over the other users' types, reduced by their twin classes.
 
     User i's rule has prod_c C(order+k_c-1, k_c) rows over the classes of the
-    other users; refuse more than ``_MAX_QUADRATURE_NODES`` rows, or a
-    (rows, n-1) set of types over the refusal budget
-    ``market.MAX_ARRAY_FLOATS``, before any multiset is built, and point to
-    the Monte Carlo engine instead. An order whose order x order
-    Gauss-Legendre eigenproblem is over that budget is refused when the
-    engine is built. The types are i.i.d. and the rule is symmetric in its
+    other users, and holds their (rows,) weights and, per class of k_c
+    others, its (C(order+k_c-1, k_c), k_c) multiset table; the types are made
+    a CG chunk at a time. A rule that holds more entries than the refusal
+    budget ``market.MAX_ARRAY_FLOATS`` is refused before any multiset is
+    built, pointing to the Monte Carlo engine instead, and so is an order
+    whose order x order Gauss-Legendre eigenproblem is over that budget, when
+    the engine is built. The types are i.i.d. and the rule is symmetric in its
     coordinates, so nodes that differ by a permutation within a class of
     twins give equal integrands, and twin users get equal curves:
     ``classes`` are the twin classes. A deterministic rule, it states no
@@ -486,8 +487,8 @@ class QuadratureEngine:
 
     def classes(self, network: Network) -> tuple:
         """``twin_classes(network)``, after refusing n users before their classes are known:
-        no partition of the n-1 others gives fewer rows than the C(order+n-2, n-1) of one
-        class of all of them."""
+        no partition of the n-1 others gives fewer rows, and so fewer weights, than the
+        C(order+n-2, n-1) of one class of all of them."""
         n = network.n
         self._refuse_over_budget(n, math.comb(self.order + n - 2, n - 1), "at least ")
         return twin_classes(network)
@@ -500,18 +501,19 @@ class QuadratureEngine:
         return columns, [math.comb(self.order + len(c) - 1, len(c)) for c in columns]
 
     def sample_count(self, n: int, i: int, classes) -> int:
-        """The rows of user i's rule, after refusing a rule over budget."""
-        count = math.prod(self._class_columns(i, classes)[1])
-        self._refuse_over_budget(n, count)
+        """The rows of user i's rule, after refusing a rule whose weights and multiset tables
+        hold more than ``MAX_ARRAY_FLOATS`` entries."""
+        columns, radices = self._class_columns(i, classes)
+        count = math.prod(radices)
+        self._refuse_over_budget(n, count + sum(len(c) * r for c, r in zip(columns, radices)))
         return count
 
-    def _refuse_over_budget(self, n: int, count: int, least: str = "") -> None:
-        floats = count * (n - 1)
-        if count > _MAX_QUADRATURE_NODES or floats > MAX_ARRAY_FLOATS:
+    def _refuse_over_budget(self, n: int, entries: int, least: str = "") -> None:
+        if entries > MAX_ARRAY_FLOATS:
             raise EngineError(
-                f"quadrature of order {self.order} at n={n} needs {least}{count} nodes "
-                f"(budget {_MAX_QUADRATURE_NODES}) and {least}{floats} floats of types "
-                f"(budget {MAX_ARRAY_FLOATS}); lower the order or use MonteCarloEngine"
+                f"quadrature of order {self.order} at n={n} holds {least}{entries} weights and "
+                f"multiset entries, over the budget of {MAX_ARRAY_FLOATS}; lower the order or "
+                f"use MonteCarloEngine"
             )
 
     def others_rows(self, dist: TypeDistribution, n: int, i: int, classes) -> SampleRows:
@@ -554,10 +556,10 @@ class MonteCarloEngine:
     ``seed``; user i's samples are its columns other than i through the
     quantile function, so they are identical across grid points and shared
     between users. A slice of rows is drawn alone, from the generator
-    advanced past the rows before it, so the matrix is never held whole.
-    Refuse a set that draws more floats than the refusal budget
-    ``market.MAX_ARRAY_FLOATS``, before any draw. Twins see different
-    columns, so every user is its own class.
+    advanced past the rows before it, so the matrix is never held whole,
+    and no refusal counts the samples: ``interim_curves`` refuses a run by
+    the per-chunk sums they take. Twins see different columns, so every user
+    is its own class.
     """
 
     samples: int = 20_000
@@ -586,17 +588,9 @@ class MonteCarloEngine:
         return np.sqrt(var / m)
 
     def sample_count(self, n: int, i: int, classes) -> int:
-        """``samples``, after refusing a set that draws more than ``MAX_ARRAY_FLOATS`` floats."""
-        if self.samples * n > MAX_ARRAY_FLOATS:
-            raise EngineError(
-                f"Monte Carlo with {self.samples} samples at n={n} draws {self.samples * n} "
-                f"floats, over the budget of {MAX_ARRAY_FLOATS}; lower the sample count"
-            )
         return self.samples
 
     def others_rows(self, dist: TypeDistribution, n: int, i: int, classes) -> SampleRows:
-        self.sample_count(n, i, classes)
-
         def types(rows):
             # a float takes one 64-bit draw, so rows.start rows take rows.start * n of them
             bits = np.random.PCG64(self.seed)
@@ -764,7 +758,8 @@ def interim_curves(
     EngineError refuses a grid whose curves (3 per user, 4 with a standard
     error, ``grid_size`` floats each) and per-chunk sums (as many per CG chunk
     of the user with the most, counted by the engine's ``sample_count``) hold
-    more floats than the refusal budget ``market.MAX_ARRAY_FLOATS``.
+    more floats than the refusal budget ``market.MAX_ARRAY_FLOATS``; it is
+    the refusal that bounds a Monte Carlo run's sample count.
 
     Deterministic for a fixed engine configuration regardless of ``threads``:
     every chunk's sums land in its own preallocated row, chunk sizes depend
@@ -802,7 +797,8 @@ def interim_curves(
     floats = quantities * grid_size * (n + most_chunks)
     if floats > MAX_ARRAY_FLOATS:
         raise EngineError(f"a curve grid of {grid_size} points holds {floats} floats of curves and "
-                          f"chunk sums, over the budget of {MAX_ARRAY_FLOATS}; lower the grid size")
+                          f"chunk sums, over the budget of {MAX_ARRAY_FLOATS}; lower the grid size "
+                          f"or the sample count")
     grid = np.linspace(dist.lower, dist.upper, grid_size)
     phi_grid = np.asarray(dist.virtual_value(grid), dtype=float)
     # the (grid, 2) left factors of the grid stage's products: [phi, phi^2] and [phi, 1]

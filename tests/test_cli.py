@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netmech import cli
+from netmech import cli, mechanism
 from netmech.cli import main
 from netmech.config import ConfigError, load_config, scenario_from_config
 from netmech.experiments import TABLE2_SIZES, Check, ExperimentResult
@@ -223,12 +223,25 @@ class TestVerifyVerb:
             tracemalloc.stop()
         assert code == 2
         err = capsys.readouterr().err
-        assert ("the IC sweep of 5 users x --grid 20000 x --report-grid 20000 holds 2000000000 "
-                "floats, over the budget of 16777216") in err
+        assert ("the IC sweep of --grid 20000 x --report-grid 20000 utilities per user and "
+                "2 x 5 users x --grid 20000 bests and gains holds 400200000 floats, over the "
+                "budget of 16777216") in err
         assert "Traceback" not in err
-        # the sweep's (5, 20000, 20000) utilities would take 14.9 GiB
+        # one user's (20000, 20000) utilities would take 3 GiB
         assert peak < 2**20
-        assert main(args) == 0  # the default grids: 5 users x 21 x 201
+        assert main(args) == 0  # the default grids: 21 x 201 + 2 x 5 x 21
+
+    def test_ic_sweep_budget_counts_one_user(self, tmp_path, capsys, monkeypatch):
+        """The sweep holds one user's (truth, report) utilities at a time and every user's
+        bests and gains: 21 x (201 + 2 x 5) floats at complete5's default grids."""
+        args = ["verify", "--config", COMPLETE5, "--out", str(tmp_path)]
+        monkeypatch.setattr(cli, "MAX_ARRAY_FLOATS", 21 * (201 + 10))
+        assert main(args) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "MAX_ARRAY_FLOATS", 21 * (201 + 10) - 1)
+        monkeypatch.setattr(cli, "interim_curves", lambda *a, **k: pytest.fail("curves before the refusal"))
+        assert main(args) == 2
+        assert "holds 4431 floats, over the budget of 4430" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config", [HUB5, COMPLETE5], ids=["hub5", "complete5"])
     def test_ic_holds_between_report_nodes(self, tmp_path, capsys, config):
@@ -392,8 +405,9 @@ class TestBadValuesExitTwo:
          "--mc-samples"),
         (["experiment", "--name", "fig6", "--mc-samples", "-5"], None, "--mc-samples"),
         (["rewards", "--config", HUB5, "--quad-order", "100"], None, "order 100 at n=5"),
-        (["rewards", "--config", HUB5, "--engine", "mc", "--mc-samples", "100000000"], None,
-         "100000000 samples at n=5 draws 500000000 floats, over the budget of 16777216"),
+        # the draws stream a chunk at a time; the 4 x 152602 chunk sums are refused
+        (["rewards", "--config", HUB5, "--engine", "mc", "--mc-samples", "1000000000"], None,
+         "a curve grid of 201 points holds 122696028 floats"),
         # refused by the parser, before table2 builds any network
         (["bench", "--sizes", "4097"], None, "argument --sizes: a dense network of n=4097"),
         (["bench", "--sizes", "10,5000"], None,
@@ -408,14 +422,24 @@ class TestBadValuesExitTwo:
           "--report-grid", "8200"], None, "a curve grid of 8200 points holds 16990400 floats"),
     ])
     def test_exit_two_and_name(self, tmp_path, capsys, monkeypatch, argv, env, named):
+        # a refusal that stops firing fails here at once, not after a long run
+        monkeypatch.setattr(mechanism, "_rank2_factors",
+                            lambda *a, **k: pytest.fail("a curve was computed before the refusal"))
         if env is None:
             monkeypatch.delenv("NETMECH_SEED", raising=False)
         else:
             monkeypatch.setenv("NETMECH_SEED", env)
-        assert main(argv + ["--out", str(tmp_path)]) == 2
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(tmp_path)]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
+        # refused before any array of the refused size is allocated
+        assert peak < 2**20, peak
 
     @pytest.mark.parametrize("argv", [
         ["rewards", "--config", COMPLETE5, "--report-grid", "9", "--quad-order", "2", "--seed", "0"],
@@ -455,7 +479,7 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("block,value,named", [
         ("network", {"kind": "complete", "n": "x"}, "key 'n' must be an integer"),
         ("network", {"kind": "edges", "n": "x", "edges": []}, "key 'n' must be an integer"),
-        ("network", {"kind": "edges", "n": -1, "edges": []}, "key 'n' must be at least 1"),
+        ("network", {"kind": "edges", "n": -1, "edges": []}, "bad network block: n must be at least 1, got -1"),
         ("network", {"kind": "random_k", "n": 5, "seed": "abc"}, "key 'seed' must be an integer"),
         ("network", {"kind": "complete", "n": 5, "weight": "heavy"}, "key 'weight' must be a number"),
         ("network", {"kind": "edges", "n": 3, "edges": [[0, 1], 5]}, "edge entry 5"),

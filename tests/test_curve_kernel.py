@@ -542,8 +542,10 @@ class TestChunkPath:
         """Each CG chunk takes its samples through the grid stage to weighted sums, so one
         user holds one chunk's arrays per worker at any sample count, and no array of its
         samples: whole-user per-sample stacks would read 17.0 MiB at 200k samples and 76.3 MiB
-        at 1M."""
+        at 1M. The run is admitted under a budget of 2**22 floats, below the 1M x 5 a whole
+        draw would hold."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mechanism, "MAX_ARRAY_FLOATS", 2**22)
         for threads in (1, 2):
             peaks = []
             for samples in (200_000, 1_000_000):

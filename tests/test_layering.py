@@ -156,7 +156,7 @@ def test_verification_builds_no_curves_or_engines():
         for alias in node.names
     }
     banned = ENGINE_CLASSES | {"make_engine", "interim_curves", "reward_schedule",
-                               "_MAX_QUADRATURE_NODES", "system_matrix", "solve_profiles", "_assemble"}
+                               "system_matrix", "solve_profiles", "_assemble"}
     assert not imported & banned
 
 
@@ -360,12 +360,21 @@ def test_working_array_budget_assigned_in_market_alone():
 
 
 def test_refusal_budget_assigned_in_market_alone():
-    """One 2**24-float budget refuses every oversized array; mechanism and cli import it under
-    its own name, and config leaves the dense-network refusal to the generator that allocates."""
+    """One 2**24-float budget refuses every oversized array, and no module states a second
+    large limit beside it; mechanism and cli import it under its own name, the Monte Carlo
+    engine, whose draws stream, names no budget, and config leaves the dense-network refusal
+    to the generator that allocates."""
+    def large_power(value):
+        base, _, exponent = value.partition(" ** ")
+        return base == "2" and exponent.isdigit() and int(exponent) >= 17
+
     homes = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
              for name, value in module_constants(ast.parse(path.read_text())).items()
-             if value == "2 ** 24"}
+             if name == "_MAX_QUADRATURE_NODES" or large_power(value)}
     assert homes == {("market", "MAX_ARRAY_FLOATS")}
+    engine = next(node for node in MECHANISM.body
+                  if isinstance(node, ast.ClassDef) and node.name == "MonteCarloEngine")
+    assert not [name for name in references(engine) if "FLOATS" in name or "MAX" in name]
     for module in ("mechanism", "cli"):
         imported = {alias.name for node in ast.parse((SRC / f"{module}.py").read_text()).body
                     if isinstance(node, ast.ImportFrom) and node.module == "market"

@@ -38,6 +38,15 @@ from conftest import (
 from oracles import cp_expected_utility, cp_expected_utility_virtual, k_matrix, k_sensitivity, tensor_rule
 
 
+def traced_peak(fn):
+    """fn() and the tracemalloc peak, in bytes, of the call."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def hub_network(n: int) -> Network:
     w = np.zeros((n, n))
     w[0, 1:] = 1.0
@@ -450,8 +459,8 @@ class TestInterimCurves:
         assert np.all(np.isfinite(interim_curves(complete, 9, QuadratureEngine(order=8)).gamma))
         # the path has no twins, so its rule is the 8**8 tensor
         path = Scenario(path_network(9), case_params, uniform_dist)
-        with pytest.raises(EngineError, match=r"needs 16777216 nodes \(budget 1048576\) and "
-                                              r"134217728 floats of types \(budget 16777216\).*Monte"):
+        with pytest.raises(EngineError, match=r"order 8 at n=9 holds 16777280 weights and multiset "
+                                              r"entries, over the budget of 16777216.*Monte"):
             interim_curves(path, 9, QuadratureEngine(order=8))
 
     def test_zero_budget_engines(self):
@@ -528,38 +537,56 @@ class TestStatelessEngines:
             setattr(engine, field, 7)
 
     def test_quadrature_node_budget(self):
-        # 33**4 = 1,185,921 nodes exceed 2**20; 32**4 = 2**20 is the largest accepted
-        with pytest.raises(EngineError, match="order 33 at n=5 needs 1185921 nodes"):
-            whole_samples(QuadratureEngine(order=33), UNIFORM, 5, 0)
-        values, weights = whole_samples(QuadratureEngine(order=32), UNIFORM, 5, 0)
-        assert values.shape == (2**20, 4) and weights.shape == (2**20,)
+        # a twin-free rule at n = 5 holds order**4 weights and 4 x order table entries: order 63
+        # is the largest within 2**24, counted without building any row
+        assert QuadratureEngine(order=63).sample_count(5, 0, alone(5)) == 63**4
+        with pytest.raises(EngineError, match="order 64 at n=5 holds 16777472 weights and multiset entries"):
+            QuadratureEngine(order=64).sample_count(5, 0, alone(5))
+        values, weights = whole_samples(QuadratureEngine(order=33), UNIFORM, 5, 0)
+        assert values.shape == (33**4, 4) and weights.shape == (33**4,)
 
     def test_mc_float_budget(self, monkeypatch):
-        # (2**22 + 1) x 4 floats are refused before the draw, so nothing is allocated
-        with pytest.raises(EngineError, match="draws 16777220 floats, over the budget of 16777216"):
-            whole_samples(MonteCarloEngine(samples=2**22 + 1), UNIFORM, 4, 0)
+        """The draws are made a slice of rows at a time, so no sample count is refused by the
+        floats a whole draw would hold, and its last row is drawn alone."""
+        rows = MonteCarloEngine(samples=2**22 + 1).others_rows(UNIFORM, 4, 0, alone(4))
+        assert rows.shape == (2**22 + 1, 3)
+        assert rows.types(slice(2**22, 2**22 + 1)).shape == (1, 3)
         monkeypatch.setattr(mechanism, "MAX_ARRAY_FLOATS", 12)
-        assert whole_samples(MonteCarloEngine(samples=4), UNIFORM, 3, 0)[0].shape == (4, 2)
-        with pytest.raises(EngineError, match="13 floats, over the budget of 12"):
-            MonteCarloEngine(samples=13).others_rows(UNIFORM, 1, 0, alone(1))
+        engine = MonteCarloEngine(samples=13)
+        assert engine.sample_count(1, 0, alone(1)) == 13
+        assert whole_samples(engine, UNIFORM, 3, 0)[0].shape == (13, 2)
 
 
 class TestQuadratureBudget:
     """A rule is refused by its own size over the twin classes, never by the user count."""
 
-    # twin-free (n, order) pairs on both sides of 2**20 tensor nodes
+    # twin-free (n, order) pairs on both sides of a budget of 1024**2 + 2 x 1024 entries, the
+    # weights and multiset tables of the n = 3 rule of order 1024
     @pytest.mark.parametrize("n,order", [(3, 1024), (3, 1025), (5, 32), (5, 33), (7, 10), (7, 11)])
-    def test_twin_free_boundary(self, n, order):
+    def test_twin_free_boundary(self, monkeypatch, n, order):
+        # built at the default budget: order 1025's eigenproblem would pass the patched one
         engine = QuadratureEngine(order=order)
+        monkeypatch.setattr(mechanism, "MAX_ARRAY_FLOATS", 1024**2 + 2 * 1024)
         count = order ** (n - 1)
-        if count <= 2**20:
-            rows = engine.others_rows(UNIFORM, n, 0, alone(n))
+        entries = count + (n - 1) * order
+        if entries <= 1024**2 + 2 * 1024:
+            rows, peak = traced_peak(lambda: engine.others_rows(UNIFORM, n, 0, alone(n)))
             assert rows.shape == (count, n - 1)
+            assert peak <= 2.5 * 8 * entries, peak / (8 * entries)
         else:
             with pytest.raises(EngineError, match=(
-                    rf"order {order} at n={n} needs {count} nodes \(budget 1048576\) and "
-                    rf"{count * (n - 1)} floats of types \(budget 16777216\)")):
+                    rf"order {order} at n={n} holds {entries} weights and multiset entries, "
+                    rf"over the budget of 1050624")):
                 engine.others_rows(UNIFORM, n, 0, alone(n))
+
+    def test_one_class_rule_peak(self):
+        """The 11 others of a complete graph of 12 are one class: the rule holds C(18, 11)
+        weights and an (C(18, 11), 11) multiset table, and builds no more than 2.5 times that."""
+        count = math.comb(8 + 10, 11)
+        classes = twin_classes(complete_network(12))
+        rows, peak = traced_peak(lambda: QuadratureEngine(order=8).others_rows(UNIFORM, 12, 0, classes))
+        assert rows.shape == (count, 11)
+        assert peak <= 2.5 * 8 * 12 * count, peak / (8 * 12 * count)
 
     @pytest.mark.parametrize("n", [9, 12])
     def test_complete_graph_agrees_with_monte_carlo(self, n):
@@ -571,14 +598,14 @@ class TestQuadratureBudget:
         assert np.all(np.abs(quad.gamma[0] - mc.gamma[0]) <= 3.0 * mc.gamma_se[0])
 
     # the C(order + n - 2, n - 1) multisets of user 0's n - 1 twins are counted, never built;
-    # at n = 27 the 906192 rows fit the node budget and only their floats are refused
+    # at n = 27 the 906192 weights fit the budget and the 26 x 906192 table entries pass it
     @pytest.mark.parametrize("n,order", [(200, 8), (27, 7)])
     def test_refused_before_any_multiset(self, n, order):
         classes = twin_classes(complete_network(n))
         count = math.comb(order + n - 2, n - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(EngineError, match=rf"needs {count} nodes .* {count * (n - 1)} floats"):
+            with pytest.raises(EngineError, match=rf"holds {count * n} weights and multiset entries"):
                 QuadratureEngine(order=order).others_rows(UNIFORM, n, 0, classes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -586,15 +613,15 @@ class TestQuadratureBudget:
         assert peak < 2**20
 
     def test_refused_before_the_twin_classes(self, monkeypatch, case_params, uniform_dist):
-        # C(8 + 28, 29) = 8347680 rows if the 29 others were one class of twins
-        sc = Scenario(path_network(30), case_params, uniform_dist)
+        # C(8 + 32, 33) = 18643560 rows if the 33 others were one class of twins
+        sc = Scenario(path_network(34), case_params, uniform_dist)
 
         def no_classes(network):
             raise AssertionError("twin classes computed before the budget check")
 
         monkeypatch.setattr(market, "twin_classes", no_classes)
         monkeypatch.setattr(mechanism, "twin_classes", no_classes)
-        with pytest.raises(EngineError, match=r"needs at least 8347680 nodes \(budget 1048576\)"):
+        with pytest.raises(EngineError, match=r"holds at least 18643560 weights and multiset entries"):
             interim_curves(sc, 9, QuadratureEngine(order=8))
 
 
