@@ -38,18 +38,19 @@ from .distributions import RegularityReport, TypeDistribution, validate_regulari
 #   - the order x order Gauss-Legendre eigenproblem (mechanism.QuadratureEngine)
 #   - the curve kernel's curves, 3 x n x grid (4 with a standard error), plus as many per-chunk
 #     sums per CG chunk of the user with the most (mechanism.interim_curves). Monte Carlo draws
-#     one chunk at a time, so this is the refusal that bounds its sample count. Each chunk also
-#     holds bookkeeping that no refusal counts: about 0.15 KB serially and 2 KB with the pool
-#     (hub5, user 0, grid 9, by tracemalloc), against 4 x grid floats of sums (288 B there), so
-#     it outweighs the sums only under about 60 grid points, and reaches the budget only past
-#     about 4 x 10^8 samples at n = 5
+#     one chunk at a time, so this is the refusal that bounds its sample count. The pool holds
+#     two chunks per worker at a time, so beside the sums nothing grows with the chunk count
+#     but one weight sum per chunk and the standard error's two arrays of one quantity's sums
 #   - verify's IC sweep, --grid x --report-grid utilities of one user at a time plus 2 x n x
-#     --grid bests and gains of every user (cli.cmd_verify); the sweep of a user holds a few
-#     transients of the utilities' shape beside them (the distances to the truth, the ties)
+#     --grid bests and gains of every user (cli.cmd_verify); beside them the sweep holds the
+#     ties and distances of a block of truths, about _CHUNK_FLOATS floats each
 MAX_ARRAY_FLOATS = 2**24
 # floats of one working array (512 KiB, cache-sized), the one such budget of the package: a row
 # panel of G here (a symmetric G past it is read by panels), and in the curve kernel a CG chunk's
-# stack or a grid block's arrays
+# stack or a grid block's arrays. A worker of the curve kernel holds seven stacks of a chunk: its
+# virtual values phi and the guarded solve's six (X, CG's r and d, the product's output and two
+# of scratch, one of them CG's temporary; two more by panels), its right-hand sides a zero-stride
+# view, so live memory is about 7 x this budget per worker, beside the refusals above
 _CHUNK_FLOATS = 2**16
 
 
@@ -99,15 +100,18 @@ class Network:
         return self.weights.shape[0]
 
     def operator(self, phi: np.ndarray, tb: float, spare: int):
-        """v -> A(phi) v = tb v - phi o (G v) - G^T (phi o v) on (n,) or (n, k) stacks shaped like
-        phi, one system per column, and ``spare`` more such stacks, from one allocation.
+        """v -> A(phi) v = tb v - phi o (G v) - G^T (phi o v) on (n, ...) stacks shaped like phi,
+        one system per column, and ``spare`` more such stacks, from one allocation.
 
         Two GEMMs while G holds at most ``_CHUNK_FLOATS`` floats, the one working-array
         budget that also sizes the curve kernel's chunks, or is not ``symmetric`` (read here
         alone); otherwise G^T = G, and one GEMM per row panel of
         ``_CHUNK_FLOATS // n`` rows times the block [v | phi o v] gives both products
-        from one read of G. The spares come first, then the product's output and two stacks
-        of scratch (four by panels); each product overwrites the last. Returns (apply, spares).
+        from one read of G. A GEMM reads a stack of more than two axes as (n, -1). The spares
+        come first, then the product's output and two stacks of scratch (four by panels);
+        each product overwrites the output and all of its scratch, and holds none of it
+        between products. Returns (apply, stacks): the spares, then the first scratch stack,
+        which the caller may use as a temporary between products.
         """
         g, n, size = self.weights, self.n, phi.size
         by_panels = g.size > _CHUNK_FLOATS and self.symmetric
@@ -130,11 +134,20 @@ class Network:
                 np.subtract(np.multiply(v, tb, out=q), phi_gv, out=q)
                 return np.subtract(q, product[:, 1], out=q)
         else:
+            def flat(a):
+                # a vector stays one, for a GEMV
+                return a if a.ndim == 1 else a.reshape(n, -1)
+
+            flat_u, flat_w = flat(u), flat(w)
+
             def apply(v):
-                phi_gv = np.multiply(phi, np.matmul(g, v, out=u), out=u)
+                np.matmul(g, flat(v), out=flat_u)
+                phi_gv = np.multiply(phi, u, out=u)
                 np.subtract(np.multiply(v, tb, out=q), phi_gv, out=q)
-                return np.subtract(q, np.matmul(g.T, np.multiply(phi, v, out=u), out=w), out=q)
-        return apply, stacks[:spare]
+                np.multiply(phi, v, out=u)
+                np.matmul(g.T, flat_u, out=flat_w)
+                return np.subtract(q, w, out=q)
+        return apply, stacks[:spare] + [u]
 
 
 def check_dense_size(n: int) -> None:

@@ -95,20 +95,23 @@ sample count; it is market's one working-array budget, which also sizes the row
 panels of ``Network.operator``. A user's samples run in CG chunks, each stack
 about that many floats (at least one system), and each chunk takes its own
 samples all the way: it draws only its rows of the sample set, solves their s
-and S (one workspace allocated up front, so CG iterations allocate nothing of
-the stack's size), fills its own three stacks, and runs the grid stage on them
-in blocks of at least one grid point, each block's arrays at most
-``_CHUNK_FLOATS`` floats and freed before the next. What leaves a chunk is
-its weighted sums of x_i g_i.x, x_i and x_i^2 at every grid point (and, for a
-standard error, of the squares about the chunk's mean), added chunk by chunk
-in order once all chunks are done: a few floats per grid point and chunk,
-which ``interim_curves`` refuses beyond the refusal budget
+and S on seven stacks (its virtual values phi, read into phi's two halves and
+then dropped, and the solve's one workspace of six, allocated up front, so CG
+iterations allocate nothing of the stack's size; the right-hand sides are a
+zero-stride view of one pair), fills its own three small stacks, and runs the
+grid stage on them in blocks of at least one grid point, each block's arrays
+at most ``_CHUNK_FLOATS`` floats and freed before the next. What leaves a
+chunk is its weighted sums of x_i g_i.x, x_i and x_i^2 at every grid point
+(and, for a standard error, of the squares about the chunk's mean), added
+chunk by chunk in order once all chunks are done: a few floats per grid point
+and chunk, which ``interim_curves`` refuses beyond the refusal budget
 ``market.MAX_ARRAY_FLOATS``. Beside those sums and a quadrature rule (its
 weights and multiset tables), no array grows with the sample count: live
-memory is one chunk's arrays per worker, at most ``os.cpu_count()`` of them.
-Users run in turn, and the pool's tasks are the chunks of one user; a user
-whose samples fit one CG chunk runs on the calling thread alone, and its sums
-are its values, bit for bit.
+memory is one chunk's seven stacks per worker, at most ``os.cpu_count()`` of
+them. Users run in turn, and the pool's tasks are the chunks of one user,
+submitted two per worker at a time, so neither do its futures; a user whose
+samples fit one CG chunk runs on the calling thread alone, and its sums are
+its values, bit for bit.
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -137,6 +140,7 @@ import contextvars
 import math
 import os
 import warnings
+from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -251,9 +255,11 @@ def _cg(apply_a, rhs: np.ndarray, x: np.ndarray, floor, cap: int, name, work):
     leading axis, which stays fast when n is small. Each system runs its own
     recurrence (its own rr, alpha and beta) until ||r||_inf <= floor(||x||_inf)
     in its column; a system at its floor is frozen, so a zero right-hand side
-    costs no 0/0. x is updated in place, and ``work``, three arrays of x's
-    shape, holds r, d and a temporary, so an iteration allocates nothing of
-    the stack's size beyond what ``apply_a`` does.
+    costs no 0/0. rhs may be any array that broadcasts to x's shape (the curve
+    kernel's is a zero-stride view of one column pair). x is updated in place,
+    and ``work``, three arrays of x's shape, holds r, d and a temporary, which
+    ``apply_a`` may overwrite (it is the operator's scratch), so an iteration
+    allocates nothing of the stack's size beyond what ``apply_a`` does.
     Returns (x, iterations); raises SolverError, prefixed by
     ``name(system, entry)``, after ``cap`` iterations.
     """
@@ -289,10 +295,12 @@ def _cg(apply_a, rhs: np.ndarray, x: np.ndarray, floor, cap: int, name, work):
 
 def _solve(sc: Scenario, phi: np.ndarray, rhs: np.ndarray, system: str,
            name=lambda column, entry: f"user {entry}"):
-    """The one guarded solve: A(phi) X = rhs on every column of an (n,) or (n, k) stack.
+    """The one guarded solve: A(phi) X = rhs on every column of an (n, ...) stack.
 
-    Column k of phi holds system k's virtual values; ``Network.operator`` makes the
-    products with A(phi), and its one allocation also holds X and CG's three vectors.
+    Each column of phi holds one system's virtual values, and rhs broadcasts to phi's
+    shape; ``Network.operator`` makes the products with A(phi), and its one allocation
+    also holds X and CG's r and d, while CG's temporary is the operator's scratch stack:
+    six stacks of phi's shape on the two-GEMM path, eight by panels.
     The checks: every phi in [0, theta_bar], the premise of ``_a_priori``, whose
     condition refusal names ``system``; CG from X0 = rhs / (t+b) until each column
     meets the backward-error floor 8 eps (||A||_inf ||x||_inf + ||rhs||_inf), within
@@ -314,7 +322,7 @@ def _solve(sc: Scenario, phi: np.ndarray, rhs: np.ndarray, system: str,
         )
     bounds = _a_priori(sc, system)
     tb = sc.params.t + sc.params.b
-    apply_a, (x, r, d, t) = sc.network.operator(phi, tb, spare=4)
+    apply_a, (x, r, d, t) = sc.network.operator(phi, tb, spare=3)
     scale = np.abs(rhs, out=r).max(axis=0)
 
     def floor(x_norm):
@@ -583,8 +591,13 @@ class MonteCarloEngine:
         2003, sec. 1.1). One chunk's squares are the merged ones.
         """
         m = self.samples
-        spread = sums / weights[:, None] - np.add.reduce(sums) / np.add.reduce(weights)
-        var = np.add.reduce(squares + weights[:, None] * spread * spread) * m / max(1, m - 1)
+        spread = sums / weights[:, None]
+        spread -= np.add.reduce(sums) / np.add.reduce(weights)
+        # two arrays of the chunks' sums: the spreads, then squares + weights * spread^2
+        term = weights[:, None] * spread
+        term *= spread
+        term += squares
+        var = np.add.reduce(term) * m / max(1, m - 1)
         return np.sqrt(var / m)
 
     def sample_count(self, n: int, i: int, classes) -> int:
@@ -679,53 +692,68 @@ def _chunk_slices(m: int, chunk: int):
         yield slice(start, min(start + chunk, m))
 
 
-def _map(pool, fn, items) -> None:
-    """fn on every item in order, on the pool if there is one; the earliest item's error propagates.
+def _map(pool, fn, items, window: int):
+    """fn on every item, its results yielded in item order; on the pool if there is one.
 
-    A pool task runs in a copy of the caller's context, taken here: numpy keeps
-    ``np.errstate`` in a contextvar, and pool threads start from an empty context."""
+    The pool holds at most ``window`` items at a time, submitted in order as the earliest
+    is collected, so its futures and contexts do not grow with the items. The earliest
+    item's error propagates, and the items submitted after it are cancelled. A pool task
+    runs in a copy of the caller's context, taken here: numpy keeps ``np.errstate`` in a
+    contextvar, and pool threads start from an empty context."""
     if pool is None:
+        yield from map(fn, items)
+        return
+    pending = deque()
+    try:
         for item in items:
-            fn(item)
-    else:
-        items = list(items)
-        contexts = [contextvars.copy_context() for _ in items]
-        list(pool.map(lambda context, item: context.run(fn, item), contexts, items))
+            pending.append(pool.submit(contextvars.copy_context().run, fn, item))
+            if len(pending) == window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
-def _rank2_factors(sc: Scenario, i: int, phis_others: np.ndarray, start: int):
+def _rank2_factors(sc: Scenario, i: int, rows, sl: slice):
     """The SMW factors of user i's curve on one chunk of samples: s = [g_i.y, y_i] and S (2 x 2).
 
     For every sample of the other users' virtual values, B is A with
     phi_i = 0, y = B^-1 c 1, z = B^-1 e_i and w = B^-1 g_i. B is symmetric for
     any G, so g_i.y = c 1.w and y_i = c 1.z, and only z and w are solved: by
-    the guarded ``_solve`` on the (n, 2 m) stack [z w] of the chunk's m
-    samples. ``phis_others`` is the chunk's (m, n-1) virtual values and
-    ``start`` the user's number of its first sample. B meets the bounds of
-    ``_a_priori``, since phi_i = 0 only raises row slack.
+    the guarded ``_solve`` on the (n, 2, m) stack [z w] of the chunk's m
+    samples. ``rows[sl]`` is the chunk's (m, n-1) virtual values (``SampleRows``,
+    or an array of them), read here and dropped once phi holds them, and
+    ``sl.start`` the user's number of its first sample. The right-hand sides are
+    a zero-stride view of the one pair [e_i, g_i], so the chunk holds phi and the
+    solve's six stacks. B meets the bounds of ``_a_priori``, since phi_i = 0 only
+    raises row slack.
     Returns s with shape (m, 2) and S with shape (m, 2, 2), rows
     (g_i.[z w], [z_i w_i]). A SolverError names the user, the right-hand side
-    and the sample, numbered from ``start``.
+    and the sample, numbered from ``sl.start``.
     """
     n = sc.n
-    m = len(phis_others)
     system = f"user {i}: base system (phi_{i} = 0)"
     p = sc.params
     g_i = sc.network.weights[i]
-    phi = np.empty((n, 2 * m))
+    values = rows[sl]
+    m = len(values)
+    phi = np.empty((n, 2, m))
     phi[i] = 0.0
-    phi[np.delete(np.arange(n), i), :m] = phis_others.T
-    phi[:, m:] = phi[:, :m]
-    rhs = np.zeros((n, 2 * m))
-    rhs[i, :m] = 1.0
-    rhs[:, m:] = g_i[:, None]
+    phi[np.delete(np.arange(n), i), 0] = values.T
+    del values  # not held through the solve
+    phi[:, 1] = phi[:, 0]
+    pair = np.zeros((n, 2, 1))
+    pair[i, 0] = 1.0
+    pair[:, 1, 0] = g_i
 
     def where(column, entry):
         return (f"{system} right-hand side {('e_i', 'g_i')[column // m]} "
-                f"at sample {start + column % m}")
+                f"at sample {sl.start + column % m}")
 
-    x = _solve(sc, phi, rhs, system, where)[0]
-    z, w = x[:, :m], x[:, m:]
+    x = _solve(sc, phi, np.broadcast_to(pair, phi.shape), system, where)[0]
+    z, w = x[:, 0], x[:, 1]
     s = (p.s + p.a - p.p) * np.stack([w.sum(axis=0), z.sum(axis=0)], axis=1)
     return s, np.stack([g_i @ z, g_i @ w, z[i], w[i]], axis=1).reshape(m, 2, 2)
 
@@ -741,7 +769,8 @@ def interim_curves(
 
     Users run in turn. ``threads`` > 1 opens one pool, of at most
     ``os.cpu_count()`` workers (live memory grows with the workers by one
-    chunk each), and each user maps its CG chunks over it once, so the
+    chunk, seven stacks of about ``_CHUNK_FLOATS`` floats, each), and each
+    user maps its CG chunks over it once, two per worker at a time, so the
     earliest chunk's CG SolverError is the one raised, as in a serial
     run. This is the one place that chunks a user and picks the pool: a CG
     chunk holds about ``_CHUNK_FLOATS`` floats of stack and at least one
@@ -810,20 +839,20 @@ def interim_curves(
     c = np.full((n, grid_size), np.nan)
     gamma_se = None if engine.standard_error is None else np.full((n, grid_size), np.nan)
 
+    workers = min(threads, os.cpu_count() or 1)
+
     def run_user(i, pool):
         rows = engine.others_rows(dist, n, i, classes)
-        chunks = list(_chunk_slices(rows.shape[0], chunk))
+        count = -(-rows.shape[0] // chunk)
         # per chunk and grid point, the weighted sums of x_i g_i.x, x_i and x_i^2 and, for a
         # standard error, of (x_i g_i.x - the chunk's mean)^2; each chunk's weight sum
-        sums = np.empty((len(chunks), quantities, grid_size))
-        weight_sums = np.empty(len(chunks))
-        # each chunk's first sign break: (grid index, guard, sample, value)
-        breaks = [None] * len(chunks)
+        sums = np.empty((count, quantities, grid_size))
+        weight_sums = np.empty(count)
 
         def coefficients(sl):
             # (I - phi S) [g_i.x, x_i] = s by Cramer's rule: tr_dt = [tr, -dt], x_num = [ca, s1]
             # and g_num = [cb, s0], one column per sample of the chunk
-            factors = _rank2_factors(sc, i, rows[sl], sl.start)
+            factors = _rank2_factors(sc, i, rows, sl)
             (s0, s1), (s00, s01, s10, s11) = (f.reshape(len(f), -1).T for f in factors)
             tr_dt, x_num, g_num = np.empty((3, 2, len(s0)))
             np.add(s00, s11, out=tr_dt[0])
@@ -835,8 +864,10 @@ def interim_curves(
             x_num[1], g_num[1] = s1, s0
             return tr_dt, x_num, g_num
 
-        def run_chunk(k):
-            sl = chunks[k]
+        def run_chunk(sl):
+            """The chunk's sums in its own row; its first sign break, (grid index, guard,
+            sample, value), or None."""
+            k = sl.start // chunk
             weights = np.ascontiguousarray(rows.weights[sl])
             weight_sums[k] = weights.sum()
             tr_dt, x_num, g_num = coefficients(sl)
@@ -870,12 +901,15 @@ def interim_curves(
 
             # block by block, each block's arrays freed before the next; a break ends the chunk
             blocks = _chunk_slices(grid_size, max(1, _CHUNK_FLOATS // weights.size))
-            breaks[k] = next(filter(None, map(grid_block, blocks)), None)
+            return next(filter(None, map(grid_block, blocks)), None)
 
-        # one CG chunk: the user runs on this thread
-        _map(pool if len(chunks) > 1 else None, run_chunk, range(len(chunks)))
-        if any(breaks):
-            t, q, j, value = min(b for b in breaks if b)
+        # one CG chunk: the user runs on this thread; more go to the pool two per worker at a
+        # time, and only the least sign break of those run so far is kept
+        chunks = _chunk_slices(rows.shape[0], chunk)
+        first = min(filter(None, _map(pool if count > 1 else None, run_chunk, chunks, 2 * workers)),
+                    default=None)
+        if first:
+            t, q, j, value = first
             name = ("det(I - phi S)", f"x_{i}", f"g_{i}.x")[q]
             raise SolverError(f"user {i} at theta {grid[t]:.12g}: {name} = {value:.6g} "
                               f"at sample {j} breaks the sign that Assumption 2 promises")
@@ -886,7 +920,6 @@ def interim_curves(
         if gamma_se is not None:
             gamma_se[i] = engine.standard_error(sums[:, 0], sums[:, 3], weight_sums)
 
-    workers = min(threads, os.cpu_count() or 1)
     # the pool starts a thread only when a chunk is submitted to it
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for i in runs:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import Scenario, cp_ex_post_utility
+from .market import _CHUNK_FLOATS, Scenario, cp_ex_post_utility
 from .mechanism import MIN_GRID, InterimCurves, RewardSchedule, _on_grid, demand_solve
 
 # tolerances: IC on quadrature-backed curves (Monte Carlo ones take theirs from
@@ -143,14 +143,18 @@ def interim_utility(
 ):
     """V_i(theta_hat) + theta_true * gamma_i(theta_hat) + r_i(theta_hat).
 
-    Broadcasts over theta_true and theta_hat; a float for scalar input.
+    Broadcasts over theta_true and theta_hat; a float for scalar input. The one
+    array of the broadcast shape is the result: V and r, of theta_hat's shape,
+    are added into theta_true * gamma (a sum that rounds as V + theta_true * gamma).
     """
     grid = curves.grid
     theta_true = _on_grid(grid, theta_true, "true type")
     theta_hat = _on_grid(grid, theta_hat, "report")
     v = np.interp(theta_hat, grid, curves.v[i])
     gamma = np.interp(theta_hat, grid, curves.gamma[i])
-    u = v + theta_true * gamma + rewards.reward(i, theta_hat)
+    u = theta_true * gamma
+    u += v
+    u += rewards.reward(i, theta_hat)
     return float(u) if u.ndim == 0 else u
 
 
@@ -195,17 +199,26 @@ def verify_ic(
     step = reports[1] - reports[0]
 
     users = curves.users
-    distance = np.abs(reports - truths[:, None])
+    # the ties and distances of a block of truths at a time, about _CHUNK_FLOATS floats each
+    height = max(1, _CHUNK_FLOATS // reports.size)
+    blocks = [slice(k, k + height) for k in range(0, truths.size, height)]
 
     def sweep(i):
-        """User i's best report of each truth, its gain over the truthful one, and max |U_i|."""
+        """User i's best report of each truth, its gain over the truthful one, and max |U_i|.
+
+        u is the one array of the (truth, report) shape that it holds."""
         u = interim_utility(curves, rewards, i, truths[:, None], reports)
-        # of reports whose utility equals the maximum exactly, the one nearest the truth
-        # (a NaN counts as a maximum, so it carries into the gain)
-        ties = (u == np.max(u, axis=1, keepdims=True)) | np.isnan(u)
-        best = np.argmin(np.where(ties, distance, np.inf), axis=1)
+        top = np.max(u, axis=1, keepdims=True)
+        best = np.empty(truths.size, dtype=np.intp)
+        for rows in blocks:
+            # of reports whose utility equals the maximum exactly, the one nearest the truth
+            # (a NaN counts as a maximum, so it carries into the gain)
+            ties = (u[rows] == top[rows]) | np.isnan(u[rows])
+            distance = np.abs(reports - truths[rows, None])
+            best[rows] = np.argmin(np.where(ties, distance, np.inf), axis=1)
         gains = u[np.arange(truths.size), best] - interim_utility(curves, rewards, i, truths, truths)
-        return best, gains, np.max(np.abs(u))
+        # max |u| as max(max u, -min u), which is exact; a NaN carries through both
+        return best, gains, np.maximum(np.max(top), -np.min(u))
 
     # one user's (truth, report) utilities at a time; (user, truth) bests and gains
     best, gains, scales = (np.array(part) for part in zip(*map(sweep, users)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,15 @@ from netmech.market import scaled_random_half_network
 
 CASE_PARAMS = MarketParams(a=0.5, b=6.0, s=1.0, t=1.0, p=0.1)
 UNIFORM = Uniform(0.4, 0.8)
+
+
+def traced_peak(fn):
+    """fn() and the tracemalloc peak, in bytes, of the call."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def complete_network(n: int) -> Network:

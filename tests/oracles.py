@@ -192,7 +192,7 @@ def tensor_curves(sc: Scenario, grid_size: int, order: int, users) -> dict:
     phi = np.asarray(dist.virtual_value(grid), dtype=float)[:, None, None, None]
     out = {key: np.full((n, grid_size), np.nan) for key in ("gamma", "v", "c")}
     for i in users:
-        s, big_s = mechanism._rank2_factors(sc, i, phis, 0)
+        s, big_s = mechanism._rank2_factors(sc, i, phis, slice(0, len(phis)))
         m = np.eye(2) - phi * big_s
         x = np.linalg.solve(m, np.broadcast_to(s[..., None], m.shape[:-1] + (1,)))[..., 0]
         gx, xi = x[..., 0], x[..., 1]

@@ -1,7 +1,6 @@
 import argparse
 import json
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +10,7 @@ from netmech import cli, mechanism
 from netmech.cli import main
 from netmech.config import ConfigError, load_config, scenario_from_config
 from netmech.experiments import TABLE2_SIZES, Check, ExperimentResult
+from conftest import traced_peak
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 COMPLETE5 = str(CONFIG_DIR / "complete5.json")
@@ -155,12 +155,7 @@ class TestValidateVerb:
         cfg = json.loads(Path(COMPLETE5).read_text())
         cfg["network"] = network
         path = write_config(tmp_path, cfg)
-        tracemalloc.start()
-        try:
-            code = main(["validate", "--config", path])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(["validate", "--config", path]))
         assert code == 2
         assert ("a dense network of n=30000 users holds 900000000 weights, over the budget of "
                 "16777216 floats") in capsys.readouterr().err
@@ -215,12 +210,7 @@ class TestVerifyVerb:
 
     def test_ic_sweep_over_budget_exits_two_before_allocating(self, tmp_path, capsys):
         args = ["verify", "--config", COMPLETE5, "--quad-order", "2", "--out", str(tmp_path)]
-        tracemalloc.start()
-        try:
-            code = main(args + ["--grid", "20000", "--report-grid", "20000"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(args + ["--grid", "20000", "--report-grid", "20000"]))
         assert code == 2
         err = capsys.readouterr().err
         assert ("the IC sweep of --grid 20000 x --report-grid 20000 utilities per user and "
@@ -242,6 +232,17 @@ class TestVerifyVerb:
         monkeypatch.setattr(cli, "interim_curves", lambda *a, **k: pytest.fail("curves before the refusal"))
         assert main(args) == 2
         assert "holds 4431 floats, over the budget of 4430" in capsys.readouterr().err
+
+    def test_ic_sweep_holds_what_it_counts(self, tmp_path, capsys):
+        """At 1001 x 1001 the counted 1001 x (1001 + 2 x 5) floats (8.1 MB) are one user's
+        utilities and every user's bests and gains; beside them the sweep holds a block of
+        truths' ties and distances, about 2**16 floats each. 10.9 MB read, against 26.3 MB
+        with the distances, |u| and the masked distances of the whole sweep held."""
+        argv = ["verify", "--config", COMPLETE5, "--quad-order", "2", "--grid", "1001",
+                "--report-grid", "1001", "--out", str(tmp_path)]
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0 and "IC PASS" in capsys.readouterr().out
+        assert peak <= 1.5 * 8 * 1001 * (1001 + 2 * 5), peak / (8 * 1001 * 1011)
 
     @pytest.mark.parametrize("config", [HUB5, COMPLETE5], ids=["hub5", "complete5"])
     def test_ic_holds_between_report_nodes(self, tmp_path, capsys, config):
@@ -429,12 +430,8 @@ class TestBadValuesExitTwo:
             monkeypatch.delenv("NETMECH_SEED", raising=False)
         else:
             monkeypatch.setenv("NETMECH_SEED", env)
-        tracemalloc.start()
-        try:
-            assert main(argv + ["--out", str(tmp_path)]) == 2
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(argv + ["--out", str(tmp_path)]))
+        assert code == 2
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err

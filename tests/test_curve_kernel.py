@@ -13,7 +13,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -35,9 +34,9 @@ from netmech import (
     verify_all,
 )
 from netmech import market, mechanism
-from netmech.market import make_network, twin_classes
+from netmech.market import make_network, scaled_random_half_network, twin_classes
 from netmech.mechanism import SampleRows, solve_profiles
-from conftest import alone, large_scenario, random_valid_scenario, whole_samples
+from conftest import CASE_PARAMS, UNIFORM, alone, large_scenario, random_valid_scenario, traced_peak, whole_samples
 import oracles
 from oracles import tensor_curves, tensor_rule
 from test_mechanism import boundary_scenario
@@ -119,9 +118,9 @@ def tamper_factors(monkeypatch, tamper):
     factors = mechanism._rank2_factors
     chunks = {}
 
-    def tampered(sc, i, phis_others, start):
-        chunks[start] = tamper(*factors(sc, i, phis_others, start), start)
-        return chunks[start]
+    def tampered(sc, i, rows, sl):
+        chunks[sl.start] = tamper(*factors(sc, i, rows, sl), sl.start)
+        return chunks[sl.start]
 
     monkeypatch.setattr(mechanism, "_rank2_factors", tampered)
     return chunks
@@ -152,7 +151,7 @@ def assert_factors_match_lu(sc, engine, users=None):
     for i in range(sc.n) if users is None else users:
         values, _ = whole_samples(engine, sc.dist, sc.n, i)
         phis = np.asarray(sc.dist.virtual_value(values), dtype=float)
-        got = mechanism._rank2_factors(sc, i, phis, 0)
+        got = mechanism._rank2_factors(sc, i, phis, slice(0, len(phis)))
         want = lu_factors(sc, i, phis)
         for name, g, w in zip(("s", "S"), got, want):
             assert g.shape == w.shape
@@ -444,13 +443,8 @@ class TestTwinReduction:
         assert [engine.others_rows(hub5.dist, 5, i, hub).shape[0] for i in range(5)] == [1296] + [2304] * 4
         for order in (8, 32):
             # C(order + 3, 4) multisets of four exchangeable users: 330 and 52360
-            tracemalloc.start()
-            try:
-                rows = QuadratureEngine(order=order).others_rows(
-                    complete5.dist, 5, 0, twin_classes(complete5.network))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            rows, peak = traced_peak(lambda: QuadratureEngine(order=order).others_rows(
+                complete5.dist, 5, 0, twin_classes(complete5.network)))
             assert rows.shape == (math.comb(order + 3, 4), 4)
             assert rows.weights.sum() == pytest.approx(1.0, rel=1e-13)
         # the 2**20 weights of the full tensor alone would take 8 MiB
@@ -549,12 +543,8 @@ class TestChunkPath:
         for threads in (1, 2):
             peaks = []
             for samples in (200_000, 1_000_000):
-                tracemalloc.start()
-                try:
-                    interim_curves(hub5, 9, MonteCarloEngine(samples=samples, seed=3), users=[0], threads=threads)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
+                peaks.append(traced_peak(lambda: interim_curves(
+                    hub5, 9, MonteCarloEngine(samples=samples, seed=3), users=[0], threads=threads))[1])
             # about 6 MiB on one thread and 12 MiB on two
             assert max(peaks) <= 16 * 2**20, (threads, peaks)
             assert abs(peaks[1] - peaks[0]) <= 2**20, (threads, peaks)
@@ -566,12 +556,7 @@ class TestChunkPath:
         engine = MonteCarloEngine(samples=200_000, seed=3)
         peaks = []
         for users in ([0], [0, 1, 2]):
-            tracemalloc.start()
-            try:
-                interim_curves(hub5, 9, engine, users=users, threads=2)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(lambda: interim_curves(hub5, 9, engine, users=users, threads=2))[1])
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_user_peak_within_ten_and_a_half_floats_per_sample(self, hub5):
@@ -579,13 +564,57 @@ class TestChunkPath:
         so the peak is far inside the ten floats per sample that whole-user stacks and grid
         arrays of a two-pass kernel would hold."""
         samples = 1_000_000
-        tracemalloc.start()
-        try:
-            interim_curves(hub5, 9, MonteCarloEngine(samples=samples, seed=3), users=[0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: interim_curves(hub5, 9, MonteCarloEngine(samples=samples, seed=3), users=[0]))[1]
         assert peak <= 10.5 * 8 * samples + 2**20
+
+    def test_chunk_holds_seven_stacks(self):
+        """One CG chunk on the two-GEMM path holds phi and the solve's six stacks, each
+        (n, 2m) floats, and per-column arrays of 2m floats: its right-hand sides are a
+        zero-stride view, CG's temporary is the operator's scratch and its virtual values are
+        dropped before the solve. At n = 50, 7.31 stacks read, against 9.80 with the
+        right-hand sides, the virtual values and CG's temporary held."""
+        n = 50
+        sc = Scenario(scaled_random_half_network(n, n, CASE_PARAMS, UNIFORM.upper)[0], CASE_PARAMS, UNIFORM)
+        assert sc.network.weights.size <= market._CHUNK_FLOATS  # the two-GEMM path
+        m = mechanism._CHUNK_FLOATS // (2 * n)  # 655 samples, the whole user in one chunk
+        peak = traced_peak(lambda: interim_curves(sc, 9, MonteCarloEngine(samples=m, seed=1), users=[0]))[1]
+        stack, column = 8 * n * 2 * m, 8 * 2 * m
+        assert peak <= 7 * stack + 24 * column, peak / stack
+
+    def test_pool_holds_a_window_of_chunks(self, hub5, monkeypatch):
+        """A user's chunks go to the pool two per worker at a time, so no bookkeeping grows
+        with the chunk count: from 50 to 500 chunks of 16 samples the peak grows by the
+        counted sums (4 x 9 floats and a weight sum per chunk) and the standard error's two
+        arrays of 9 floats per chunk, about 480 B per chunk; futures, contexts and slices of
+        every chunk took 2.3 KB per chunk at two workers. The runs are bit-identical at one
+        and two threads."""
+        monkeypatch.setattr(mechanism, "_CHUNK_FLOATS", 2 * 5 * 16)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pending, peaks = [], {}
+
+        class Spy(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                future = super().submit(fn, *args, **kwargs)
+                live.add(future)
+                future.add_done_callback(live.discard)
+                pending.append(len(live))
+                return future
+
+        live = set()
+        monkeypatch.setattr(mechanism, "ThreadPoolExecutor", Spy)
+        for threads in (1, 2):
+            for samples in (800, 8000):
+                engine = MonteCarloEngine(samples=samples, seed=3)
+                peaks[threads, samples] = traced_peak(
+                    lambda: interim_curves(hub5, 9, engine, users=[0], threads=threads))
+        assert len(pending) == 50 + 500 and max(pending) <= 2 * 2
+        for threads in (1, 2):
+            grown = (peaks[threads, 8000][1] - peaks[threads, 800][1]) / 450
+            assert grown <= 2 * 8 * (4 * 9 + 1), (threads, grown)
+        for samples in (800, 8000):
+            got, want = peaks[2, samples][0], peaks[1, samples][0]
+            for field in ("gamma", "v", "c", "gamma_se"):
+                assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
 
     def test_pool_tasks_keep_the_callers_errstate(self, hub5, monkeypatch):
         """numpy's error state is a contextvar: a pool chunk runs under the caller's, so an
@@ -639,7 +668,8 @@ class TestChunkPath:
         assert sorted(chunks) == list(range(0, 700, 64))
         values, _ = whole_samples(engine, hub5.dist, 5, 3)
         monkeypatch.undo()
-        whole = mechanism._rank2_factors(hub5, 3, np.asarray(hub5.dist.virtual_value(values), dtype=float), 0)
+        phis = np.asarray(hub5.dist.virtual_value(values), dtype=float)
+        whole = mechanism._rank2_factors(hub5, 3, phis, slice(0, len(phis)))
         for got, want in zip(joined(chunks), whole):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -654,17 +684,12 @@ class TestChunkPath:
         rhs[0, :m] = 1.0
         rhs[:, m:] = sc.network.weights[0][:, None]
         assert sc.network.weights.size <= market._CHUNK_FLOATS  # the two-GEMM path
-        tracemalloc.start()
-        try:
-            x, iterations, _, _ = mechanism._solve(sc, phi, rhs, "base system")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (x, iterations, _, _), peak = traced_peak(lambda: mechanism._solve(sc, phi, rhs, "base system"))
         assert iterations > 5
-        # the solve's one workspace of seven stack-sized arrays, then per-column arrays and
+        # the solve's one workspace of six stack-sized arrays, then per-column arrays and
         # numpy's 64 KiB buffer for broadcast products; one more (n, 2m) array in any
         # iteration would add phi.nbytes
-        assert peak < 7 * rhs.nbytes + phi.nbytes / 3
+        assert peak < 6 * rhs.nbytes + phi.nbytes / 3
         want = np.linalg.solve(mechanism._assemble(sc, phi.T), rhs.T[..., None])[..., 0].T
         assert np.allclose(x, want, rtol=0, atol=1e-12)
 

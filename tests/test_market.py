@@ -1,5 +1,4 @@
 import ast
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ from netmech import (
 from netmech import market
 from netmech.config import network_from_config
 from netmech.market import make_network, twin_classes
-from conftest import CASE_PARAMS, UNIFORM, alone, complete_network, path_network, zero_network
+from conftest import CASE_PARAMS, UNIFORM, alone, complete_network, path_network, traced_peak, zero_network
 import oracles
 from oracles import user_utility
 
@@ -328,12 +327,7 @@ def same_bits(network: Network, reference: np.ndarray) -> bool:
 
 def traced_build(build, n: int):
     """The network that ``build(n)`` makes and the tracemalloc peak of making it."""
-    tracemalloc.start()
-    try:
-        built = build(n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    built, peak = traced_peak(lambda: build(n))
     network = built[0] if isinstance(built, tuple) else built
     assert network.n == n and network.symmetric == np.array_equal(network.weights, network.weights.T)
     return network, peak

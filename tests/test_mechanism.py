@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -33,18 +32,9 @@ from netmech import market, mechanism
 from netmech.mechanism import demand_solution, solve_profiles
 from conftest import (
     CASE_PARAMS, UNIFORM, alone, complete_network, large_scenario, path_network, random_valid_scenario,
-    whole_samples, zero_network,
+    traced_peak, whole_samples, zero_network,
 )
 from oracles import cp_expected_utility, cp_expected_utility_virtual, k_matrix, k_sensitivity, tensor_rule
-
-
-def traced_peak(fn):
-    """fn() and the tracemalloc peak, in bytes, of the call."""
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def hub_network(n: int) -> Network:
@@ -334,9 +324,12 @@ class TestPanelProduct:
     @staticmethod
     def product(sc, phi, stacks):
         """The operator's product, whose buffer with one spare stack holds ``stacks`` stacks:
-        four on the two-GEMM path, six on the panel path."""
-        apply, (spare,) = sc.network.operator(phi, sc.params.t + sc.params.b, spare=1)
-        assert spare.base.size == stacks * phi.size
+        four on the two-GEMM path, six on the panel path. The scratch stack it hands out
+        is the one after the product's output, filled with NaN here: no product reads it."""
+        apply, (spare, scratch) = sc.network.operator(phi, sc.params.t + sc.params.b, spare=1)
+        assert spare.base.size == stacks * phi.size and scratch.base is spare.base
+        assert scratch.shape == phi.shape and scratch.ctypes.data == spare.ctypes.data + 2 * phi.nbytes
+        scratch.fill(np.nan)
         return apply
 
     @staticmethod
@@ -359,10 +352,11 @@ class TestPanelProduct:
         want = np.linalg.solve(mechanism._assemble(sc, phis), rhss[..., None])[..., 0].T.reshape(shape)
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("symmetric, stacks", [(True, 9), (False, 7)], ids=["panel", "two-gemm"])
+    @pytest.mark.parametrize("symmetric, stacks", [(True, 8), (False, 6)], ids=["panel", "two-gemm"])
     @pytest.mark.parametrize("shape", [(300,), (300, 4)], ids=["vector", "stack"])
     def test_solve_takes_one_allocation(self, symmetric, stacks, shape):
-        """X, CG's three vectors and the product's scratch are carved from one buffer."""
+        """X, CG's r and d and the product's output and scratch, which also serves as CG's
+        temporary, are carved from one buffer."""
         phi, rhs = self.system(shape)
         x = mechanism._solve(large_scenario(symmetric), phi, rhs, "test system")[0]
         assert x.base.size == stacks * x.size
@@ -392,16 +386,11 @@ class TestPanelProduct:
     def test_panel_iterations_allocate_nothing_of_the_stack_size(self):
         sc = large_scenario(True)
         phi, rhs = self.system((300, 200))
-        tracemalloc.start()
-        try:
-            x, iterations, _, _ = mechanism._solve(sc, phi, rhs, "test system")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (x, iterations, _, _), peak = traced_peak(lambda: mechanism._solve(sc, phi, rhs, "test system"))
         assert iterations > 3
-        # the panel path's one workspace of nine stack-sized arrays; one more in any
+        # the panel path's one workspace of eight stack-sized arrays; one more in any
         # iteration would add phi.nbytes
-        assert peak < 9 * rhs.nbytes + phi.nbytes / 3
+        assert peak < 8 * rhs.nbytes + phi.nbytes / 3
 
 
 class TestKSensitivity:
@@ -603,13 +592,12 @@ class TestQuadratureBudget:
     def test_refused_before_any_multiset(self, n, order):
         classes = twin_classes(complete_network(n))
         count = math.comb(order + n - 2, n - 1)
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(EngineError, match=rf"holds {count * n} weights and multiset entries"):
                 QuadratureEngine(order=order).others_rows(UNIFORM, n, 0, classes)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        peak = traced_peak(refused)[1]
         assert peak < 2**20
 
     def test_refused_before_the_twin_classes(self, monkeypatch, case_params, uniform_dist):
