@@ -36,11 +36,11 @@ from .distributions import RegularityReport, TypeDistribution, validate_regulari
 #     the other users, plus each class's (C(order+k_c-1, k_c), k_c) multiset table
 #     (mechanism.QuadratureEngine); its types are made one CG chunk at a time
 #   - the order x order Gauss-Legendre eigenproblem (mechanism.QuadratureEngine)
-#   - the curve kernel's curves, 3 x n x grid (4 with a standard error), plus as many per-chunk
-#     sums per CG chunk of the user with the most (mechanism.interim_curves). Monte Carlo draws
-#     one chunk at a time, so this is the refusal that bounds its sample count. The pool holds
-#     two chunks per worker at a time, so beside the sums nothing grows with the chunk count
-#     but one weight sum per chunk and the standard error's two arrays of one quantity's sums
+#   - the curve kernel's curves, 3 x n x grid (4 with a standard error), plus as many sums per
+#     chunk held at once: a user's running total, the chunk added last and the pool's two per
+#     worker (one in flight without it) (mechanism.interim_curves). Beside them it holds six
+#     floats per grid point (the grid, its virtual values and their two factors) and a few
+#     grid-sized temporaries, and nothing that grows with the sample count
 #   - verify's IC sweep, --grid x --report-grid utilities of one user at a time plus 2 x n x
 #     --grid bests and gains of every user (cli.cmd_verify); beside them the sweep holds the
 #     ties and distances of a block of truths, about _CHUNK_FLOATS floats each

@@ -40,11 +40,10 @@ independent noise. Both engines are plain values:
 rule, or reseeds the generator, on each call, and hands out the sample set a
 slice of rows at a time: quadrature computes the rows' node indices, and Monte
 Carlo advances the generator past the earlier rows, so any slicing gives the
-rows of the one (samples, n) uniform draw; ``sample_count(n, i, classes)``
-counts those rows without building any. Users share their common columns,
+rows of the one (samples, n) uniform draw. Users share their common columns,
 and threads share an engine without a lock. Each engine also states its own
-error: ``standard_error(sums, squares, weights)`` is Monte Carlo's i.i.d.
-standard error of the means, merged from chunks of the samples, and None for
+error: ``standard_error(squares)`` is Monte Carlo's i.i.d. standard error of
+the means, from the samples' weighted squares about them, and None for
 quadrature, which states none.
 
 An engine's ``classes(network)`` partitions the users, and ``interim_curves``
@@ -102,16 +101,17 @@ zero-stride view of one pair), fills its own three small stacks, and runs the
 grid stage on them in blocks of at least one grid point, each block's arrays
 at most ``_CHUNK_FLOATS`` floats and freed before the next. What leaves a
 chunk is its weighted sums of x_i g_i.x, x_i and x_i^2 at every grid point
-(and, for a standard error, of the squares about the chunk's mean), added
-chunk by chunk in order once all chunks are done: a few floats per grid point
-and chunk, which ``interim_curves`` refuses beyond the refusal budget
-``market.MAX_ARRAY_FLOATS``. Beside those sums and a quadrature rule (its
-weights and multiset tables), no array grows with the sample count: live
+(and, for a standard error, of the squares about the chunk's mean), added to
+the user's running total as it arrives, in chunk order; the squares merge by
+the pairwise update of Chan, Golub & LeVeque (1983). Beside a quadrature rule
+(its weights and multiset tables), no array grows with the sample count: live
 memory is one chunk's seven stacks per worker, at most ``os.cpu_count()`` of
-them. Users run in turn, and the pool's tasks are the chunks of one user,
-submitted two per worker at a time, so neither do its futures; a user whose
-samples fit one CG chunk runs on the calling thread alone, and its sums are
-its values, bit for bit.
+them, and a few grid-sized sums per worker, which ``interim_curves`` counts
+with the curves against the refusal budget ``market.MAX_ARRAY_FLOATS``. Users
+run in turn, and the pool's tasks are the chunks of one user, submitted two
+per worker at a time, so neither do its futures; a user whose samples fit one
+CG chunk runs on the calling thread alone, and its sums are its values, bit
+for bit.
 
 The interim reward schedule that makes truth-telling optimal is
 
@@ -565,43 +565,30 @@ class MonteCarloEngine:
     quantile function, so they are identical across grid points and shared
     between users. A slice of rows is drawn alone, from the generator
     advanced past the rows before it, so the matrix is never held whole,
-    and no refusal counts the samples: ``interim_curves`` refuses a run by
-    the per-chunk sums they take. Twins see different columns, so every user
-    is its own class.
+    and no memory grows with the sample count; only a count whose weight
+    view numpy cannot index is refused. Twins see different columns, so
+    every user is its own class.
     """
 
     samples: int = 20_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise EngineError("need at least one Monte Carlo sample")
+        # numpy sizes even the zero-stride weight view by its bytes
+        if not 1 <= self.samples <= np.iinfo(np.intp).max // 8:
+            raise EngineError(f"{self.samples} Monte Carlo samples: need at least 1, and at most the "
+                              f"{np.iinfo(np.intp).max // 8} that one array can index")
 
     def classes(self, network: Network) -> tuple:
         return tuple((u,) for u in range(network.n))
 
-    def standard_error(self, sums: np.ndarray, squares: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """The i.i.d. standard error of each column's mean, from the sample set in chunks.
-
-        Row k holds chunk k: ``weights[k]`` its weight sum, ``sums[k]`` its
-        weighted sums and ``squares[k]`` its weighted squares about its own
-        means sums[k] / weights[k]. The chunks merge into the squares about the
-        mean of all samples (Chan, Golub & LeVeque 1983); over m - 1 and
-        divided by the m samples, that is the variance of the mean (Glasserman
-        2003, sec. 1.1). One chunk's squares are the merged ones.
-        """
+    def standard_error(self, squares: np.ndarray) -> np.ndarray:
+        """The i.i.d. standard error of each column's mean, from ``squares``, the samples'
+        weighted squares about that mean: over m - 1 and divided by the m samples, they are
+        the variance of the mean (Glasserman 2003, sec. 1.1)."""
         m = self.samples
-        spread = sums / weights[:, None]
-        spread -= np.add.reduce(sums) / np.add.reduce(weights)
-        # two arrays of the chunks' sums: the spreads, then squares + weights * spread^2
-        term = weights[:, None] * spread
-        term *= spread
-        term += squares
-        var = np.add.reduce(term) * m / max(1, m - 1)
+        var = squares * m / max(1, m - 1)
         return np.sqrt(var / m)
-
-    def sample_count(self, n: int, i: int, classes) -> int:
-        return self.samples
 
     def others_rows(self, dist: TypeDistribution, n: int, i: int, classes) -> SampleRows:
         def types(rows):
@@ -785,19 +772,19 @@ def interim_curves(
     then applies to the computed users. ``gamma_se`` is filled by the engine's
     ``standard_error`` where it has one. Before any array of the grid, an
     EngineError refuses a grid whose curves (3 per user, 4 with a standard
-    error, ``grid_size`` floats each) and per-chunk sums (as many per CG chunk
-    of the user with the most, counted by the engine's ``sample_count``) hold
-    more floats than the refusal budget ``market.MAX_ARRAY_FLOATS``; it is
-    the refusal that bounds a Monte Carlo run's sample count.
+    error, ``grid_size`` floats each) and the chunk sums held at once (as many
+    for the user's running total, the chunk added last and each chunk the pool
+    holds, or the one in flight without a pool) are more floats than the
+    refusal budget ``market.MAX_ARRAY_FLOATS``.
 
     Deterministic for a fixed engine configuration regardless of ``threads``:
-    every chunk's sums land in its own preallocated row, chunk sizes depend
-    only on the problem, and the rows are added in chunk order. Raises
-    SolverError naming the user, the grid type and the quantity when a solve
-    breaks the M-matrix promises of Assumption 2 (det(I - phi S) > 0,
-    x_i > 0, g_i.x >= 0) or misses the residual tolerance. Of the sign
-    breaks, the one named is at the lowest type; there, the first of det,
-    x_i and g_i.x that breaks; then the lowest sample, whatever the chunks.
+    chunk sizes depend only on the problem, and each chunk's sums are added to
+    the running total in chunk order. Raises SolverError naming the user, the
+    grid type and the quantity when a solve breaks the M-matrix promises of
+    Assumption 2 (det(I - phi S) > 0, x_i > 0, g_i.x >= 0) or misses the
+    residual tolerance. Of the sign breaks, the one named is at the lowest
+    type; there, the first of det, x_i and g_i.x that breaks; then the lowest
+    sample, whatever the chunks.
     """
     if grid_size < MIN_GRID:
         raise ValueError(f"need grid_size >= {MIN_GRID}")
@@ -819,15 +806,15 @@ def interim_curves(
     runs = sorted(copies)
     # samples in one CG chunk: its (n, 2 samples) stack holds about _CHUNK_FLOATS floats
     chunk = max(1, _CHUNK_FLOATS // (2 * n))
+    workers = min(threads, os.cpu_count() or 1)
     # per grid point, the sums of x_i g_i.x, x_i and x_i^2 and, for a standard error, of
-    # squares: one curve of each per user, and one sum of each per CG chunk of a user
+    # squares: one curve of each per user, and one sum of each per chunk held: the user's
+    # running total, the one added last and the pool's window of two per worker (one without)
     quantities = 3 if engine.standard_error is None else 4
-    most_chunks = max(-(-engine.sample_count(n, i, classes) // chunk) for i in runs)
-    floats = quantities * grid_size * (n + most_chunks)
+    floats = quantities * grid_size * (n + 2 + (2 * workers if workers > 1 else 1))
     if floats > MAX_ARRAY_FLOATS:
         raise EngineError(f"a curve grid of {grid_size} points holds {floats} floats of curves and "
-                          f"chunk sums, over the budget of {MAX_ARRAY_FLOATS}; lower the grid size "
-                          f"or the sample count")
+                          f"chunk sums, over the budget of {MAX_ARRAY_FLOATS}; lower the grid size")
     grid = np.linspace(dist.lower, dist.upper, grid_size)
     phi_grid = np.asarray(dist.virtual_value(grid), dtype=float)
     # the (grid, 2) left factors of the grid stage's products: [phi, phi^2] and [phi, 1]
@@ -839,15 +826,8 @@ def interim_curves(
     c = np.full((n, grid_size), np.nan)
     gamma_se = None if engine.standard_error is None else np.full((n, grid_size), np.nan)
 
-    workers = min(threads, os.cpu_count() or 1)
-
     def run_user(i, pool):
         rows = engine.others_rows(dist, n, i, classes)
-        count = -(-rows.shape[0] // chunk)
-        # per chunk and grid point, the weighted sums of x_i g_i.x, x_i and x_i^2 and, for a
-        # standard error, of (x_i g_i.x - the chunk's mean)^2; each chunk's weight sum
-        sums = np.empty((count, quantities, grid_size))
-        weight_sums = np.empty(count)
 
         def coefficients(sl):
             # (I - phi S) [g_i.x, x_i] = s by Cramer's rule: tr_dt = [tr, -dt], x_num = [ca, s1]
@@ -865,11 +845,12 @@ def interim_curves(
             return tr_dt, x_num, g_num
 
         def run_chunk(sl):
-            """The chunk's sums in its own row; its first sign break, (grid index, guard,
-            sample, value), or None."""
-            k = sl.start // chunk
+            """The chunk's first sign break, (grid index, guard, sample, value), or None; its
+            weight sum; and per grid point its weighted sums of x_i g_i.x, x_i and x_i^2 and,
+            for a standard error, of (x_i g_i.x - the chunk's mean)^2."""
             weights = np.ascontiguousarray(rows.weights[sl])
-            weight_sums[k] = weights.sum()
+            weight = weights.sum()
+            sums = np.empty((quantities, grid_size))
             tr_dt, x_num, g_num = coefficients(sl)
 
             def grid_block(block):
@@ -889,36 +870,48 @@ def interim_curves(
                     t, q, j = np.argwhere(bad)[0]
                     return block.start + t, q, sl.start + j, guards[q][0][t, j]
                 gamma_samples = np.multiply(xi, gx, out=gx)
-                sums[k, 0, block] = gamma_samples @ weights
+                sums[0, block] = gamma_samples @ weights
                 # V and C are quadratics in x_i: both come from E[x_i] and E[x_i^2]
-                sums[k, 1, block] = xi @ weights
+                sums[1, block] = xi @ weights
                 xi *= xi
-                sums[k, 2, block] = xi @ weights
+                sums[2, block] = xi @ weights
                 if gamma_se is not None:
                     # the squares about the chunk's own mean, in det's place
-                    np.subtract(gamma_samples, (sums[k, 0, block] / weight_sums[k])[:, None], out=det)
-                    sums[k, 3, block] = np.square(det, out=det) @ weights
+                    np.subtract(gamma_samples, (sums[0, block] / weight)[:, None], out=det)
+                    sums[3, block] = np.square(det, out=det) @ weights
 
             # block by block, each block's arrays freed before the next; a break ends the chunk
             blocks = _chunk_slices(grid_size, max(1, _CHUNK_FLOATS // weights.size))
-            return next(filter(None, map(grid_block, blocks)), None)
+            return next(filter(None, map(grid_block, blocks)), None), weight, sums
+
+        def fold(total, part):
+            """The chunks so far with the next one added, into the total's own sums; of sign
+            breaks, only the least is kept."""
+            (first, w_a, a), (brk, w_b, b) = total, part
+            if first or brk:
+                return min(filter(None, (first, brk))), None, None
+            if gamma_se is not None:
+                # the squares about the mean of both (Chan, Golub & LeVeque 1983)
+                delta = b[0] / w_b - a[0] / w_a
+                a[3] += b[3] + delta * delta * (w_a * w_b / (w_a + w_b))
+            a[:3] += b[:3]
+            return None, w_a + w_b, a
 
         # one CG chunk: the user runs on this thread; more go to the pool two per worker at a
-        # time, and only the least sign break of those run so far is kept
-        chunks = _chunk_slices(rows.shape[0], chunk)
-        first = min(filter(None, _map(pool if count > 1 else None, run_chunk, chunks, 2 * workers)),
-                    default=None)
+        # time, and each is added as it arrives, in chunk order: a one-chunk user's sums are its
+        # own, and every user's are the same bits at any thread count
+        first, _, total = reduce(fold, _map(pool if rows.shape[0] > chunk else None, run_chunk,
+                                            _chunk_slices(rows.shape[0], chunk), 2 * workers))
         if first:
             t, q, j, value = first
             name = ("det(I - phi S)", f"x_{i}", f"g_{i}.x")[q]
             raise SolverError(f"user {i} at theta {grid[t]:.12g}: {name} = {value:.6g} "
                               f"at sample {j} breaks the sign that Assumption 2 promises")
-        # chunk by chunk, in order: a one-chunk user's sums are its own
-        gamma[i], mean, square = np.add.reduce(sums[:, :3])
+        gamma[i], mean, square = total[:3]
         v[i] = (p.a - p.p) * mean - 0.5 * p.b * square
         c[i] = p.s * mean - 0.5 * p.t * square
         if gamma_se is not None:
-            gamma_se[i] = engine.standard_error(sums[:, 0], sums[:, 3], weight_sums)
+            gamma_se[i] = engine.standard_error(total[3])
 
     # the pool starts a thread only when a chunk is submitted to it
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

@@ -233,6 +233,20 @@ class TestVerifyVerb:
         assert main(args) == 2
         assert "holds 4431 floats, over the budget of 4430" in capsys.readouterr().err
 
+    def test_curve_grid_budget_counts_a_window_of_chunks(self, tmp_path, capsys, monkeypatch):
+        """On one thread the kernel holds 4 curves of 5 users and the sums of 3 of a user's 4
+        chunks (its running total, the chunk added last and the one in flight), 201 floats
+        each: 4 x 201 x (5 + 3) floats at complete5's 20000 Monte Carlo samples."""
+        args = ["verify", "--config", COMPLETE5, "--engine", "mc", "--threads", "1", "--out", str(tmp_path)]
+        monkeypatch.setattr(mechanism, "MAX_ARRAY_FLOATS", 4 * 201 * (5 + 3))
+        assert main(args) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(mechanism, "MAX_ARRAY_FLOATS", 4 * 201 * (5 + 3) - 1)
+        monkeypatch.setattr(mechanism, "_rank2_factors", lambda *a, **k: pytest.fail("curves before the refusal"))
+        assert main(args) == 2
+        assert "a curve grid of 201 points holds 6432 floats of curves and chunk sums, over the budget of 6431" \
+            in capsys.readouterr().err
+
     def test_ic_sweep_holds_what_it_counts(self, tmp_path, capsys):
         """At 1001 x 1001 the counted 1001 x (1001 + 2 x 5) floats (8.1 MB) are one user's
         utilities and every user's bests and gains; beside them the sweep holds a block of
@@ -406,21 +420,20 @@ class TestBadValuesExitTwo:
          "--mc-samples"),
         (["experiment", "--name", "fig6", "--mc-samples", "-5"], None, "--mc-samples"),
         (["rewards", "--config", HUB5, "--quad-order", "100"], None, "order 100 at n=5"),
-        # the draws stream a chunk at a time; the 4 x 152602 chunk sums are refused
-        (["rewards", "--config", HUB5, "--engine", "mc", "--mc-samples", "1000000000"], None,
-         "a curve grid of 201 points holds 122696028 floats"),
+        # numpy cannot size even the zero-stride view of 2**60 weights
+        (["rewards", "--config", HUB5, "--engine", "mc", "--mc-samples", str(2**60)], None,
+         f"{2**60} Monte Carlo samples: need at least 1, and at most the {2**60 - 1} that one "
+         f"array can index"),
         # refused by the parser, before table2 builds any network
         (["bench", "--sizes", "4097"], None, "argument --sizes: a dense network of n=4097"),
         (["bench", "--sizes", "10,5000"], None,
          "argument --sizes: a dense network of n=5000 users holds 25000000 weights, "
          "over the budget of 16777216 floats"),
-        # curves of 3 x 5 users and the sums of 1 chunk, refused before the grid is built
-        (["rewards", "--config", HUB5, "--report-grid", "200000000"], None,
-         "a curve grid of 200000000 points holds 3600000000 floats of curves and chunk sums, "
+        # curves of 3 x 5 users and the sums of 3 chunks on one thread, refused before the
+        # grid is built
+        (["rewards", "--config", HUB5, "--report-grid", "200000000", "--threads", "1"], None,
+         "a curve grid of 200000000 points holds 4800000000 floats of curves and chunk sums, "
          "over the budget of 16777216"),
-        # at the full sample budget the 4 x 513 chunk sums outweigh the 4 x 5 curves
-        (["rewards", "--config", HUB5, "--engine", "mc", "--mc-samples", "3355443",
-          "--report-grid", "8200"], None, "a curve grid of 8200 points holds 16990400 floats"),
     ])
     def test_exit_two_and_name(self, tmp_path, capsys, monkeypatch, argv, env, named):
         # a refusal that stops firing fails here at once, not after a long run

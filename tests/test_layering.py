@@ -341,6 +341,33 @@ def test_sample_variance_spelled_once_on_the_monte_carlo_engine():
     assert homes == [("mechanism", "MonteCarloEngine", "standard_error")]
 
 
+def test_chunk_merge_spelled_once():
+    """The Chan, Golub & LeVeque cross term w_a w_b / (w_a + w_b), which merges two chunks'
+    squares about their means, lives in one function: the curve kernel's fold."""
+    def factors(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return factors(node.left) + factors(node.right)
+        return [ast.unparse(node)]
+
+    def is_cross(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Add)
+                and {ast.unparse(node.right.left), ast.unparse(node.right.right)} <= set(factors(node.left)))
+
+    homes = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            inner = path + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else path
+            if is_cross(child):
+                homes.append(path)
+            visit(child, inner)
+
+    for source in sorted(SRC.glob("*.py")):
+        visit(ast.parse(source.read_text()), (source.stem,))
+    assert homes == [("mechanism", "interim_curves", "run_user", "fold")]
+
+
 def module_constants(tree: ast.Module) -> dict:
     """Names a module assigns at its top level, with the source of each value."""
     return {target.id: ast.unparse(node.value) for node in tree.body if isinstance(node, ast.Assign)

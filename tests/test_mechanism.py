@@ -541,9 +541,7 @@ class TestStatelessEngines:
         assert rows.shape == (2**22 + 1, 3)
         assert rows.types(slice(2**22, 2**22 + 1)).shape == (1, 3)
         monkeypatch.setattr(mechanism, "MAX_ARRAY_FLOATS", 12)
-        engine = MonteCarloEngine(samples=13)
-        assert engine.sample_count(1, 0, alone(1)) == 13
-        assert whole_samples(engine, UNIFORM, 3, 0)[0].shape == (13, 2)
+        assert whole_samples(MonteCarloEngine(samples=13), UNIFORM, 3, 0)[0].shape == (13, 2)
 
 
 class TestQuadratureBudget:
