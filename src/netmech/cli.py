@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Verbs and the flags each one reads (every verb takes ``--config``, optional
-for experiment and bench):
+for experiment):
 
   validate    --config
   solve       --config --theta
   rewards     --config --seed --engine --mc-samples --quad-order
               --report-grid --threads --out
   verify      the rewards flags plus --grid
-  experiment  the verify flags plus --name
-  bench       --config --seed --out --sizes
+  experiment  the verify flags plus --name and --sizes (the network sizes
+              table2 times); its --grid may be one point smaller, as fig4
+              adds a node
 
 A flag a verb does not read is a usage error. Exit codes: 0 = success and
 every asserted property passed; 1 = a property check failed (the report is
@@ -21,7 +22,7 @@ All randomness flows from one nonnegative seed. Precedence: --seed flag, then
 the NETMECH_SEED environment variable, then a "seed" key in the config file,
 then 0. Identical invocations produce byte-identical CSV output, including
 under different --threads, except the wall-clock times of table2.csv, which
-bench, experiment --name table2 and experiment --name all write.
+experiment --name table2 and experiment --name all write.
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ from .config import ConfigError, as_int, load_config, params_from_config, scenar
 from .distributions import SupportError
 from .experiments import (
     EXPERIMENT_NAMES,
-    MIN_GRIDS,
+    MIN_SPEC_GRID,
     TABLE2_SIZES,
     ExperimentSpec,
     run_experiment,
-    run_table2,
     write_summary,
 )
 from .market import MAX_ARRAY_FLOATS, InvalidScenarioError, Scenario, check_dense_size
@@ -115,14 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name, help_text, *flags, config_required=True, grid_type=None):
+    def verb(name, help_text, *flags, config_required=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=config_required, help="scenario config (JSON)")
         for flag in flags:
-            kwargs = dict(_FLAGS[flag])
-            if grid_type and flag in ("--grid", "--report-grid"):
-                kwargs["type"] = grid_type
-            p.add_argument(flag, **kwargs)
+            p.add_argument(flag, **_FLAGS[flag])
         return p
 
     verb("validate", "check assumption 1 (regularity) and assumption 2 (feasibility)")
@@ -130,14 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--theta", required=True, help="comma-separated type profile")
     verb("rewards", "interim curves and reward schedule to CSV", *_CURVE_FLAGS)
     verb("verify", "certify IC, IR, and gamma monotonicity", *_CURVE_FLAGS, "--grid")
-    # each experiment derives its own grids from these (fig4 adds a node, table1 takes >= 41);
-    # cmd_experiment checks them against experiments.MIN_GRIDS
-    verb("experiment", "run a case-study experiment", *_CURVE_FLAGS, "--grid",
-         config_required=False, grid_type=int).add_argument(
-        "--name", required=True, choices=EXPERIMENT_NAMES + ("all",))
-    verb("bench", "time the demand solve across network sizes", "--seed", "--out",
-         config_required=False).add_argument(
-        "--sizes", type=_sizes, default=TABLE2_SIZES, help="comma-separated network sizes")
+    experiment = verb("experiment", "run a case-study experiment", *_CURVE_FLAGS, config_required=False)
+    experiment.add_argument("--name", required=True, choices=EXPERIMENT_NAMES + ("all",))
+    # fig4 adds a node to --grid
+    experiment.add_argument("--grid", **dict(_FLAGS["--grid"], type=_at_least(MIN_SPEC_GRID)))
+    experiment.add_argument("--sizes", type=_sizes, default=TABLE2_SIZES,
+                            help="comma-separated network sizes that table2 times")
     return parser
 
 
@@ -245,21 +240,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    spec = _spec_from_args(
-        args,
+    cfg = load_config(args.config) if args.config else None
+    spec = ExperimentSpec(
+        out_dir=args.out,
+        seed=_resolve_seed(args, cfg),
         engine=args.engine,
         quad_order=args.quad_order,
         mc_samples=args.mc_samples,
         grid=args.grid,
         report_grid=args.report_grid,
         threads=args.threads,
+        sizes=args.sizes,
     )
+    if cfg is not None:  # its params and distribution blocks, never its network
+        params, dist = params_from_config(cfg)
+        spec = replace(spec, params=params, dist=dist)
     names = EXPERIMENT_NAMES if args.name == "all" else (args.name,)
-    for name in names:
-        for dest, low in MIN_GRIDS.get(name, {}).items():
-            if getattr(args, dest) < low:
-                raise ConfigError(f"--{dest.replace('_', '-')} must be an integer >= {low} "
-                                  f"for experiment {name}, got {getattr(args, dest)}")
     summary_path = _output_dir(args) / "summary.txt"
     results = [run_experiment(spec, name) for name in names]
     write_summary(results, summary_path)
@@ -272,35 +268,12 @@ def cmd_experiment(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_bench(args) -> int:
-    spec = _spec_from_args(args)
-    summary_path = _output_dir(args) / "summary.txt"
-    result = run_table2(spec, sizes=args.sizes)
-    for rec in result.records:
-        print(f"n={rec.n}: {rec.wall_seconds:.6f} s ({rec.statistic} of {rec.repetitions})")
-    for check in result.checks:
-        print(check.line())
-    write_summary([result], summary_path)
-    return 0 if result.passed else 1
-
-
-def _spec_from_args(args, **fields) -> ExperimentSpec:
-    """Spec from --config (its params and distribution blocks), --seed, --out and the verb's ``fields``."""
-    cfg = load_config(args.config) if args.config else None
-    spec = ExperimentSpec(out_dir=args.out, seed=_resolve_seed(args, cfg), **fields)
-    if cfg is not None:
-        params, dist = params_from_config(cfg)
-        spec = replace(spec, params=params, dist=dist)
-    return spec
-
-
 _COMMANDS = {
     "validate": cmd_validate,
     "solve": cmd_solve,
     "rewards": cmd_rewards,
     "verify": cmd_verify,
     "experiment": cmd_experiment,
-    "bench": cmd_bench,
 }
 
 

@@ -45,9 +45,6 @@ FIG6_SIZES = (10, 20, 50)
 FIG6_GRID = 9
 FIG3_TRUTHS = (0.45, 0.55, 0.65, 0.75)
 TABLE1_TRUTH = 0.6
-# the smallest spec grids an experiment runs with: interim_curves needs MIN_GRID points,
-# and fig4 adds one to spec.grid (table1 raises both to 41, table2 and fig6 ignore them)
-MIN_GRIDS = {"fig3": {"report_grid": MIN_GRID}, "fig4": {"grid": MIN_GRID - 1}}
 
 
 @dataclass(frozen=True)
@@ -64,6 +61,7 @@ class ExperimentSpec:
     grid: int = 21
     report_grid: int = 201
     threads: int = 1
+    sizes: tuple = TABLE2_SIZES  # the network sizes table2 times
 
     def make_engine(self):
         return make_engine(self.engine, self.quad_order, self.mc_samples, self.seed)
@@ -155,6 +153,11 @@ def run_fig3(spec: ExperimentSpec, rewards=None) -> ExperimentResult:
     return ExperimentResult("fig3", (path,), tuple(checks))
 
 
+# the smallest spec.grid: fig4 adds a node, so its curves get the MIN_GRID points that
+# interim_curves needs (table1 raises its grids to 41, table2 and fig6 ignore them)
+MIN_SPEC_GRID = MIN_GRID - 1
+
+
 def run_fig4(spec: ExperimentSpec) -> ExperimentResult:
     """Truthful interim utility by role: complete user, star center, star branch.
 
@@ -241,8 +244,8 @@ def run_table1(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult("table1", (path, sweep_path), tuple(checks))
 
 
-def run_table2(spec: ExperimentSpec, sizes=TABLE2_SIZES) -> ExperimentResult:
-    """Median wall time of matrix assembly + LU solve across network sizes.
+def run_table2(spec: ExperimentSpec) -> ExperimentResult:
+    """Median wall time of matrix assembly + LU solve across the network sizes ``spec.sizes``.
 
     Timing runs sequentially; the log-log slope over the four largest sizes is
     checked against the cubic-solve bound only when the sizes reach the
@@ -250,7 +253,7 @@ def run_table2(spec: ExperimentSpec, sizes=TABLE2_SIZES) -> ExperimentResult:
     """
     records = []
     rows = []
-    for n in sizes:
+    for n in spec.sizes:
         net, _ = scaled_random_half_network(
             n, spec.seed + n, spec.params, spec.dist.upper
         )
@@ -276,7 +279,7 @@ def run_table2(spec: ExperimentSpec, sizes=TABLE2_SIZES) -> ExperimentResult:
         records.append(rec)
         rows.append((rec.n, rec.wall_seconds, rec.repetitions, rec.statistic, rec.mean_degree))
     checks = []
-    if len(sizes) >= 4 and max(sizes) >= 400:
+    if len(spec.sizes) >= 4 and max(spec.sizes) >= 400:
         top = sorted(records, key=lambda r: r.n)[-4:]
         slope = float(
             np.polyfit(

@@ -28,13 +28,14 @@ from .distributions import RegularityReport, TypeDistribution, validate_regulari
 
 # floats (128 MiB), the one refusal budget of the package: each array below is refused where it
 # is sized, naming its count and this budget, before it is allocated
-#   - a dense network's n x n weights (check_dense_size, and bench's --sizes). A generator builds,
-#     checks and freezes each network in that one float array, with at most n^2 bytes beside it
-#     (random_k's bool adjacency) and 2 n^2 bytes before it (the adjacency and its transpose
-#     while it is symmetrized); the comparison of G with G^T holds one panel's bools
+#   - a dense network's n x n weights (check_dense_size, and experiment's --sizes). A generator
+#     builds, checks and freezes each network in that one float array, with at most n^2 bytes
+#     beside it (random_k's bool adjacency) and 2 n^2 bytes before it (the adjacency and its
+#     transpose while it is symmetrized); the comparison of G with G^T holds one panel's bools
 #   - a quadrature rule's (rows,) weights, rows = prod_c C(order+k_c-1, k_c) over the classes of
 #     the other users, plus each class's (C(order+k_c-1, k_c), k_c) multiset table
-#     (mechanism.QuadratureEngine); its types are made one CG chunk at a time
+#     (mechanism.QuadratureEngine, every requested user before any curve); its types are made one
+#     CG chunk at a time
 #   - the order x order Gauss-Legendre eigenproblem (mechanism.QuadratureEngine)
 #   - the curve kernel's curves, 3 x n x grid (4 with a standard error), plus as many sums per
 #     chunk held at once: a user's running total, the chunk added last and the pool's two per

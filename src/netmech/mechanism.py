@@ -46,9 +46,10 @@ error: ``standard_error(squares)`` is Monte Carlo's i.i.d. standard error of
 the means, from the samples' weighted squares about them, and None for
 quadrature, which states none.
 
-An engine's ``classes(network)`` partitions the users, and ``interim_curves``
-uses the partition at two levels. Only the first requested user of each class
-is computed, and its rows are copied to the class's other requested users.
+An engine's ``classes(network, users)`` partitions the users, and
+``interim_curves`` uses the partition at two levels. Only the first requested
+user of each class is computed, and its rows are copied to the class's other
+requested users.
 And user i's rule runs over the classes of the other users. Quadrature's
 classes are the twins of ``market.twin_classes``, users whose swap leaves G
 unchanged: the types are i.i.d. and the Gauss-Legendre rule is symmetric in
@@ -476,13 +477,14 @@ class QuadratureEngine:
     others, its (C(order+k_c-1, k_c), k_c) multiset table; the types are made
     a CG chunk at a time. A rule that holds more entries than the refusal
     budget ``market.MAX_ARRAY_FLOATS`` is refused before any multiset is
-    built, pointing to the Monte Carlo engine instead, and so is an order
-    whose order x order Gauss-Legendre eigenproblem is over that budget, when
-    the engine is built. The types are i.i.d. and the rule is symmetric in its
-    coordinates, so nodes that differ by a permutation within a class of
-    twins give equal integrands, and twin users get equal curves:
-    ``classes`` are the twin classes. A deterministic rule, it states no
-    ``standard_error``.
+    built, pointing to the Monte Carlo engine instead (``classes`` counts the
+    rule of every user the kernel is asked for before it computes any), and
+    so is an order whose order x order Gauss-Legendre eigenproblem is over
+    that budget, when the engine is built. The types are i.i.d. and the rule
+    is symmetric in its coordinates, so nodes that differ by a permutation
+    within a class of twins give equal integrands, and twin users get equal
+    curves: ``classes`` are the twin classes. A deterministic rule, it states
+    no ``standard_error``.
     """
 
     order: int = 8
@@ -493,13 +495,18 @@ class QuadratureEngine:
             raise EngineError(f"quadrature order {self.order} needs order >= 1 and an order x order "
                               f"eigenproblem of {self.order**2} floats within the budget of {MAX_ARRAY_FLOATS}")
 
-    def classes(self, network: Network) -> tuple:
+    def classes(self, network: Network, users) -> tuple:
         """``twin_classes(network)``, after refusing n users before their classes are known:
         no partition of the n-1 others gives fewer rows, and so fewer weights, than the
-        C(order+n-2, n-1) of one class of all of them."""
+        C(order+n-2, n-1) of one class of all of them. Then the rule of each of ``users``
+        is counted over the classes (``sample_count``), so an over-budget rule is refused,
+        naming its user, before any user's curves are computed."""
         n = network.n
-        self._refuse_over_budget(n, math.comb(self.order + n - 2, n - 1), "at least ")
-        return twin_classes(network)
+        self._refuse_over_budget(n, math.comb(self.order + n - 2, n - 1))
+        classes = twin_classes(network)
+        for i in users:
+            self.sample_count(n, i, classes)
+        return classes
 
     def _class_columns(self, i: int, classes) -> tuple[list, list]:
         """Per class of the others: its columns (user u's is u, or u - 1 past i) and its
@@ -513,14 +520,17 @@ class QuadratureEngine:
         hold more than ``MAX_ARRAY_FLOATS`` entries."""
         columns, radices = self._class_columns(i, classes)
         count = math.prod(radices)
-        self._refuse_over_budget(n, count + sum(len(c) * r for c, r in zip(columns, radices)))
+        self._refuse_over_budget(n, count + sum(len(c) * r for c, r in zip(columns, radices)), i)
         return count
 
-    def _refuse_over_budget(self, n: int, entries: int, least: str = "") -> None:
+    def _refuse_over_budget(self, n: int, entries: int, user=None) -> None:
+        """Refuse ``entries`` over the budget: user ``user``'s rule, or without a user, the
+        least that any user's rule can hold."""
         if entries > MAX_ARRAY_FLOATS:
+            whose, least = ("", "at least ") if user is None else (f"user {user}: ", "")
             raise EngineError(
-                f"quadrature of order {self.order} at n={n} holds {least}{entries} weights and "
-                f"multiset entries, over the budget of {MAX_ARRAY_FLOATS}; lower the order or "
+                f"{whose}quadrature of order {self.order} at n={n} holds {least}{entries} weights "
+                f"and multiset entries, over the budget of {MAX_ARRAY_FLOATS}; lower the order or "
                 f"use MonteCarloEngine"
             )
 
@@ -579,7 +589,9 @@ class MonteCarloEngine:
             raise EngineError(f"{self.samples} Monte Carlo samples: need at least 1, and at most the "
                               f"{np.iinfo(np.intp).max // 8} that one array can index")
 
-    def classes(self, network: Network) -> tuple:
+    def classes(self, network: Network, users) -> tuple:
+        """Every user alone; the draws stream, so no user's sample set is refused and
+        ``users`` is not read."""
         return tuple((u,) for u in range(network.n))
 
     def standard_error(self, squares: np.ndarray) -> np.ndarray:
@@ -767,15 +779,17 @@ def interim_curves(
     them through the grid stage to weighted sums over the whole grid, so no
     array of a user's whole sample set is built.
 
-    The first requested user of each of the engine's ``classes`` is computed
-    and its rows are copied to the class's other requested users; ``threads``
-    then applies to the computed users. ``gamma_se`` is filled by the engine's
-    ``standard_error`` where it has one. Before any array of the grid, an
-    EngineError refuses a grid whose curves (3 per user, 4 with a standard
-    error, ``grid_size`` floats each) and the chunk sums held at once (as many
-    for the user's running total, the chunk added last and each chunk the pool
-    holds, or the one in flight without a pool) are more floats than the
-    refusal budget ``market.MAX_ARRAY_FLOATS``.
+    The engine's ``classes`` of the requested users, which may refuse one of
+    them before any is computed, are taken first. The first requested user of
+    each class is computed and its rows are copied to the class's other
+    requested users; ``threads`` then applies to the computed users.
+    ``gamma_se`` is filled by the engine's ``standard_error`` where it has
+    one. Before any array of the grid, an EngineError refuses a grid whose
+    curves (3 per user, 4 with a standard error, ``grid_size`` floats each)
+    and the chunk sums held at once (as many for the user's running total,
+    the chunk added last and each chunk the pool holds, or the one in flight
+    without a pool) are more floats than the refusal budget
+    ``market.MAX_ARRAY_FLOATS``.
 
     Deterministic for a fixed engine configuration regardless of ``threads``:
     chunk sizes depend only on the problem, and each chunk's sums are added to
@@ -797,7 +811,7 @@ def interim_curves(
         raise ValueError("need at least one user")
     dist = sc.dist
     p = sc.params
-    classes = engine.classes(sc.network)
+    classes = engine.classes(sc.network, user_list)
     copies = {}
     for members in classes:
         requested = [u for u in members if u in user_list]

@@ -282,7 +282,7 @@ class TestHelpAndErrors:
     def test_help_lists_verbs(self, capsys):
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
-        for verb in ("validate", "solve", "rewards", "verify", "experiment", "bench"):
+        for verb in ("validate", "solve", "rewards", "verify", "experiment"):
             assert verb in out
 
     def test_unknown_flag_is_hard_error(self, capsys):
@@ -290,6 +290,9 @@ class TestHelpAndErrors:
 
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
+        # table2's sizes are timed by experiment --name table2 --sizes, not a verb of their own
+        assert main(["bench", "--sizes", "5,10"]) == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_missing_config(self, capsys):
         assert main(["rewards", "--config", "/nonexistent.json"]) == 2
@@ -317,7 +320,7 @@ class TestExperimentVerb:
     @pytest.mark.parametrize("network", [{"kind": "complete", "n": 30000}, {"kind": "random_k", "n": 5}],
                              ids=["over-budget", "random_k-without-seed"])
     def test_network_block_not_read(self, tmp_path, capsys, network):
-        """experiment and bench take the config's market parameters and type law, never its network."""
+        """experiment takes the config's market parameters and type law, never its network."""
         cfg = json.loads(Path(HUB5).read_text())
         outputs = []
         for name, block in (("valid", cfg["network"]), ("unread", network)):
@@ -325,15 +328,16 @@ class TestExperimentVerb:
             out = tmp_path / name
             assert main(["experiment", "--config", path, "--name", "fig4", "--grid", "8",
                          "--quad-order", "2", "--out", str(out)]) == 0
-            assert main(["bench", "--config", path, "--sizes", "10", "--out", str(out)]) == 0
+            assert main(["experiment", "--config", path, "--name", "table2", "--sizes", "10",
+                         "--out", str(out)]) == 0
             table2 = [line.split(",") for line in (out / "table2.csv").read_text().splitlines()]
             outputs.append(((out / "fig4.csv").read_bytes(), [row[:1] + row[2:] for row in table2]))
         assert outputs[0] == outputs[1]
 
 
-class TestBenchVerb:
+class TestTable2Sizes:
     def test_small_sizes(self, tmp_path, capsys):
-        code = main(["bench", "--sizes", "5,10", "--out", str(tmp_path)])
+        code = main(["experiment", "--name", "table2", "--sizes", "5,10", "--out", str(tmp_path)])
         assert code == 0
         lines = (tmp_path / "summary.txt").read_text()
         assert "table2" in lines
@@ -342,11 +346,12 @@ class TestBenchVerb:
         assert len(csv) == 3
 
     def test_bad_sizes(self, capsys):
-        assert main(["bench", "--sizes", "ten"]) == 2
+        assert main(["experiment", "--name", "table2", "--sizes", "ten"]) == 2
 
     def test_empty_sizes_are_the_default(self):
         assert cli._sizes("") == TABLE2_SIZES
-        assert cli.build_parser().parse_args(["bench", "--sizes", ""]).sizes == TABLE2_SIZES
+        parsed = cli.build_parser().parse_args(["experiment", "--name", "table2", "--sizes", ""])
+        assert parsed.sizes == TABLE2_SIZES
 
 
 class TestDeterminism:
@@ -403,11 +408,11 @@ class TestBadValuesExitTwo:
         (["rewards", "--config", COMPLETE5, "--report-grid", "5"], None, "--report-grid"),
         (["verify", "--config", COMPLETE5, "--grid", "5"], None, "--grid"),
         (["verify", "--config", COMPLETE5, "--report-grid", "8"], None, "--report-grid"),
-        (["bench", "--sizes", "0"], None, "--sizes"),
-        (["bench", "--sizes", "10,-2"], None, "--sizes"),
+        (["experiment", "--name", "table2", "--sizes", "0"], None, "--sizes"),
+        (["experiment", "--name", "table2", "--sizes", "10,-2"], None, "--sizes"),
         (["rewards", "--config", COMPLETE5, "--seed", "-1"], None, "--seed"),
         (["experiment", "--name", "fig6", "--seed", "-1"], None, "--seed"),
-        (["bench", "--sizes", "5", "--seed", "-1"], None, "--seed"),
+        (["experiment", "--name", "table2", "--sizes", "5", "--seed", "-1"], None, "--seed"),
         (["rewards", "--config", COMPLETE5, "--engine", "mc"], "-3", "NETMECH_SEED"),
         (["verify", "--config", COMPLETE5], "abc", "NETMECH_SEED"),
         (["rewards", "--config", COMPLETE5, "--threads", "0"], None, "--threads"),
@@ -425,8 +430,9 @@ class TestBadValuesExitTwo:
          f"{2**60} Monte Carlo samples: need at least 1, and at most the {2**60 - 1} that one "
          f"array can index"),
         # refused by the parser, before table2 builds any network
-        (["bench", "--sizes", "4097"], None, "argument --sizes: a dense network of n=4097"),
-        (["bench", "--sizes", "10,5000"], None,
+        (["experiment", "--name", "table2", "--sizes", "4097"], None,
+         "argument --sizes: a dense network of n=4097"),
+        (["experiment", "--name", "table2", "--sizes", "10,5000"], None,
          "argument --sizes: a dense network of n=5000 users holds 25000000 weights, "
          "over the budget of 16777216 floats"),
         # curves of 3 x 5 users and the sums of 3 chunks on one thread, refused before the
@@ -434,6 +440,10 @@ class TestBadValuesExitTwo:
         (["rewards", "--config", HUB5, "--report-grid", "200000000", "--threads", "1"], None,
          "a curve grid of 200000000 points holds 4800000000 floats of curves and chunk sums, "
          "over the budget of 16777216"),
+        # every experiment takes --grid >= 8 (fig4 adds a node) and --report-grid >= 9
+        (["experiment", "--name", "fig6", "--grid", "7"], None, "argument --grid: must be an integer >= 8"),
+        (["experiment", "--name", "table1", "--report-grid", "8"], None,
+         "argument --report-grid: must be an integer >= 9"),
     ])
     def test_exit_two_and_name(self, tmp_path, capsys, monkeypatch, argv, env, named):
         # a refusal that stops firing fails here at once, not after a long run
@@ -454,7 +464,7 @@ class TestBadValuesExitTwo:
     @pytest.mark.parametrize("argv", [
         ["rewards", "--config", COMPLETE5, "--report-grid", "9", "--quad-order", "2", "--seed", "0"],
         ["verify", "--config", COMPLETE5, "--grid", "9", "--report-grid", "9", "--quad-order", "2"],
-        ["bench", "--sizes", "1"],
+        ["experiment", "--name", "table2", "--sizes", "1"],
         ["rewards", "--config", COMPLETE5, "--report-grid", "9", "--quad-order", "2", "--threads", "1"],
         ["experiment", "--name", "fig3", "--report-grid", "9", "--quad-order", "2"],
         ["experiment", "--name", "fig4", "--grid", "8", "--quad-order", "2"],
@@ -467,12 +477,12 @@ class TestBadValuesExitTwo:
         (["rewards", "--config", COMPLETE5], "", "File exists"),
         (["verify", "--config", COMPLETE5], "sub", "Not a directory"),
         (["experiment", "--name", "fig4"], "", "File exists"),
-        (["bench", "--sizes", "5"], "sub/deeper", "Not a directory"),
-    ], ids=["rewards", "verify", "experiment", "bench"])
+        (["experiment", "--name", "table2", "--sizes", "5"], "sub/deeper", "Not a directory"),
+    ], ids=["rewards", "verify", "experiment", "table2"])
     def test_out_naming_a_file_exits_two_before_computing(self, tmp_path, capsys, monkeypatch,
                                                           argv, under, reason):
         """--out that is a regular file, or a path under one, is refused before any computation."""
-        for name in ("interim_curves", "run_experiment", "run_table2"):
+        for name in ("interim_curves", "run_experiment"):
             monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("computed before --out"))
         blocker = tmp_path / "blocker"
         blocker.write_text("kept\n")
@@ -576,16 +586,15 @@ class TestMalformedConfig:
         assert err.startswith("error: config ") and "must be a JSON object" in err
 
 
-# the flags each verb defines, as parser dests: 34 settable values in all
+# the flags each verb defines, as parser dests: 31 settable values in all
 VERB_FLAGS = {
     "validate": {"config"},
     "solve": {"config", "theta"},
     "rewards": {"config", "seed", "engine", "mc_samples", "quad_order", "report_grid",
                 "threads", "out"},
-    "bench": {"config", "seed", "out", "sizes"},
 }
 VERB_FLAGS["verify"] = VERB_FLAGS["rewards"] | {"grid"}
-VERB_FLAGS["experiment"] = VERB_FLAGS["verify"] | {"name"}
+VERB_FLAGS["experiment"] = VERB_FLAGS["verify"] | {"name", "sizes"}
 
 
 def verb_dests(verb: str) -> set:
@@ -597,7 +606,7 @@ def verb_dests(verb: str) -> set:
 class TestFlagAudit:
     def test_each_verb_defines_its_flags(self):
         assert {verb: verb_dests(verb) for verb in VERB_FLAGS} == VERB_FLAGS
-        assert sum(len(dests) for dests in VERB_FLAGS.values()) == 34
+        assert sum(len(dests) for dests in VERB_FLAGS.values()) == 31
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--config", COMPLETE5],
@@ -605,7 +614,7 @@ class TestFlagAudit:
         ["rewards", "--config", COMPLETE5, "--quad-order", "2", "--report-grid", "9"],
         ["verify", "--config", COMPLETE5, "--quad-order", "2", "--report-grid", "9", "--grid", "9"],
         ["experiment", "--config", COMPLETE5, "--name", "fig4", "--quad-order", "2", "--grid", "8"],
-        ["bench", "--sizes", "3"],
+        ["experiment", "--name", "table2", "--sizes", "3"],
     ])
     def test_every_flag_is_read(self, tmp_path, capsys, argv):
         """A verb defines no flag its command ignores."""
@@ -627,5 +636,4 @@ class TestFlagAudit:
         assert main(["validate", "--config", COMPLETE5, "--seed", "3"]) == 2
         assert main(["solve", "--config", COMPLETE5, "--theta", "0.6,0.6,0.6,0.6,0.6",
                      "--engine", "mc"]) == 2
-        assert main(["bench", "--sizes", "3", "--threads", "2"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err

@@ -376,7 +376,7 @@ class TensorRule:
     order: int
     standard_error = None
 
-    def classes(self, network):
+    def classes(self, network, users):
         return alone(network.n)
 
     def others_rows(self, dist, n, i, classes):

@@ -433,3 +433,20 @@ def test_cli_states_no_assumption_failure_of_its_own():
     validate = top_level_functions(cli)["cmd_validate"]
     assert "require_valid" in references(validate)
     assert "stderr" not in references(validate)
+
+
+def test_case_study_runs_through_one_runner_table():
+    """table2 is reached through experiments' runner table alone, and each experiment's
+    grid floor is its flag's own type: cli reads no per-experiment table."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            names = references(top) | {alias.name for node in ast.walk(top)
+                                       if isinstance(node, ast.ImportFrom) for alias in node.names}
+            if "run_table2" in names and getattr(top, "name", None) != "run_table2":
+                callers.add((path.stem, ast.unparse(top.targets[0]) if isinstance(top, ast.Assign) else None))
+    assert callers == {("experiments", "_RUNNERS")}
+    experiments = ast.parse((SRC / "experiments.py").read_text())
+    tables = {name for name, value in module_constants(experiments).items() if value.startswith("{")}
+    cli = ast.parse((SRC / "cli.py").read_text())
+    assert not references(cli) & (tables | {"MIN_GRIDS"})

@@ -611,6 +611,20 @@ class TestQuadratureBudget:
             interim_curves(sc, 9, QuadratureEngine(order=8))
 
 
+    def test_every_requested_rule_counted_before_any_curve(self, monkeypatch, hub5):
+        """hub5's hub holds 1296 rows and 1440 entries at order 8, each other user 2304 rows
+        and 2392 entries: under a budget of 2391 the leaf is refused, named, before the hub's
+        curves are computed."""
+        monkeypatch.setattr(mechanism, "MAX_ARRAY_FLOATS", 2391)
+        monkeypatch.setattr(mechanism, "_rank2_factors",
+                            lambda *a, **k: pytest.fail("a curve was computed before the refusal"))
+        with pytest.raises(EngineError, match=r"^user 1: quadrature of order 8 at n=5 holds 2392 "
+                                              r"weights and multiset entries, over the budget of 2391"):
+            interim_curves(hub5, 9, QuadratureEngine(order=8))
+        with pytest.raises(EngineError, match=r"^user 2: .* holds 2392 weights"):
+            QuadratureEngine(order=8).others_rows(UNIFORM, 5, 2, twin_classes(hub5.network))
+
+
 class TestSampleRows:
     """A sample set made in row chunks is the whole set, bit for bit, for every user."""
 
